@@ -66,15 +66,6 @@ impl StratifiedProgram {
     }
 }
 
-/// Validates `program` and computes its strata.
-///
-/// Deprecated thin alias for [`stratify_program`], kept so the original
-/// call sites keep compiling; new code should call [`stratify_program`].
-#[deprecated(since = "0.10.0", note = "use `stratify_program` instead")]
-pub fn stratify(program: &Program) -> EngineResult<StratifiedProgram> {
-    stratify_program(program)
-}
-
 /// Validates `program` and computes its strata (the precedence graph
 /// pass).
 ///
@@ -734,16 +725,6 @@ mod tests {
         ",
         )
         .unwrap()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_stratify_alias_matches_stratify_program() {
-        let program = reach();
-        let via_alias = stratify(&program).unwrap();
-        let direct = stratify_program(&program).unwrap();
-        assert_eq!(via_alias.relation_names, direct.relation_names);
-        assert_eq!(via_alias.strata.len(), direct.strata.len());
     }
 
     #[test]

@@ -795,19 +795,6 @@ impl ProgramBuilder {
         }
         Ok(self.program)
     }
-
-    /// Finishes the program, panicking on an unfinished rule.
-    ///
-    /// Escape hatch for call sites that predate the fallible
-    /// [`ProgramBuilder::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a rule is still open.
-    pub fn build_unchecked(self) -> Program {
-        assert!(self.current_rule.is_none(), "a rule is still open");
-        self.program
-    }
 }
 
 #[cfg(test)]
@@ -980,14 +967,5 @@ mod tests {
     #[should_panic(expected = "no open rule")]
     fn body_without_rule_panics() {
         let _ = ProgramBuilder::new().body("Edge", vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "a rule is still open")]
-    fn build_unchecked_panics_on_open_rule() {
-        let _ = ProgramBuilder::new()
-            .output_relation("R", 1)
-            .rule("R", vec![Term::var("x")])
-            .build_unchecked();
     }
 }

@@ -3,8 +3,8 @@
 //! The engine never runs relational-algebra kernels itself: it lowers every
 //! rule plan into an [`RaPipeline`] (see [`crate::planner::lower_rule_plan`])
 //! and hands the pipeline to a [`Backend`] together with an [`EvalContext`]
-//! — the device, the relation storages, and the statistics sink. Two
-//! implementations ship:
+//! — the device, the relation storages, and the statistics sink. There are
+//! two op loops, the serial one and the sharded one, behind four backends:
 //!
 //! * [`SerialBackend`] executes operators one after another on a single
 //!   simulated device, exactly reproducing the paper's single-GPU
@@ -13,22 +13,25 @@
 //!   fans each join / delta-population op out as `S` independent per-shard
 //!   tasks dispatched to the persistent worker pool in a single epoch —
 //!   the ROADMAP's sharded-relations item, landed entirely behind this
-//!   trait.
-//! * [`MultiGpuBackend`] pins each hash shard to one device of a simulated
-//!   [`gpulog_device::topology::DeviceTopology`], attributes per-shard
-//!   work to that device's counters, and explicitly models the
-//!   end-of-iteration delta exchange against the topology's link model —
-//!   producing per-device modeled time, cross-device exchange bytes, and a
-//!   modeled critical path (surfaced through
-//!   [`Backend::topology_report`]), while computing fixpoints
-//!   byte-identical to the serial backend.
-//!
-//! * [`PipelinedBackend`] wraps the sharded execution path but breaks the
+//!   trait. Its op loop is the only sharded one in the crate, and it
+//!   reports placement, data movement and per-shard kernels to an
+//!   internal observer that does nothing by default.
+//! * [`MultiGpuBackend`] is that sharded loop with a topology cost model
+//!   as its observer: shard `i` is pinned to device `i` of a simulated
+//!   [`gpulog_device::topology::DeviceTopology`], the kernels the loop ran
+//!   are charged to that device's counters, and rows that cross devices
+//!   (join re-partitions, gathers, the end-of-iteration delta exchange)
+//!   are charged to the topology's link model — producing per-device
+//!   modeled time, cross-device exchange bytes, and a modeled critical
+//!   path (surfaced through [`Backend::topology_report`]).
+//! * [`PipelinedBackend`] wraps the sharded backend but breaks the
 //!   per-iteration merge barrier: deltas install immediately while the
 //!   O(|full|) merge passes coalesce and drain on the device's background
 //!   lane, overlapping with the next iteration's joins. The engine's only
 //!   concession is [`Backend::fence`], called wherever it reads relation
 //!   storage directly.
+//!
+//! Every backend computes fixpoints byte-identical to the serial one.
 
 use crate::ebm::EbmConfig;
 use crate::error::EngineResult;

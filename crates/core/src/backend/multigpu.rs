@@ -1,39 +1,39 @@
-//! The simulated multi-GPU backend: hash shards pinned to modeled devices,
-//! with an explicitly costed delta exchange.
+//! The simulated multi-GPU backend: the sharded executor with each hash
+//! shard pinned to a modeled device, and a cost model observing it.
 //!
-//! `MultiGpuBackend` executes the *same computation* as
-//! [`ShardedBackend`](super::ShardedBackend) — every shardable op fans out
-//! as per-shard tasks on the host worker pool, and fixpoints stay
-//! byte-identical to [`SerialBackend`](super::SerialBackend) — but it
-//! additionally *models* where each shard's data lives: shard `i` is
-//! pinned to device `i` of a [`DeviceTopology`], per-shard work is
-//! attributed to that device's own [`Metrics`] counters, and every row
-//! that crosses a device boundary is charged to the topology's
-//! [`LinkProfile`].
+//! `MultiGpuBackend` runs [`ShardedBackend`]'s op loop unchanged — fixpoints
+//! stay byte-identical to [`SerialBackend`](super::SerialBackend) — and
+//! hands it a [`TopologyModel`] as its [`ShardObserver`]. The model runs no
+//! kernel of its own: it pins shard `i` to device `i` of a
+//! [`DeviceTopology`], attributes every per-part kernel the executor reports
+//! to that device's modeled counters, and charges every row the executor
+//! moves across a device boundary to the topology's [`LinkProfile`].
 //!
 //! ## The residency model
 //!
-//! Intermediate batches travel as one part per device. A row's home is
-//! deterministic:
+//! A row's home is deterministic:
 //!
 //! * a relation's tuples (and therefore scan outputs) live on the device
 //!   owning them by **full-row hash** — the same `shard_of` that the diff
-//!   op partitions by, so ownership and delta population agree;
+//!   op partitions by, so ownership and delta population agree. The model
+//!   places each scan this way; plain sharded execution keeps one part;
 //! * a keyed join re-partitions the in-flight parts by the join key:
 //!   rows whose key hashes to a different device move across the link
 //!   (**join exchange**);
 //! * ops with nothing to shard on (cross products, fused chains whose
-//!   first level binds no key) gather to device 0, run the serial op body
-//!   there, and the gather is charged.
+//!   first level binds no key, the grouped reduce) gather to device 0, run
+//!   the serial op body there, and the gather is charged;
+//! * anti-joins and deeper fused-join levels probe indices modeled as
+//!   replicated on every device, so they move nothing.
 //!
 //! ## The delta exchange
 //!
 //! At the end of each iteration the `Diff` op moves rows twice:
 //!
 //! 1. **producer → owner**: each device's freshly derived rows (recorded
-//!    per rule pipeline as producer segments) are partitioned by full-row
-//!    hash and shipped to their owners, which deduplicate and subtract
-//!    `full` shard-locally;
+//!    per rule pipeline as producer segments at install) are partitioned by
+//!    full-row hash and shipped to their owners, which deduplicate and
+//!    subtract `full` shard-locally;
 //! 2. **owner → index partitions**: the resulting delta is pushed to every
 //!    cached shard map on the relation's full version (each map's shard
 //!    `i` needs exactly the delta rows whose *key* hashes to `i`), and a
@@ -48,101 +48,94 @@
 //! through [`Backend::topology_report`] and lands in
 //! [`crate::RunStats::topology`].
 
-use super::serial::{fused_join_op, hash_join_op, scan_op};
-use super::sharded::fan_out_shards;
+use super::sharded::{PartOp, ShardObserver, ShardedBackend};
 use super::{Backend, EvalContext, PipelineOutcome};
 use crate::error::EngineResult;
-use crate::planner::{ColumnSource, FilterStep, JoinStep, RelId, VersionSel};
-use crate::ra::difference_batch;
-use crate::ra::hash_join_batch;
-use crate::ra::nway::{fused_rule_join_batch, FusedLevel};
-use crate::ra::op::{RaOp, RaPipeline};
-use crate::ra::project::{filter_batch, project_batch};
-use crate::ra::{anti_join_batch, group_reduce_batch};
-use crate::relation::RelationStorage;
-use crate::stats::Phase;
+use crate::planner::RelId;
+use crate::ra::op::RaPipeline;
+use crate::relation::RelationVersion;
 use gpulog_device::cost::CostModel;
-use gpulog_device::metrics::{CounterSnapshot, Metrics};
+use gpulog_device::metrics::CounterSnapshot;
 use gpulog_device::topology::{DeviceLaneReport, DeviceTopology, LinkProfile, TopologyReport};
 use gpulog_hisa::{shard_of, TupleBatch};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard};
 
 /// Bytes of one tuple value (relations are dense `u32` columns).
-const VALUE_BYTES: usize = 4;
+const VALUE_BYTES: u64 = 4;
 
-/// The cumulative modeling state of one topology: per-device counters,
-/// link-traffic tallies, the accumulated critical path, and the producer
-/// ledger recording which device derived each segment of every relation's
-/// `new` buffer (consumed by the next `Diff` on that relation).
+/// Modeled bytes of a batch.
+fn bytes(batch: &TupleBatch) -> u64 {
+    batch.as_flat().len() as u64 * VALUE_BYTES
+}
+
+/// The cumulative modeling state of one topology: per-device work
+/// counters, link-traffic tallies, the accumulated critical paths, and the
+/// producer ledger recording which device derived each segment of every
+/// relation's `new` buffer (consumed by the next `Diff` on that relation).
 #[derive(Debug)]
 struct TopologySim {
-    metrics: Vec<Metrics>,
-    in_bytes: Vec<AtomicU64>,
-    out_bytes: Vec<AtomicU64>,
-    in_messages: Vec<AtomicU64>,
-    critical_path_sec: Mutex<f64>,
-    producers: Mutex<HashMap<RelId, Vec<(usize, usize)>>>,
+    work: Vec<CounterSnapshot>,
+    in_bytes: Vec<u64>,
+    out_bytes: Vec<u64>,
+    in_messages: Vec<u64>,
+    critical_path_sec: f64,
+    producers: HashMap<RelId, Vec<(usize, usize)>>,
     /// Per-device merge share of the pipeline currently executing: the
     /// modeled seconds of delta-merge work folded into the charges that a
     /// pipelined schedule would defer behind the next pipeline's compute.
-    pending_merge_sec: Mutex<Vec<f64>>,
+    pending_merge_sec: Vec<f64>,
     /// Per-device merge debt carried from the previous pipeline: deferred
     /// merge work that must finish under (or extend) the current step.
-    merge_debt_sec: Mutex<Vec<f64>>,
+    merge_debt_sec: Vec<f64>,
     /// Accumulated critical path of the pipelined schedule (the BSP path
     /// stays in `critical_path_sec`, untouched).
-    pipelined_critical_path_sec: Mutex<f64>,
+    pipelined_critical_path_sec: f64,
 }
 
-impl TopologySim {
-    fn new(devices: usize) -> Self {
-        TopologySim {
-            metrics: (0..devices).map(|_| Metrics::new()).collect(),
-            in_bytes: (0..devices).map(|_| AtomicU64::new(0)).collect(),
-            out_bytes: (0..devices).map(|_| AtomicU64::new(0)).collect(),
-            in_messages: (0..devices).map(|_| AtomicU64::new(0)).collect(),
-            critical_path_sec: Mutex::new(0.0),
-            producers: Mutex::new(HashMap::new()),
-            pending_merge_sec: Mutex::new(vec![0.0; devices]),
-            merge_debt_sec: Mutex::new(vec![0.0; devices]),
-            pipelined_critical_path_sec: Mutex::new(0.0),
-        }
-    }
-}
-
-/// The multi-GPU simulation backend. Construct with
-/// [`MultiGpuBackend::new`] or let [`crate::EngineBuilder`] install it from
-/// [`crate::EngineConfig::with_device_topology`].
+/// Per-device tallies at the start of one pipeline.
 #[derive(Debug)]
-pub struct MultiGpuBackend {
+struct StepStart {
+    work: Vec<CounterSnapshot>,
+    in_bytes: Vec<u64>,
+    in_messages: Vec<u64>,
+}
+
+/// The topology cost model: the executor's [`ShardObserver`] pricing
+/// per-device work with each device's [`CostModel`] and cross-device
+/// traffic with the topology's link.
+#[derive(Debug)]
+struct TopologyModel {
     topology: DeviceTopology,
     models: Vec<CostModel>,
-    sim: TopologySim,
+    sim: Mutex<TopologySim>,
 }
 
-impl MultiGpuBackend {
-    /// Creates a backend pinning shard `i` to device `i` of `topology`.
-    pub fn new(topology: DeviceTopology) -> Self {
+impl TopologyModel {
+    fn new(topology: DeviceTopology) -> Self {
         let models = topology
             .devices()
             .iter()
             .map(|profile| CostModel::new(profile.clone()))
             .collect();
-        let sim = TopologySim::new(topology.device_count().get());
-        MultiGpuBackend {
+        let s = topology.device_count().get();
+        let sim = TopologySim {
+            work: vec![CounterSnapshot::default(); s],
+            in_bytes: vec![0; s],
+            out_bytes: vec![0; s],
+            in_messages: vec![0; s],
+            critical_path_sec: 0.0,
+            producers: HashMap::new(),
+            pending_merge_sec: vec![0.0; s],
+            merge_debt_sec: vec![0.0; s],
+            pipelined_critical_path_sec: 0.0,
+        };
+        TopologyModel {
             topology,
             models,
-            sim,
+            sim: Mutex::new(sim),
         }
-    }
-
-    /// The topology this backend models.
-    pub fn topology(&self) -> &DeviceTopology {
-        &self.topology
     }
 
     /// Number of modeled devices (= hash shards).
@@ -150,125 +143,108 @@ impl MultiGpuBackend {
         self.topology.device_count()
     }
 
-    /// The cumulative modeling report: per-device modeled compute, link
-    /// traffic, critical path, and modeled speedup.
-    pub fn report(&self) -> TopologyReport {
+    fn sim(&self) -> MutexGuard<'_, TopologySim> {
+        self.sim.lock().expect("topology model lock poisoned")
+    }
+
+    /// Modeled seconds of a device's counters.
+    fn seconds(&self, device: usize, work: &CounterSnapshot) -> f64 {
+        self.models[device].estimate(work).total_sec()
+    }
+
+    /// The per-device tallies a pipeline's step is priced from.
+    fn open_step(&self) -> StepStart {
+        let sim = self.sim();
+        StepStart {
+            work: sim.work.clone(),
+            in_bytes: sim.in_bytes.clone(),
+            in_messages: sim.in_messages.clone(),
+        }
+    }
+
+    /// Prices one pipeline as a bulk-synchronous step: the slowest
+    /// device's compute plus its incoming link transfer since `start`.
+    /// The pipelined schedule prices the same step differently: this
+    /// step's merge share is deferred (subtracted from the lane), while the
+    /// previous step's deferred merges run concurrently and bound the step
+    /// from below — a merge slower than the compute it hides behind
+    /// surfaces as residual step time.
+    fn close_step(&self, start: &StepStart) {
+        let link: &LinkProfile = self.topology.link();
+        let mut sim = self.sim();
+        let s = self.devices().get();
+        let mut lanes = vec![0.0f64; s];
+        let mut worst = 0.0f64;
+        for (d, lane) in lanes.iter_mut().enumerate() {
+            let compute = self.seconds(d, &sim.work[d].since(&start.work[d]));
+            let bytes = sim.in_bytes[d] - start.in_bytes[d];
+            let messages = sim.in_messages[d] - start.in_messages[d];
+            *lane = compute + link.transfer_sec(bytes, messages);
+            worst = worst.max(*lane);
+        }
+        sim.critical_path_sec += worst;
+
+        let merge_now = std::mem::replace(&mut sim.pending_merge_sec, vec![0.0; s]);
+        let mut pipelined_worst = 0.0f64;
+        for d in 0..s {
+            let lane = (lanes[d] - merge_now[d])
+                .max(0.0)
+                .max(sim.merge_debt_sec[d]);
+            pipelined_worst = pipelined_worst.max(lane);
+            sim.merge_debt_sec[d] = merge_now[d];
+        }
+        sim.pipelined_critical_path_sec += pipelined_worst;
+    }
+
+    /// The cumulative modeling report.
+    fn report(&self) -> TopologyReport {
+        let sim = self.sim();
         let devices = (0..self.devices().get())
             .map(|d| DeviceLaneReport {
                 device: format!("{} #{d}", self.topology.devices()[d].name),
-                modeled_compute_sec: self.models[d]
-                    .estimate(&self.sim.metrics[d].snapshot())
-                    .total_sec(),
-                exchange_in_bytes: self.sim.in_bytes[d].load(Ordering::Relaxed),
-                exchange_out_bytes: self.sim.out_bytes[d].load(Ordering::Relaxed),
-                exchange_in_messages: self.sim.in_messages[d].load(Ordering::Relaxed),
+                modeled_compute_sec: self.seconds(d, &sim.work[d]),
+                exchange_in_bytes: sim.in_bytes[d],
+                exchange_out_bytes: sim.out_bytes[d],
+                exchange_in_messages: sim.in_messages[d],
             })
             .collect::<Vec<_>>();
-        let critical_path_sec = *self
-            .sim
-            .critical_path_sec
-            .lock()
-            .expect("critical-path lock poisoned");
         // The pipelined path still owes the merges deferred by the last
         // diff: drain the outstanding debt into the report, then clamp to
         // the BSP path (deferring work never makes the schedule slower).
-        let final_debt = self
-            .sim
-            .merge_debt_sec
-            .lock()
-            .expect("merge-debt lock poisoned")
-            .iter()
-            .fold(0.0f64, |acc, &d| acc.max(d));
-        let pipelined_sec = (*self
-            .sim
-            .pipelined_critical_path_sec
-            .lock()
-            .expect("pipelined-path lock poisoned")
-            + final_debt)
-            .min(critical_path_sec);
+        let final_debt = sim.merge_debt_sec.iter().fold(0.0f64, |acc, &d| acc.max(d));
+        let pipelined_sec =
+            (sim.pipelined_critical_path_sec + final_debt).min(sim.critical_path_sec);
         TopologyReport {
             link: self.topology.link().name.clone(),
             total_exchange_bytes: devices.iter().map(|d| d.exchange_in_bytes).sum(),
             total_exchange_messages: devices.iter().map(|d| d.exchange_in_messages).sum(),
-            modeled_critical_path_sec: critical_path_sec,
+            modeled_critical_path_sec: sim.critical_path_sec,
             modeled_pipelined_critical_path_sec: pipelined_sec,
             devices,
         }
     }
 
-    /// Attributes one device's share of an op: bytes moved through its
-    /// modeled memory, simple ops, and (when it actually ran a task) one
-    /// kernel launch.
-    fn charge(&self, device: usize, bytes_read: u64, bytes_written: u64, ops: u64, launch: bool) {
-        let m = &self.sim.metrics[device];
-        m.add_bytes_read(bytes_read);
-        m.add_bytes_written(bytes_written);
-        m.add_ops(ops);
-        if launch {
-            m.add_kernel_launch();
-        }
-    }
-
-    /// Applies an `S x S` byte matrix of cross-device traffic to the link
-    /// tallies: one message per (producer, destination) pair that moved
-    /// bytes.
+    /// Applies a `producers x S` byte matrix of traffic to the link
+    /// tallies: one message per (producer, destination) pair of distinct
+    /// devices that moved bytes.
     fn apply_exchange(&self, matrix: &[u64]) {
         let s = self.devices().get();
-        for p in 0..s {
-            for d in 0..s {
-                let bytes = matrix[p * s + d];
+        let mut sim = self.sim();
+        for (p, row) in matrix.chunks_exact(s).enumerate() {
+            for (d, &bytes) in row.iter().enumerate() {
                 if bytes > 0 && p != d {
-                    self.sim.out_bytes[p].fetch_add(bytes, Ordering::Relaxed);
-                    self.sim.in_bytes[d].fetch_add(bytes, Ordering::Relaxed);
-                    self.sim.in_messages[d].fetch_add(1, Ordering::Relaxed);
+                    sim.out_bytes[p] += bytes;
+                    sim.in_bytes[d] += bytes;
+                    sim.in_messages[d] += 1;
                 }
             }
         }
-    }
-
-    /// Distributes a freshly produced batch to its owning devices by
-    /// full-row hash. Initial placement — scan outputs read where the
-    /// relation's tuples already live — is free; only *re*-partitioning
-    /// charges the link.
-    fn distribute_by_row_hash(&self, batch: TupleBatch) -> Vec<TupleBatch> {
-        let cols: Vec<usize> = (0..batch.arity()).collect();
-        batch.partition_by_key_hash(&cols, self.devices())
-    }
-
-    /// Re-partitions resident parts by a join key, charging every row that
-    /// lands on a different device. Destination parts concatenate the
-    /// producers' sub-parts in producer order — exactly the row sequence
-    /// the sharded backend's single global partition produces.
-    fn exchange_repartition(&self, parts: Vec<TupleBatch>, key_cols: &[usize]) -> Vec<TupleBatch> {
-        let shards = self.devices();
-        let s = shards.get();
-        let arity = parts.first().map_or(1, TupleBatch::arity);
-        let mut matrix = vec![0u64; s * s];
-        let mut per_dest: Vec<Vec<TupleBatch>> = (0..s).map(|_| Vec::with_capacity(s)).collect();
-        for (p, part) in parts.into_iter().enumerate() {
-            for (d, sub) in part
-                .partition_by_key_hash(key_cols, shards)
-                .into_iter()
-                .enumerate()
-            {
-                if d != p {
-                    matrix[p * s + d] += (sub.as_flat().len() * VALUE_BYTES) as u64;
-                }
-                per_dest[d].push(sub);
-            }
-        }
-        self.apply_exchange(&matrix);
-        per_dest
-            .into_iter()
-            .map(|subs| TupleBatch::concat(arity, subs))
-            .collect()
     }
 
     /// The one charging loop behind both delta-exchange legs: for every
     /// row, `producer_of(row)` names the device the row currently lives on
     /// (`None` = already resident, charge nothing) and the row's
-    /// destination is `shard_of` over its `key_cols` values; rows whose
-    /// producer and destination differ are charged to the link.
+    /// destination is `shard_of` over its `key_cols` values.
     fn charge_keyed_exchange<P>(
         &self,
         rows: &[u32],
@@ -283,7 +259,7 @@ impl MultiGpuBackend {
         }
         let shards = self.devices();
         let s = shards.get();
-        let row_bytes = (arity * VALUE_BYTES) as u64;
+        let row_bytes = arity as u64 * VALUE_BYTES;
         let mut matrix = vec![0u64; s * s];
         let mut key = Vec::with_capacity(key_cols.len());
         for row in rows.chunks_exact(arity) {
@@ -292,33 +268,9 @@ impl MultiGpuBackend {
             };
             key.clear();
             key.extend(key_cols.iter().map(|&c| row[c]));
-            let dest = shard_of(&key, shards);
-            if producer != dest {
-                matrix[producer * s + dest] += row_bytes;
-            }
+            matrix[producer * s + shard_of(&key, shards)] += row_bytes;
         }
         self.apply_exchange(&matrix);
-    }
-
-    /// Charges the producer → destination traffic of partitioning `batch`
-    /// by `key_cols`, where each row's producer comes from the recorded
-    /// `(device, rows)` segments. Rows beyond the recorded segments (none
-    /// in engine-driven runs) are treated as already resident.
-    fn charge_segmented_exchange(
-        &self,
-        batch: &TupleBatch,
-        segments: &[(usize, usize)],
-        key_cols: &[usize],
-    ) {
-        if segments.is_empty() {
-            return;
-        }
-        let mut producer_of_row = segments
-            .iter()
-            .flat_map(|&(device, rows)| std::iter::repeat_n(device, rows));
-        self.charge_keyed_exchange(batch.as_flat(), batch.arity(), key_cols, |_| {
-            producer_of_row.next()
-        });
     }
 
     /// Charges moving `rows` (owned by full-row hash) into a partitioning
@@ -328,481 +280,149 @@ impl MultiGpuBackend {
         let shards = self.devices();
         self.charge_keyed_exchange(rows, arity, key_cols, |row| Some(shard_of(row, shards)));
     }
+}
 
-    /// Gathers every part onto device 0 for a serial op body, charging the
-    /// gather. Used by ops with no key to shard on.
-    fn gather_to_device_zero(&self, parts: Vec<TupleBatch>) -> TupleBatch {
-        let s = self.devices().get();
-        let arity = parts.first().map_or(1, TupleBatch::arity);
-        let mut matrix = vec![0u64; s * s];
-        for (p, part) in parts.iter().enumerate() {
-            if p != 0 && !part.is_empty() {
-                matrix[p * s] += (part.as_flat().len() * VALUE_BYTES) as u64;
-            }
-        }
+impl ShardObserver for TopologyModel {
+    fn place_scan(&self, batch: TupleBatch) -> Vec<TupleBatch> {
+        let cols: Vec<usize> = (0..batch.arity()).collect();
+        batch.partition_by_key_hash(&cols, self.devices())
+    }
+
+    fn repartitioned(&self, moved: &[usize]) {
+        let matrix: Vec<u64> = moved.iter().map(|&v| v as u64 * VALUE_BYTES).collect();
         self.apply_exchange(&matrix);
-        TupleBatch::concat(arity, parts)
     }
 
-    /// Wraps a batch produced serially on device 0 back into parts form.
-    fn parts_on_device_zero(&self, batch: TupleBatch) -> Vec<TupleBatch> {
-        let arity = batch.arity();
-        let mut parts = vec![batch];
-        parts.resize_with(self.devices().get(), || TupleBatch::empty(arity));
-        parts
+    /// Full-version builds are initial placement and stay free
+    /// (steady-state maintenance goes through the delta exchange); a fresh
+    /// delta map moves the delta from its owners to the key partitions.
+    fn delta_shard_map_built(&self, rows: &[u32], arity: usize, key_cols: &[usize]) {
+        self.charge_owner_to_key_exchange(rows, arity, key_cols);
     }
 
-    /// Builds (or refreshes) one inner relation's shard map, charging the
-    /// owner-to-key distribution when the build is fresh (see
-    /// [`MultiGpuBackend::charge_index_build`]) — the shared prologue of
-    /// both join ops, so their modeled index-build cost cannot diverge.
-    fn ensure_charged_shard_map(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        step: &JoinStep,
-    ) -> EngineResult<()> {
-        let shards = self.devices();
-        let fresh = ctx
-            .shard_map(step.relation, step.version, &step.inner_key_cols, shards)
-            .is_none();
-        ctx.build_shard_map(step.relation, step.version, &step.inner_key_cols, shards)?;
-        if fresh {
-            self.charge_index_build(ctx, step.relation, step.version, &step.inner_key_cols);
-        }
-        Ok(())
-    }
-
-    /// [`RaOp::HashJoin`] over pinned shards: re-partition the outer parts
-    /// by the join key (charged), then shard `i` of the outer probes shard
-    /// `i` of the inner on device `i`.
-    fn multi_hash_join(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        parts: Vec<TupleBatch>,
-        step: &JoinStep,
-        filters: &[FilterStep],
-    ) -> EngineResult<Vec<TupleBatch>> {
-        let shards = self.devices();
-        let t = Instant::now();
-        let index_phase = match step.version {
-            VersionSel::Full => Phase::IndexFull,
-            VersionSel::Delta => Phase::IndexDelta,
-        };
-        self.ensure_charged_shard_map(ctx, step)?;
-        ctx.stats.add_phase(index_phase, t.elapsed());
-
-        let t = Instant::now();
-        let dest = self.exchange_repartition(parts, &step.outer_key_cols);
-        let outer_arity = dest.first().map_or(1, |p| p.arity().max(1));
-        let in_sizes: Vec<usize> = dest.iter().map(|p| p.as_flat().len()).collect();
-        let outs = {
-            let device = ctx.device;
-            let inners = ctx
-                .shard_map(step.relation, step.version, &step.inner_key_cols, shards)
-                .expect("shard map built above");
-            fan_out_shards(device, dest, |shard, part| {
-                let mut out = hash_join_batch(
-                    device,
-                    part,
-                    &step.outer_key_cols,
-                    &inners[shard],
-                    &step.inner_const_filters,
-                    &step.inner_eq_filters,
-                    &step.emit,
-                );
-                if !filters.is_empty() {
-                    out = filter_batch(device, &out, filters);
-                }
-                out
-            })
-        };
-        for (d, (&in_values, out)) in in_sizes.iter().zip(&outs).enumerate() {
-            if in_values == 0 {
+    /// Attributes each non-empty part's share of a kernel to its device:
+    /// bytes moved through its modeled memory, simple ops, and one launch.
+    fn ran(&self, op: PartOp, ins: &[TupleBatch], outs: &[TupleBatch]) {
+        let mut sim = self.sim();
+        for (d, (input, out)) in ins.iter().zip(outs).enumerate() {
+            if input.is_empty() {
                 continue;
             }
-            let in_bytes = (in_values * VALUE_BYTES) as u64;
-            let out_bytes = (out.as_flat().len() * VALUE_BYTES) as u64;
-            // Each outer row performs one hash probe (~16 bytes of table
-            // reads); matched inner rows are read at output size.
-            let probe_rows = (in_values / outer_arity) as u64;
-            self.charge(
-                d,
-                in_bytes + 16 * probe_rows + out_bytes,
-                out_bytes,
-                probe_rows + out.len() as u64,
-                true,
-            );
-        }
-        ctx.stats.add_phase(Phase::Join, t.elapsed());
-        Ok(outs)
-    }
-
-    /// [`RaOp::FusedJoin`] with the level-0 inner pinned per device;
-    /// deeper levels probe whole (replicated) indices, so only the level-0
-    /// re-partition crosses the link.
-    fn multi_fused_join(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        parts: Vec<TupleBatch>,
-        levels: &[(JoinStep, Vec<FilterStep>)],
-        head_proj: &[ColumnSource],
-    ) -> EngineResult<Vec<TupleBatch>> {
-        let shards = self.devices();
-        let (level0, _) = &levels[0];
-        let t = Instant::now();
-        self.ensure_charged_shard_map(ctx, level0)?;
-        for (step, _) in &levels[1..] {
-            let storage = &mut ctx.relations[step.relation];
-            let version = match step.version {
-                VersionSel::Full => storage.full_mut()?,
-                VersionSel::Delta => &mut storage.delta,
-            };
-            version.index_on(ctx.device, &step.inner_key_cols)?;
-        }
-        ctx.stats.add_phase(Phase::IndexFull, t.elapsed());
-
-        let t = Instant::now();
-        let dest = self.exchange_repartition(parts, &level0.outer_key_cols);
-        let in_sizes: Vec<usize> = dest.iter().map(|p| p.as_flat().len()).collect();
-        let outs = {
-            let device = ctx.device;
-            let relations: &[RelationStorage] = ctx.relations;
-            let inners0 = ctx
-                .shard_map(
-                    level0.relation,
-                    level0.version,
-                    &level0.inner_key_cols,
-                    shards,
-                )
-                .expect("shard map built above");
-            fan_out_shards(device, dest, |shard, part| {
-                let fused_levels: Vec<FusedLevel<'_>> = levels
-                    .iter()
-                    .enumerate()
-                    .map(|(depth, (step, step_filters))| {
-                        let inner = if depth == 0 {
-                            &inners0[shard]
-                        } else {
-                            let storage = &relations[step.relation];
-                            let version = match step.version {
-                                VersionSel::Full => storage.full(),
-                                VersionSel::Delta => &storage.delta,
-                            };
-                            version
-                                .existing_index(&step.inner_key_cols)
-                                .expect("index built above")
-                        };
-                        FusedLevel {
-                            step,
-                            inner,
-                            filters: step_filters.as_slice(),
-                        }
-                    })
-                    .collect();
-                fused_rule_join_batch(device, part, &fused_levels, head_proj)
-            })
-        };
-        for (d, (&in_values, out)) in in_sizes.iter().zip(&outs).enumerate() {
-            if in_values == 0 {
-                continue;
-            }
-            let in_bytes = (in_values * VALUE_BYTES) as u64;
-            let out_bytes = (out.as_flat().len() * VALUE_BYTES) as u64;
-            self.charge(
-                d,
-                in_bytes + out_bytes,
-                out_bytes,
-                (in_values + out.as_flat().len()) as u64,
-                true,
-            );
-        }
-        ctx.stats.add_phase(Phase::Join, t.elapsed());
-        Ok(outs)
-    }
-
-    /// Charges the distribution cost of a freshly built delta shard map:
-    /// the delta's rows move from their owners (full-row hash) to the
-    /// key-hash partitions. Full-version builds are initial placement and
-    /// stay free (steady-state maintenance goes through the delta
-    /// exchange).
-    fn charge_index_build(
-        &self,
-        ctx: &EvalContext<'_>,
-        relation: RelId,
-        version: VersionSel,
-        key_cols: &[usize],
-    ) {
-        if version != VersionSel::Delta {
-            return;
-        }
-        let storage = &ctx.relations[relation];
-        self.charge_owner_to_key_exchange(storage.delta.tuples_flat(), storage.arity, key_cols);
-    }
-
-    /// [`RaOp::Diff`] with the modeled delta exchange: producer → owner by
-    /// full-row hash (leg 1), per-owner dedup + difference, then owner →
-    /// key-partition pushes for every cached full shard map (leg 2).
-    fn multi_diff(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        relation: RelId,
-        outcome: &mut PipelineOutcome,
-    ) -> EngineResult<()> {
-        let shards = self.devices();
-        let device = ctx.device;
-        let storage = &mut ctx.relations[relation];
-        let arity = storage.arity;
-        let new = TupleBatch::new(arity, storage.take_new(&ctx.ebm));
-        outcome.new_rows = new.len();
-        let segments = self
-            .sim
-            .producers
-            .lock()
-            .expect("producer ledger lock poisoned")
-            .remove(&relation)
-            .unwrap_or_default();
-
-        let t = Instant::now();
-        let full_key: Vec<usize> = (0..arity).collect();
-        // Exchange leg 1: freshly derived rows travel from the device that
-        // produced them to the device that owns them.
-        self.charge_segmented_exchange(&new, &segments, &full_key);
-        let parts = new.partition_by_key_hash(&full_key, shards);
-        let in_sizes: Vec<usize> = parts.iter().map(|p| p.as_flat().len()).collect();
-        let delta = {
-            let full = storage.full().canonical();
-            let outs = fan_out_shards(device, parts, |_, part| {
-                difference_batch(device, part, full)
-            });
-            for (d, (&in_values, out)) in in_sizes.iter().zip(&outs).enumerate() {
-                if in_values == 0 {
-                    continue;
+            let (in_bytes, out_bytes) = (bytes(input), bytes(out));
+            let (in_rows, out_rows) = (input.len() as u64, out.len() as u64);
+            let (read, written, ops) = match op {
+                PartOp::Scan | PartOp::Project | PartOp::GatheredJoin => {
+                    (in_bytes, out_bytes, out_rows)
                 }
-                let in_bytes = (in_values * VALUE_BYTES) as u64;
-                let out_bytes = (out.as_flat().len() * VALUE_BYTES) as u64;
+                // Each outer row performs one hash probe (~16 bytes of
+                // table reads); matched inner rows are read at output size.
+                PartOp::HashJoin => (
+                    in_bytes + 16 * in_rows + out_bytes,
+                    out_bytes,
+                    in_rows + out_rows,
+                ),
+                PartOp::FusedJoin => (
+                    in_bytes + out_bytes,
+                    out_bytes,
+                    (input.as_flat().len() + out.as_flat().len()) as u64,
+                ),
+                PartOp::AntiJoin => (in_bytes + 16 * in_rows, out_bytes, in_rows),
+                PartOp::Reduce => (2 * in_bytes, in_bytes + out_bytes, in_rows),
                 // Dedup sorts its part (read + write) and probes full once
                 // per row; the delta slice is written back and later merged.
-                self.charge(
-                    d,
-                    2 * in_bytes,
-                    in_bytes + 2 * out_bytes,
-                    (in_values / arity) as u64,
-                    true,
-                );
-                // The merge's share of that charge — reading the delta
-                // slice back and writing it into full — is what a pipelined
-                // schedule defers behind the next pipeline's compute.
-                // Record it so `execute` can price the pipelined path.
-                if out_bytes > 0 {
-                    let merge = Metrics::new();
-                    merge.add_bytes_read(out_bytes);
-                    merge.add_bytes_written(out_bytes);
-                    let sec = self.models[d].estimate(&merge.snapshot()).total_sec();
-                    self.sim
-                        .pending_merge_sec
-                        .lock()
-                        .expect("merge-share lock poisoned")[d] += sec;
-                }
-            }
-            TupleBatch::merge_sorted_unique(arity, outs)
-        };
-        ctx.stats.add_phase(Phase::Deduplication, t.elapsed());
-        outcome.delta_rows = delta.len();
-
-        // Exchange leg 2: push each owner's delta slice into every cached
-        // shard-map partitioning of the full version, so the shard-local
-        // merges below find their rows on-device.
-        for (key_cols, map_shards) in storage.full().sharded_index_specs() {
-            if map_shards == shards.get() {
-                self.charge_owner_to_key_exchange(delta.as_flat(), arity, &key_cols);
+                PartOp::Diff => (2 * in_bytes, in_bytes + 2 * out_bytes, in_rows),
+            };
+            let work = &mut sim.work[d];
+            work.bytes_read += read;
+            work.bytes_written += written;
+            work.ops += ops;
+            work.kernel_launches += 1;
+            // The merge's share of a diff's charge — reading the delta
+            // slice back and writing it into full — is what a pipelined
+            // schedule defers behind the next pipeline's compute.
+            if op == PartOp::Diff && out_bytes > 0 {
+                let merge = CounterSnapshot {
+                    bytes_read: out_bytes,
+                    bytes_written: out_bytes,
+                    ..CounterSnapshot::default()
+                };
+                sim.pending_merge_sec[d] += self.seconds(d, &merge);
             }
         }
-
-        let t = Instant::now();
-        storage.set_delta_batch(&delta)?;
-        ctx.stats.add_phase(Phase::IndexDelta, t.elapsed());
-
-        let t = Instant::now();
-        let ebm = ctx.ebm;
-        storage.merge_delta_into_full(&ebm)?;
-        ctx.stats.add_phase(Phase::Merge, t.elapsed());
-        Ok(())
     }
 
-    /// Runs the ops of one pipeline over per-device parts, returning early
-    /// (like the serial backend) when the intermediate goes empty.
-    fn execute_pipeline(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        pipeline: &RaPipeline,
-    ) -> EngineResult<PipelineOutcome> {
-        let mut outcome = PipelineOutcome::default();
-        let mut parts: Vec<TupleBatch> = vec![TupleBatch::empty(1); self.devices().get()];
-        for op in &pipeline.ops {
-            match op {
-                RaOp::Scan { step, filters } => {
-                    let batch = scan_op(ctx, step, filters);
-                    parts = self.distribute_by_row_hash(batch);
-                    for (d, part) in parts.iter().enumerate() {
-                        if !part.is_empty() {
-                            let bytes = (part.as_flat().len() * VALUE_BYTES) as u64;
-                            self.charge(d, bytes, bytes, part.len() as u64, true);
-                        }
-                    }
-                }
-                RaOp::HashJoin { step, filters } => {
-                    if parts.iter().all(TupleBatch::is_empty) {
-                        return Ok(outcome);
-                    }
-                    parts = if step.outer_key_cols.is_empty() {
-                        // Cross product: no key to shard on — gather to
-                        // device 0 and run the serial op body there.
-                        let batch = self.gather_to_device_zero(parts);
-                        let joined = hash_join_op(ctx, &batch, step, filters)?;
-                        let bytes = |b: &TupleBatch| (b.as_flat().len() * VALUE_BYTES) as u64;
-                        self.charge(0, bytes(&batch), bytes(&joined), joined.len() as u64, true);
-                        self.parts_on_device_zero(joined)
-                    } else {
-                        self.multi_hash_join(ctx, parts, step, filters)?
-                    };
-                }
-                RaOp::FusedJoin { levels, head_proj } => {
-                    if parts.iter().all(TupleBatch::is_empty) {
-                        return Ok(outcome);
-                    }
-                    let shardable = levels
-                        .first()
-                        .is_some_and(|(level0, _)| !level0.outer_key_cols.is_empty());
-                    parts = if shardable {
-                        self.multi_fused_join(ctx, parts, levels, head_proj)?
-                    } else {
-                        let batch = self.gather_to_device_zero(parts);
-                        let joined = fused_join_op(ctx, &batch, levels, head_proj)?;
-                        let bytes = |b: &TupleBatch| (b.as_flat().len() * VALUE_BYTES) as u64;
-                        self.charge(0, bytes(&batch), bytes(&joined), joined.len() as u64, true);
-                        self.parts_on_device_zero(joined)
-                    };
-                }
-                RaOp::AntiJoin { step } => {
-                    if parts.iter().all(TupleBatch::is_empty) {
-                        return Ok(outcome);
-                    }
-                    // A probe-only filter against the negated relation's
-                    // canonical full index, which (like deeper fused-join
-                    // levels) is modeled as replicated on every device: each
-                    // part filters in place, nothing crosses the link.
-                    let t = Instant::now();
-                    let device = ctx.device;
-                    let in_arity = parts.first().map_or(1, |p| p.arity().max(1));
-                    let in_sizes: Vec<usize> = parts.iter().map(|p| p.as_flat().len()).collect();
-                    parts = {
-                        let existing = ctx.relations[step.relation].full().canonical();
-                        fan_out_shards(device, parts, |_, part| {
-                            if part.is_empty() {
-                                TupleBatch::empty(part.arity())
-                            } else {
-                                anti_join_batch(device, part, &step.probe, existing)
-                            }
-                        })
-                    };
-                    for (d, (&in_values, out)) in in_sizes.iter().zip(&parts).enumerate() {
-                        if in_values == 0 {
-                            continue;
-                        }
-                        let in_bytes = (in_values * VALUE_BYTES) as u64;
-                        let out_bytes = (out.as_flat().len() * VALUE_BYTES) as u64;
-                        // Each row performs one hash probe (~16 bytes of
-                        // table reads), mirroring the hash-join charge.
-                        let probe_rows = (in_values / in_arity) as u64;
-                        self.charge(d, in_bytes + 16 * probe_rows, out_bytes, probe_rows, true);
-                    }
-                    ctx.stats.add_phase(Phase::Join, t.elapsed());
-                }
-                RaOp::Project { columns } => {
-                    if parts.iter().all(TupleBatch::is_empty) {
-                        return Ok(outcome);
-                    }
-                    let t = Instant::now();
-                    let device = ctx.device;
-                    let out_arity = columns.len().max(1);
-                    let in_sizes: Vec<usize> = parts.iter().map(|p| p.as_flat().len()).collect();
-                    parts = fan_out_shards(device, parts, |_, part| {
-                        if part.is_empty() {
-                            TupleBatch::empty(out_arity)
-                        } else {
-                            project_batch(device, part, columns)
-                        }
-                    });
-                    for (d, (&in_values, out)) in in_sizes.iter().zip(&parts).enumerate() {
-                        if in_values == 0 {
-                            continue;
-                        }
-                        let in_bytes = (in_values * VALUE_BYTES) as u64;
-                        let out_bytes = (out.as_flat().len() * VALUE_BYTES) as u64;
-                        self.charge(d, in_bytes, out_bytes, out.len() as u64, true);
-                    }
-                    ctx.stats.add_phase(Phase::Join, t.elapsed());
-                }
-                RaOp::Reduce { op, agg_column } => {
-                    if parts.iter().all(TupleBatch::is_empty) {
-                        return Ok(outcome);
-                    }
-                    // A group's rows may live on any device, so the
-                    // reduction gathers to device 0 (charged) and runs
-                    // there — like every other op with no key to shard on.
-                    let t = Instant::now();
-                    let batch = self.gather_to_device_zero(parts);
-                    let reduced = group_reduce_batch(ctx.device, &batch, *agg_column, *op);
-                    let bytes = |b: &TupleBatch| (b.as_flat().len() * VALUE_BYTES) as u64;
-                    self.charge(
-                        0,
-                        2 * bytes(&batch),
-                        bytes(&batch) + bytes(&reduced),
-                        batch.len() as u64,
-                        true,
-                    );
-                    parts = self.parts_on_device_zero(reduced);
-                    ctx.stats.add_phase(Phase::Deduplication, t.elapsed());
-                }
-                RaOp::Diff { relation } => {
-                    self.multi_diff(ctx, *relation, &mut outcome)?;
-                }
-            }
+    fn gathered(&self, parts: &[TupleBatch]) {
+        let s = self.devices().get();
+        let mut matrix = vec![0u64; parts.len() * s];
+        for (p, part) in parts.iter().enumerate() {
+            matrix[p * s] = bytes(part);
         }
-        self.install_parts(ctx, pipeline, &parts, &mut outcome);
-        Ok(outcome)
+        self.apply_exchange(&matrix);
     }
 
-    /// Appends a rule pipeline's per-device output parts to the head
-    /// relation's `new` buffer and records the producer segments the next
-    /// `Diff` uses to cost exchange leg 1.
-    fn install_parts(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        pipeline: &RaPipeline,
-        parts: &[TupleBatch],
-        outcome: &mut PipelineOutcome,
-    ) {
-        if pipeline.ops.is_empty() || matches!(pipeline.ops.last(), Some(RaOp::Diff { .. })) {
-            return;
+    /// Exchange leg 1: each row travels from the device that produced it
+    /// (per the recorded segments) to the device owning it. Rows beyond
+    /// the recorded segments (none in engine-driven runs) are treated as
+    /// already resident.
+    fn new_rows_sent_to_owners(&self, relation: RelId, new: &TupleBatch) {
+        let segments = self.sim().producers.remove(&relation).unwrap_or_default();
+        let mut producer_of_row = segments
+            .iter()
+            .flat_map(|&(device, rows)| std::iter::repeat_n(device, rows));
+        let full_key: Vec<usize> = (0..new.arity()).collect();
+        self.charge_keyed_exchange(new.as_flat(), new.arity(), &full_key, |_| {
+            producer_of_row.next()
+        });
+    }
+
+    /// Exchange leg 2: each owner pushes its delta slice into every cached
+    /// shard-map partitioning of the full version.
+    fn delta_sent_to_shard_maps(&self, delta: &TupleBatch, full: &RelationVersion) {
+        for (key_cols, map_shards) in full.sharded_index_specs() {
+            if map_shards == self.devices().get() {
+                self.charge_owner_to_key_exchange(delta.as_flat(), delta.arity(), &key_cols);
+            }
         }
-        let total: usize = parts.iter().map(TupleBatch::len).sum();
-        outcome.derived_rows = total;
-        if total == 0 {
-            return;
-        }
-        let mut producers = self
-            .sim
-            .producers
-            .lock()
-            .expect("producer ledger lock poisoned");
-        let segments = producers.entry(pipeline.head).or_default();
+    }
+
+    fn installed(&self, head: RelId, parts: &[TupleBatch]) {
+        let mut sim = self.sim();
+        let segments = sim.producers.entry(head).or_default();
         for (d, part) in parts.iter().enumerate() {
             if !part.is_empty() {
                 segments.push((d, part.len()));
-                ctx.relations[pipeline.head].push_new_batch(part);
             }
         }
+    }
+}
+
+/// The multi-GPU simulation backend. Construct with
+/// [`MultiGpuBackend::new`] or let [`crate::EngineBuilder`] install it from
+/// [`crate::EngineConfig::with_device_topology`].
+#[derive(Debug)]
+pub struct MultiGpuBackend {
+    sharded: ShardedBackend,
+    model: TopologyModel,
+}
+
+impl MultiGpuBackend {
+    /// Creates a backend pinning shard `i` to device `i` of `topology`.
+    pub fn new(topology: DeviceTopology) -> Self {
+        MultiGpuBackend {
+            sharded: ShardedBackend::with_shards(topology.device_count()),
+            model: TopologyModel::new(topology),
+        }
+    }
+
+    /// The topology this backend models.
+    pub fn topology(&self) -> &DeviceTopology {
+        &self.model.topology
+    }
+
+    /// The cumulative modeling report: per-device modeled compute, link
+    /// traffic, critical path, and modeled speedup.
+    pub fn report(&self) -> TopologyReport {
+        self.model.report()
     }
 }
 
@@ -816,73 +436,9 @@ impl Backend for MultiGpuBackend {
         ctx: &mut EvalContext<'_>,
         pipeline: &RaPipeline,
     ) -> EngineResult<PipelineOutcome> {
-        let s = self.devices().get();
-        let compute_before: Vec<CounterSnapshot> =
-            self.sim.metrics.iter().map(Metrics::snapshot).collect();
-        let in_bytes_before: Vec<u64> = self
-            .sim
-            .in_bytes
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        let in_msgs_before: Vec<u64> = self
-            .sim
-            .in_messages
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-
-        let result = self.execute_pipeline(ctx, pipeline);
-
-        // Each pipeline is a bulk-synchronous step: its modeled latency is
-        // the slowest device's compute plus that device's incoming link
-        // transfer.
-        let link: &LinkProfile = self.topology.link();
-        let mut lanes = vec![0.0f64; s];
-        let mut worst = 0.0f64;
-        for (d, lane) in lanes.iter_mut().enumerate() {
-            let work = self.sim.metrics[d].snapshot().since(&compute_before[d]);
-            let compute = self.models[d].estimate(&work).total_sec();
-            let bytes = self.sim.in_bytes[d].load(Ordering::Relaxed) - in_bytes_before[d];
-            let messages = self.sim.in_messages[d].load(Ordering::Relaxed) - in_msgs_before[d];
-            *lane = compute + link.transfer_sec(bytes, messages);
-            worst = worst.max(*lane);
-        }
-        *self
-            .sim
-            .critical_path_sec
-            .lock()
-            .expect("critical-path lock poisoned") += worst;
-
-        // The pipelined schedule prices the same step differently: this
-        // step's merge share is deferred (subtracted from the lane), while
-        // the previous step's deferred merges run concurrently and bound
-        // the step from below — a merge slower than the compute it hides
-        // behind surfaces as residual step time.
-        let merge_now: Vec<f64> = {
-            let mut pending = self
-                .sim
-                .pending_merge_sec
-                .lock()
-                .expect("merge-share lock poisoned");
-            std::mem::replace(&mut *pending, vec![0.0; s])
-        };
-        let mut debt = self
-            .sim
-            .merge_debt_sec
-            .lock()
-            .expect("merge-debt lock poisoned");
-        let mut pipelined_worst = 0.0f64;
-        for d in 0..s {
-            let lane = (lanes[d] - merge_now[d]).max(0.0).max(debt[d]);
-            pipelined_worst = pipelined_worst.max(lane);
-            debt[d] = merge_now[d];
-        }
-        *self
-            .sim
-            .pipelined_critical_path_sec
-            .lock()
-            .expect("pipelined-path lock poisoned") += pipelined_worst;
+        let start = self.model.open_step();
+        let result = self.sharded.run(ctx, pipeline, &self.model);
+        self.model.close_step(&start);
         result
     }
 
@@ -1007,7 +563,7 @@ mod tests {
         // three quarters of them must cross the link to their owners.
         let rows: Vec<u32> = (0..64u32).flat_map(|i| [i, i + 1000]).collect();
         rels[0].push_new(&rows);
-        multi.sim.producers.lock().unwrap().insert(0, vec![(0, 64)]);
+        multi.model.sim().producers.insert(0, vec![(0, 64)]);
         let mut stats = RunStats::default();
         let mut ctx = EvalContext {
             device: &d,

@@ -1,6 +1,7 @@
 //! The single-device, operator-at-a-time backend, plus the per-op execution
-//! bodies shared with [`crate::backend::ShardedBackend`] (which delegates to
-//! them for ops that have no shardable join key).
+//! bodies shared with [`crate::backend::ShardedBackend`] (which runs the
+//! scan through them, and the ops with no shardable key over its gathered
+//! intermediate).
 
 use super::{Backend, EvalContext, PipelineOutcome};
 use crate::error::EngineResult;
@@ -241,8 +242,7 @@ pub(super) fn project_op(
 
 /// Executes a [`RaOp::Reduce`]: grouped reduction of the head-shaped batch.
 /// Must see the rule's *entire* output — the sharded backend gathers its
-/// shards before delegating here, and the multi-device plan gathers parts
-/// onto device 0.
+/// parts before delegating here.
 pub(super) fn reduce_op(
     ctx: &mut EvalContext<'_>,
     batch: &TupleBatch,

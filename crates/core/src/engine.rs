@@ -382,9 +382,11 @@ impl<'d> EngineBuilder<'d> {
     }
 
     /// Installs a custom evaluation backend. Without one, `build` picks
-    /// [`SerialBackend`] — or [`ShardedBackend`] when the configured shard
-    /// count is above one. An explicitly-installed backend always wins over
-    /// the shard-count default.
+    /// from the configuration: [`PipelinedBackend`] when iteration overlap
+    /// is configured, [`MultiGpuBackend`] when a device topology is,
+    /// [`ShardedBackend`] for a shard count above one, and
+    /// [`SerialBackend`] otherwise. An explicitly-installed backend always
+    /// wins over those defaults.
     #[must_use]
     pub fn backend(mut self, backend: Box<dyn Backend>) -> Self {
         self.backend = Some(backend);
@@ -422,14 +424,42 @@ impl<'d> EngineBuilder<'d> {
                 })
             }
         };
+        if self.config.shard_count == 0 {
+            return Err(EngineError::InvalidShardCount { shards: 0 });
+        }
         let backend = match self.backend {
             Some(backend) => backend,
             None => default_backend(&self.config)?,
         };
-        let mut engine = GpulogEngine::with_backend(self.device, compiled, self.config, backend)?;
-        engine.program = ast;
-        engine.diagnostics = diagnostics;
-        Ok(engine)
+        let config = self.config;
+        let mut relations = Vec::with_capacity(compiled.relation_names.len());
+        for (name, &arity) in compiled.relation_names.iter().zip(compiled.arities.iter()) {
+            relations.push(RelationStorage::new(
+                self.device,
+                name,
+                arity,
+                config.load_factor,
+            )?);
+        }
+        let pending_facts = vec![Vec::new(); compiled.relation_names.len()];
+        let pipelines = lower_program(&compiled, config.nway);
+        let diff_pipelines = (0..compiled.relation_names.len())
+            .map(RaPipeline::diff)
+            .collect();
+        Ok(GpulogEngine {
+            device: self.device.clone(),
+            program: ast,
+            diagnostics,
+            compiled,
+            pipelines,
+            diff_pipelines,
+            backend,
+            relations,
+            pending_facts,
+            config,
+            has_run: false,
+            generation: 0,
+        })
     }
 }
 
@@ -440,14 +470,11 @@ impl<'d> EngineBuilder<'d> {
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::InvalidShardCount`] for a zero shard count and
-/// [`EngineError::Validation`] when an explicit shard count conflicts with
-/// the topology's device count (each shard pins to exactly one device) or
-/// the pipelined shard count, or when overlap is combined with a topology.
+/// Returns [`EngineError::Validation`] when an explicit shard count
+/// conflicts with the topology's device count (each shard pins to exactly
+/// one device) or the pipelined shard count, or when overlap is combined
+/// with a topology.
 fn default_backend(config: &EngineConfig) -> EngineResult<Box<dyn Backend>> {
-    if config.shard_count == 0 {
-        return Err(EngineError::InvalidShardCount { shards: 0 });
-    }
     if config.pipelined > 0 {
         if config.device_topology.is_some() {
             return Err(EngineError::Validation {
@@ -486,6 +513,25 @@ fn default_backend(config: &EngineConfig) -> EngineResult<Box<dyn Backend>> {
     }
 }
 
+/// The result of a goal-directed run ([`GpulogEngine::run_query`]).
+///
+/// `answers` holds only the tuples of the goal relation that match the
+/// goal's bound constants, canonically sorted and duplicate-free — exactly
+/// the rows a full fixpoint restricted to the goal would produce, whatever
+/// backend evaluated the rewritten program.
+#[derive(Debug, Clone)]
+pub struct QueryResult {
+    /// Goal-matching tuples, lexicographically sorted and duplicate-free.
+    pub answers: gpulog_hisa::TupleBatch,
+    /// Statistics of the (rewritten) program's fixpoint run.
+    pub stats: RunStats,
+    /// Tuples materialized by the run outside the copied extensional
+    /// database: adorned relations, magic relations, and any relations the
+    /// rewrite kept fully evaluated. Comparing this against the full
+    /// closure's derived-tuple count is the rewrite's payoff metric.
+    pub tuples_materialized: usize,
+}
+
 /// The GPUlog Datalog engine.
 ///
 /// # Examples
@@ -512,25 +558,6 @@ fn default_backend(config: &EngineConfig) -> EngineResult<Box<dyn Backend>> {
 /// # Ok(())
 /// # }
 /// ```
-/// The result of a goal-directed run ([`GpulogEngine::run_query`]).
-///
-/// `answers` holds only the tuples of the goal relation that match the
-/// goal's bound constants, canonically sorted and duplicate-free — exactly
-/// the rows a full fixpoint restricted to the goal would produce, whatever
-/// backend evaluated the rewritten program.
-#[derive(Debug, Clone)]
-pub struct QueryResult {
-    /// Goal-matching tuples, lexicographically sorted and duplicate-free.
-    pub answers: gpulog_hisa::TupleBatch,
-    /// Statistics of the (rewritten) program's fixpoint run.
-    pub stats: RunStats,
-    /// Tuples materialized by the run outside the copied extensional
-    /// database: adorned relations, magic relations, and any relations the
-    /// rewrite kept fully evaluated. Comparing this against the full
-    /// closure's derived-tuple count is the rewrite's payoff metric.
-    pub tuples_materialized: usize,
-}
-
 #[derive(Debug)]
 pub struct GpulogEngine {
     device: Device,
@@ -563,94 +590,15 @@ impl GpulogEngine {
         EngineBuilder::new(device)
     }
 
-    /// Builds an engine from an already-constructed [`Program`].
+    /// Builds an engine from Soufflé-style source text with an explicit
+    /// configuration — shorthand for
+    /// `builder(device).program(source).config(config).build()`.
     ///
     /// # Errors
     ///
-    /// Returns validation errors for ill-formed programs,
-    /// [`EngineError::LintDenied`] under [`LintLevel::Deny`] with findings,
-    /// and device errors if the empty relation storage cannot be
-    /// allocated.
-    pub fn new(device: &Device, program: &Program, config: EngineConfig) -> EngineResult<Self> {
-        let (diagnostics, to_compile) = analyze_program(program, &config)?;
-        let compiled = compile(&to_compile)?;
-        let mut engine = Self::from_compiled(device, compiled, config)?;
-        engine.program = Some(program.clone());
-        engine.diagnostics = diagnostics;
-        Ok(engine)
-    }
-
-    /// Builds an engine from Soufflé-style source text.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse errors, validation errors, or device errors.
+    /// Returns parse, validation, lint-denial, or device errors.
     pub fn from_source(device: &Device, source: &str, config: EngineConfig) -> EngineResult<Self> {
-        let program = crate::parser::parse_program(source)?;
-        Self::new(device, &program, config)
-    }
-
-    /// Builds an engine from a pre-compiled program. The backend follows
-    /// the configured shard count: [`SerialBackend`] for one,
-    /// [`ShardedBackend`] above.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidShardCount`] for a zero shard count
-    /// and device errors if the empty relation storage cannot be allocated.
-    pub fn from_compiled(
-        device: &Device,
-        compiled: CompiledProgram,
-        config: EngineConfig,
-    ) -> EngineResult<Self> {
-        let backend = default_backend(&config)?;
-        Self::with_backend(device, compiled, config, backend)
-    }
-
-    /// Builds an engine from a pre-compiled program with an explicit
-    /// evaluation backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidShardCount`] for a zero shard count
-    /// and device errors if the empty relation storage cannot be allocated.
-    pub fn with_backend(
-        device: &Device,
-        compiled: CompiledProgram,
-        config: EngineConfig,
-        backend: Box<dyn Backend>,
-    ) -> EngineResult<Self> {
-        if config.shard_count == 0 {
-            return Err(EngineError::InvalidShardCount { shards: 0 });
-        }
-        let mut relations = Vec::with_capacity(compiled.relation_names.len());
-        for (name, &arity) in compiled.relation_names.iter().zip(compiled.arities.iter()) {
-            relations.push(RelationStorage::new(
-                device,
-                name,
-                arity,
-                config.load_factor,
-            )?);
-        }
-        let pending_facts = vec![Vec::new(); compiled.relation_names.len()];
-        let pipelines = lower_program(&compiled, config.nway);
-        let diff_pipelines = (0..compiled.relation_names.len())
-            .map(RaPipeline::diff)
-            .collect();
-        Ok(GpulogEngine {
-            device: device.clone(),
-            program: None,
-            diagnostics: ProgramDiagnostics::default(),
-            compiled,
-            pipelines,
-            diff_pipelines,
-            backend,
-            relations,
-            pending_facts,
-            config,
-            has_run: false,
-            generation: 0,
-        })
+        Self::builder(device).program(source).config(config).build()
     }
 
     /// The device this engine runs on.
@@ -1130,7 +1078,10 @@ impl GpulogEngine {
             .clone()
             .with_lint(LintLevel::Allow)
             .with_optimize(false);
-        let mut sub = GpulogEngine::new(&self.device, &magic.program, sub_config)?;
+        let mut sub = GpulogEngine::builder(&self.device)
+            .program_ast(&magic.program)
+            .config(sub_config)
+            .build()?;
 
         // Copy the extensional database across: declared inputs plus
         // relations no rule derives. Rule-derived relations re-derive
@@ -2049,8 +2000,10 @@ mod tests {
         // Pre-compiled engines have no AST to rewrite.
         let program = crate::parser::parse_program(REACH_LEFT).unwrap();
         let compiled = compile(&program).unwrap();
-        let precompiled =
-            GpulogEngine::from_compiled(&d, compiled, EngineConfig::default()).unwrap();
+        let precompiled = GpulogEngine::builder(&d)
+            .compiled(compiled)
+            .build()
+            .unwrap();
         assert!(matches!(
             precompiled.run_query_with("Reach", &[Some(1), None]),
             Err(EngineError::Validation { .. })

@@ -34,15 +34,17 @@
 //!    `Diff`).
 //! 3. **Backend** — a [`backend::Backend`] executes pipelines against an
 //!    [`backend::EvalContext`]; the stock [`backend::SerialBackend`] runs
-//!    operator-at-a-time on one simulated device,
-//!    [`backend::ShardedBackend`] hash-partitions relations by join key
-//!    and fans each join / delta-population op across the persistent
-//!    worker pool as one epoch of per-shard tasks, and
-//!    [`backend::MultiGpuBackend`] pins those shards to the modeled
-//!    devices of a [`DeviceTopology`]
-//!    ([`EngineConfig::with_device_topology`]), attributing per-shard
-//!    work to per-device counters and charging the delta exchange to the
-//!    topology's link model ([`RunStats::topology`]).
+//!    operator-at-a-time on one simulated device, and
+//!    [`backend::ShardedBackend`], the one sharded executor,
+//!    hash-partitions relations by join key and fans each join /
+//!    delta-population op across the persistent worker pool as one epoch
+//!    of per-shard tasks. [`backend::MultiGpuBackend`] is that executor
+//!    plus a cost model observing it: shard `i` is pinned to modeled
+//!    device `i` of a [`DeviceTopology`]
+//!    ([`EngineConfig::with_device_topology`]), the kernels the executor
+//!    ran are charged to per-device counters, and every row it moves
+//!    between shards — join re-partitions, gathers, the delta exchange —
+//!    is charged to the topology's link model ([`RunStats::topology`]).
 //!    [`backend::PipelinedBackend`] breaks the per-iteration barrier on
 //!    top of sharded execution: delta merges are double-buffered and run
 //!    on the device's background lane so iteration *k+1*'s joins overlap

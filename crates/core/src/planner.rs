@@ -314,7 +314,7 @@ pub fn lower_program(compiled: &CompiledProgram, strategy: NwayStrategy) -> Vec<
 /// # Errors
 ///
 /// Returns [`EngineError::Validation`] for structurally invalid programs
-/// (see [`crate::analysis::stratify`]) and for constructs the engine does
+/// (see [`crate::analysis::stratify_program`]) and for constructs the engine does
 /// not support.
 pub fn compile(program: &Program) -> EngineResult<CompiledProgram> {
     let stratified = stratify_program(program)?;

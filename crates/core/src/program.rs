@@ -64,7 +64,7 @@ impl Gpulog {
     /// Returns validation or device errors.
     pub fn from_program(device: &Device, program: &Program) -> EngineResult<Self> {
         Ok(Gpulog {
-            engine: GpulogEngine::new(device, program, EngineConfig::default())?,
+            engine: GpulogEngine::builder(device).program_ast(program).build()?,
         })
     }
 

@@ -8,153 +8,12 @@
 //! on the worker pool (skipping byte levels that are constant within a
 //! bucket), and small buckets finish with a stable insertion sort — so
 //! skewed or dense key distributions touch each element far fewer times
-//! than a fixed passes-per-column schedule. The earlier column-wise LSD
-//! schedule ([`lexicographic_sort_indices_lsd`]: per-worker histograms, an
-//! exclusive scan over the combined counts, and a stable scatter per 8-bit
-//! digit) and the comparison path
-//! ([`lexicographic_sort_indices_by_comparison`]) are kept as the
-//! references all three are property-tested against. The generic
-//! comparison-based [`stable_sort_by`] remains for arbitrary element types.
+//! than a fixed passes-per-column schedule.
 
 use crate::device::Device;
 use crate::metrics::PhaseTimer;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
-
-/// Parallel, stable, comparison-based sort.
-///
-/// Items are split into one run per worker, each run is sorted with the
-/// standard library's stable sort, and runs are then merged pairwise (each
-/// merge handled by one worker) until a single run remains — the classic
-/// parallel merge-sort schedule. All parallel phases execute on the
-/// device's persistent worker pool.
-pub fn stable_sort_by<T, F>(device: &Device, items: &mut Vec<T>, compare: F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let n = items.len();
-    if n <= 1 {
-        return;
-    }
-    let elem = std::mem::size_of::<T>() as u64;
-    device.metrics().add_kernel_launch();
-    let executor = device.executor();
-    let parts = executor.partitions(n);
-
-    // Sort each partition independently.
-    {
-        let mut jobs: Vec<&mut [T]> = Vec::with_capacity(parts.len());
-        let mut rest: &mut [T] = items.as_mut_slice();
-        for range in &parts {
-            let (head, tail) = rest.split_at_mut(range.len());
-            jobs.push(head);
-            rest = tail;
-        }
-        let compare = &compare;
-        executor.run_tasks(jobs, |_, job| job.sort_by(compare));
-    }
-    let passes = (parts.len().max(2) as f64).log2().ceil() as u64 + 1;
-    device.metrics().add_bytes_read(n as u64 * elem * passes);
-    device.metrics().add_bytes_written(n as u64 * elem * passes);
-    device
-        .metrics()
-        .add_ops(n as u64 * (n.max(2) as f64).log2().ceil() as u64);
-
-    // Merge runs pairwise until one remains.
-    let mut run_bounds: Vec<usize> = parts.iter().map(|r| r.start).collect();
-    run_bounds.push(n);
-    let mut source = items.clone();
-    let mut target: Vec<T> = Vec::with_capacity(n);
-    // SAFETY-free approach: use a second owned buffer and swap.
-    target.extend_from_slice(&source);
-    while run_bounds.len() > 2 {
-        let mut new_bounds = Vec::with_capacity(run_bounds.len() / 2 + 2);
-        let pair_count = (run_bounds.len() - 1) / 2;
-        // Describe each merge job: (a_range, b_range, out_start).
-        let mut jobs = Vec::with_capacity(pair_count + 1);
-        let mut i = 0;
-        while i + 2 < run_bounds.len() {
-            jobs.push((
-                run_bounds[i]..run_bounds[i + 1],
-                run_bounds[i + 1]..run_bounds[i + 2],
-            ));
-            i += 2;
-        }
-        let leftover = if i + 1 < run_bounds.len() {
-            Some(run_bounds[i]..run_bounds[i + 1])
-        } else {
-            None
-        };
-        // Split the target buffer into one output slice per job.
-        {
-            let mut merge_jobs: Vec<(std::ops::Range<usize>, std::ops::Range<usize>, &mut [T])> =
-                Vec::with_capacity(jobs.len());
-            let mut rest: &mut [T] = target.as_mut_slice();
-            let mut cursor = 0usize;
-            for (a, b) in &jobs {
-                let start = a.start;
-                let len = (a.end - a.start) + (b.end - b.start);
-                let (_, tail) = rest.split_at_mut(start - cursor);
-                let (mine, tail) = tail.split_at_mut(len);
-                merge_jobs.push((a.clone(), b.clone(), mine));
-                rest = tail;
-                cursor = start + len;
-            }
-            let source_ref = &source;
-            let compare = &compare;
-            executor.run_tasks(merge_jobs, |_, (a, b, out)| {
-                let (mut ai, mut bi, mut oi) = (a.start, b.start, 0usize);
-                while ai < a.end && bi < b.end {
-                    if compare(&source_ref[bi], &source_ref[ai]) == Ordering::Less {
-                        out[oi] = source_ref[bi];
-                        bi += 1;
-                    } else {
-                        out[oi] = source_ref[ai];
-                        ai += 1;
-                    }
-                    oi += 1;
-                }
-                while ai < a.end {
-                    out[oi] = source_ref[ai];
-                    ai += 1;
-                    oi += 1;
-                }
-                while bi < b.end {
-                    out[oi] = source_ref[bi];
-                    bi += 1;
-                    oi += 1;
-                }
-            });
-        }
-        // Copy any leftover run through unchanged.
-        if let Some(range) = leftover.clone() {
-            target[range.clone()].copy_from_slice(&source[range]);
-        }
-        // Rebuild run bounds.
-        new_bounds.push(0);
-        let mut i = 0;
-        while i + 2 < run_bounds.len() {
-            new_bounds.push(run_bounds[i + 2]);
-            i += 2;
-        }
-        if leftover.is_some() {
-            new_bounds.push(n);
-        }
-        run_bounds = new_bounds;
-        std::mem::swap(&mut source, &mut target);
-    }
-    items.copy_from_slice(&source);
-}
-
-/// Stable sort of `indices` by a key derived from each index.
-pub fn stable_sort_indices_by_key<K, F>(device: &Device, indices: &mut Vec<u32>, key: F)
-where
-    K: Ord,
-    F: Fn(u32) -> K + Sync,
-{
-    stable_sort_by(device, indices, |a, b| key(*a).cmp(&key(*b)));
-}
 
 /// Number of 8-bit digit positions needed to cover `max_value`.
 fn radix_passes_for(max_value: u32) -> usize {
@@ -165,63 +24,6 @@ fn radix_passes_for(max_value: u32) -> usize {
     }
 }
 
-/// One stable counting-sort pass over an 8-bit digit of one column.
-///
-/// `input` and `output` hold row indices; rows are ranked by
-/// `(data[row * arity + col] >> shift) & 0xff`. Histograms are built per
-/// worker partition, combined with an exclusive scan into per-partition,
-/// per-digit start offsets, and scattered back in partition order — which
-/// is what makes the pass stable.
-fn counting_sort_pass(
-    device: &Device,
-    data: &[u32],
-    arity: usize,
-    col: usize,
-    shift: u32,
-    input: &[AtomicU32],
-    output: &[AtomicU32],
-) {
-    const RADIX: usize = 256;
-    let n = input.len();
-    let executor = device.executor();
-    let parts = executor.partitions(n);
-    let digit_of = |slot: &AtomicU32| {
-        let row = slot.load(AtomicOrdering::Relaxed) as usize;
-        ((data[row * arity + col] >> shift) & 0xff) as usize
-    };
-    // Pass 1: per-partition digit histograms.
-    let parts_ref = &parts;
-    let histograms: Vec<Vec<u32>> = executor.map_collect(parts.len(), |p| {
-        let mut hist = vec![0u32; RADIX];
-        for slot in &input[parts_ref[p].clone()] {
-            hist[digit_of(slot)] += 1;
-        }
-        hist
-    });
-    // Exclusive scan over (digit, partition): all smaller digits first,
-    // then earlier partitions of the same digit.
-    let mut starts = vec![0u32; parts.len() * RADIX];
-    let mut running = 0u32;
-    for digit in 0..RADIX {
-        for (p, hist) in histograms.iter().enumerate() {
-            starts[p * RADIX + digit] = running;
-            running += hist[digit];
-        }
-    }
-    // Pass 2: stable scatter, one worker per partition. Destinations of
-    // different partitions are disjoint by construction of `starts`.
-    let starts_ref = &starts;
-    executor.for_each_partition(n, |p, range| {
-        let mut cursors = starts_ref[p * RADIX..(p + 1) * RADIX].to_vec();
-        for slot in &input[range] {
-            let digit = digit_of(slot);
-            let dest = cursors[digit] as usize;
-            cursors[digit] += 1;
-            output[dest].store(slot.load(AtomicOrdering::Relaxed), AtomicOrdering::Relaxed);
-        }
-    });
-}
-
 /// Buckets at or below this size are finished with a stable insertion sort
 /// instead of further MSD splitting.
 const MSD_INSERTION_CUTOFF: usize = 32;
@@ -229,102 +31,10 @@ const MSD_INSERTION_CUTOFF: usize = 32;
 /// the sequential MSD recursion directly.
 const MSD_SEQUENTIAL_CUTOFF: usize = 2048;
 
-/// Builds the sorted index array for a row-major tuple store: indices end up
-/// ordered lexicographically by their projection onto `column_order` (most
-/// significant column first), with ties keeping their original index order.
-///
-/// This is the engine's default sort: a **hybrid MSD radix sort**
-/// ([`lexicographic_sort_indices_msd`]) that splits on the most significant
-/// occupied byte of the key and recurses per bucket, falling back to a
-/// stable insertion sort on small buckets — so skewed and dense id
-/// distributions touch each element far fewer times than the fixed
-/// passes-per-column LSD schedule. The LSD column sort survives as
-/// [`lexicographic_sort_indices_lsd`] and the comparison sort as
-/// [`lexicographic_sort_indices_by_comparison`]; all three are
-/// property-tested to produce identical orders.
-///
-/// `data` is row-major with `arity` columns; `column_order` lists columns
-/// from most-significant to least-significant (join columns first).
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a multiple of `arity`, or if any column in
-/// `column_order` is out of range.
-pub fn lexicographic_sort_indices(
-    device: &Device,
-    data: &[u32],
-    arity: usize,
-    column_order: &[usize],
-) -> Vec<u32> {
-    lexicographic_sort_indices_msd(device, data, arity, column_order)
-}
-
-/// The pre-hybrid default: the paper's Algorithm 1 as a sequence of stable
-/// LSD counting sorts, one per column of `column_order` from the
-/// least-significant column to the most-significant, each over 8-bit digits
-/// with digit positions above the column's maximum skipped. Kept as a
-/// property-test reference and as the better schedule when every byte of
-/// every column is occupied (uniform dense keys spanning all four bytes).
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a multiple of `arity`, or if any column in
-/// `column_order` is out of range.
-pub fn lexicographic_sort_indices_lsd(
-    device: &Device,
-    data: &[u32],
-    arity: usize,
-    column_order: &[usize],
-) -> Vec<u32> {
-    let _phase = PhaseTimer::new(device.metrics(), "sort");
-    assert!(arity > 0, "arity must be positive");
-    assert_eq!(
-        data.len() % arity,
-        0,
-        "data length must be a multiple of arity"
-    );
-    assert!(
-        column_order.iter().all(|&c| c < arity),
-        "column_order entries must be < arity"
-    );
-    let rows = data.len() / arity;
-    if rows <= 1 {
-        return (0..rows as u32).collect();
-    }
-    // Ping-pong buffers; the atomic cells let scatter destinations cross
-    // worker partitions without unsafe aliasing.
-    let mut input: Vec<AtomicU32> = (0..rows as u32).map(AtomicU32::new).collect();
-    let mut output: Vec<AtomicU32> = (0..rows).map(|_| AtomicU32::new(0)).collect();
-    // Least-significant column first (rightmost of column_order).
-    for &col in column_order.iter().rev() {
-        let max_value =
-            crate::thrust::reduce::max_by(device, rows, |r| data[r * arity + col]).unwrap_or(0);
-        let passes = radix_passes_for(max_value);
-        device.metrics().add_sort_passes(passes as u64);
-        device.metrics().add_kernel_launch();
-        device
-            .metrics()
-            .add_bytes_read(rows as u64 * 8 * passes.max(1) as u64);
-        device
-            .metrics()
-            .add_bytes_written(rows as u64 * 4 * passes as u64);
-        device.metrics().add_ops(rows as u64 * passes as u64);
-        // A column whose values are all zero needs no reordering at all.
-        for pass in 0..passes {
-            counting_sort_pass(device, data, arity, col, (pass * 8) as u32, &input, &output);
-            std::mem::swap(&mut input, &mut output);
-        }
-    }
-    input
-        .into_iter()
-        .map(std::sync::atomic::AtomicU32::into_inner)
-        .collect()
-}
-
 /// The significance-ordered byte positions of a key: for every column of
 /// `column_order` (most significant first), the occupied 8-bit digit
 /// positions from high to low. Digits above a column's maximum value are
-/// omitted, exactly as in the LSD path.
+/// omitted.
 fn msd_byte_plan(
     device: &Device,
     data: &[u32],
@@ -526,24 +236,29 @@ fn parallel_msd_split(
     }
 }
 
-/// Hybrid MSD radix implementation of [`lexicographic_sort_indices`].
+/// Builds the sorted index array for a row-major tuple store: indices end up
+/// ordered lexicographically by their projection onto `column_order` (most
+/// significant column first), with ties keeping their original index order.
 ///
-/// Buckets above `MSD_SEQUENTIAL_CUTOFF` are split 256 ways with
-/// data-parallel stable counting passes (`parallel_msd_split`), worklist
-/// style — so a skewed distribution whose dominant bucket swallows most
-/// rows keeps every worker busy on the next split instead of serializing
-/// on one task. Buckets at or below the cutoff then recurse independently
-/// on the worker pool, splitting on successive key bytes and finishing
-/// small buckets with a stable insertion sort. Compared to the LSD
-/// schedule, elements stop moving as soon as their bucket is fully
-/// ordered; byte levels whose digit is constant across a bucket are
-/// skipped entirely.
+/// `data` is row-major with `arity` columns; `column_order` lists columns
+/// from most-significant to least-significant (join columns first).
+///
+/// This is a **hybrid MSD radix sort**. Buckets above
+/// `MSD_SEQUENTIAL_CUTOFF` are split 256 ways on their most significant
+/// occupied key byte with data-parallel stable counting passes
+/// (`parallel_msd_split`), worklist style — so a skewed distribution whose
+/// dominant bucket swallows most rows keeps every worker busy on the next
+/// split instead of serializing on one task. Buckets at or below the cutoff
+/// then recurse independently on the worker pool, splitting on successive
+/// key bytes and finishing small buckets with a stable insertion sort.
+/// Elements stop moving as soon as their bucket is fully ordered, and byte
+/// levels whose digit is constant across a bucket are skipped entirely.
 ///
 /// # Panics
 ///
 /// Panics if `data.len()` is not a multiple of `arity`, or if any column in
 /// `column_order` is out of range.
-pub fn lexicographic_sort_indices_msd(
+pub fn lexicographic_sort_indices(
     device: &Device,
     data: &[u32],
     arity: usize,
@@ -626,36 +341,6 @@ pub fn lexicographic_sort_indices_msd(
     indices
 }
 
-/// The pre-radix, comparison-based implementation of
-/// [`lexicographic_sort_indices`]: one stable merge sort per column. Kept
-/// as the reference the radix path is property-tested against and as a
-/// fallback for debugging.
-pub fn lexicographic_sort_indices_by_comparison(
-    device: &Device,
-    data: &[u32],
-    arity: usize,
-    column_order: &[usize],
-) -> Vec<u32> {
-    assert!(arity > 0, "arity must be positive");
-    assert_eq!(
-        data.len() % arity,
-        0,
-        "data length must be a multiple of arity"
-    );
-    assert!(
-        column_order.iter().all(|&c| c < arity),
-        "column_order entries must be < arity"
-    );
-    let rows = data.len() / arity;
-    let mut indices: Vec<u32> = (0..rows as u32).collect();
-    for &col in column_order.iter().rev() {
-        device.metrics().add_bytes_read(rows as u64 * 8);
-        device.metrics().add_bytes_written(rows as u64 * 4);
-        stable_sort_indices_by_key(device, &mut indices, |idx| data[idx as usize * arity + col]);
-    }
-    indices
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,30 +350,42 @@ mod tests {
         Device::with_workers(DeviceProfile::nvidia_h100(), 4)
     }
 
+    /// The reference order: a std stable sort of the row indices by the
+    /// projected key, ties broken by index.
+    fn reference_order(data: &[u32], arity: usize, column_order: &[usize]) -> Vec<u32> {
+        let mut indices: Vec<u32> = (0..(data.len() / arity) as u32).collect();
+        indices.sort_by(|&x, &y| cmp_rows_on(data, arity, column_order, x, y).then(x.cmp(&y)));
+        indices
+    }
+
     #[test]
     fn sorts_small_and_large_inputs() {
         let d = device();
+        // Straddles the insertion-sort and sequential cutoffs.
         for n in [0usize, 1, 2, 3, 17, 64, 65, 1000, 4097] {
-            let mut items: Vec<u32> = (0..n as u32)
+            let data: Vec<u32> = (0..n as u32)
                 .map(|i| i.wrapping_mul(2_654_435_761) % 10_007)
                 .collect();
-            let mut expected = items.clone();
-            expected.sort();
-            stable_sort_by(&d, &mut items, |a, b| a.cmp(b));
-            assert_eq!(items, expected, "n = {n}");
+            let got = lexicographic_sort_indices(&d, &data, 1, &[0]);
+            assert_eq!(got, reference_order(&data, 1, &[0]), "n = {n}");
         }
     }
 
     #[test]
     fn sort_is_stable() {
         let d = device();
-        // Sort pairs by first element only; second element records original order.
-        let mut items: Vec<(u32, u32)> = (0..500u32).map(|i| (i % 7, i)).collect();
-        stable_sort_by(&d, &mut items, |a, b| a.0.cmp(&b.0));
-        for w in items.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                assert!(w[0].1 < w[1].1, "equal keys must keep input order");
+        // Sort (key, original position) rows by the key only: equal keys
+        // must keep their input order.
+        let data: Vec<u32> = (0..500u32).flat_map(|i| [i % 7, i]).collect();
+        let got = lexicographic_sort_indices(&d, &data, 2, &[0]);
+        for w in got.windows(2) {
+            let (a, b) = (w[0] as usize * 2, w[1] as usize * 2);
+            assert!(data[a] <= data[b]);
+            if data[a] == data[b] {
+                assert!(
+                    data[a + 1] < data[b + 1],
+                    "equal keys must keep input order"
+                );
             }
         }
     }
@@ -697,9 +394,8 @@ mod tests {
     fn sort_indices_by_key_orders_indirectly() {
         let d = device();
         let data = [50u32, 10, 40, 30, 20];
-        let mut indices: Vec<u32> = (0..5).collect();
-        stable_sort_indices_by_key(&d, &mut indices, |i| data[i as usize]);
-        assert_eq!(indices, vec![1, 4, 3, 2, 0]);
+        let got = lexicographic_sort_indices(&d, &data, 1, &[0]);
+        assert_eq!(got, vec![1, 4, 3, 2, 0]);
     }
 
     #[test]
@@ -737,7 +433,7 @@ mod tests {
             ];
             ka.cmp(&kb).then(a.cmp(&b))
         });
-        // The LSD column sort is stable, so ties break by original index too.
+        // The sort is stable, so ties break by original index too.
         assert_eq!(got, expected);
     }
 
@@ -752,8 +448,7 @@ mod tests {
             .take(rows * 2)
             .collect();
         let radix = lexicographic_sort_indices(&d, &data, 2, &[0, 1]);
-        let comparison = lexicographic_sort_indices_by_comparison(&d, &data, 2, &[0, 1]);
-        assert_eq!(radix, comparison);
+        assert_eq!(radix, reference_order(&data, 2, &[0, 1]));
     }
 
     #[test]
@@ -784,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn msd_lsd_and_comparison_agree_on_assorted_distributions() {
+    fn sort_matches_std_reference_on_assorted_distributions() {
         let d = device();
         let rows = 3000usize; // above the sequential cutoff: parallel split
         let distributions: Vec<(&str, Vec<u32>)> = vec![
@@ -818,11 +513,12 @@ mod tests {
         ];
         for (name, data) in &distributions {
             for order in [vec![0usize, 1], vec![1, 0], vec![1]] {
-                let msd = lexicographic_sort_indices_msd(&d, data, 2, &order);
-                let lsd = lexicographic_sort_indices_lsd(&d, data, 2, &order);
-                let cmp = lexicographic_sort_indices_by_comparison(&d, data, 2, &order);
-                assert_eq!(msd, lsd, "{name} order {order:?}: MSD vs LSD");
-                assert_eq!(lsd, cmp, "{name} order {order:?}: LSD vs comparison");
+                let got = lexicographic_sort_indices(&d, data, 2, &order);
+                assert_eq!(
+                    got,
+                    reference_order(data, 2, &order),
+                    "{name} order {order:?}"
+                );
             }
         }
     }
@@ -836,45 +532,9 @@ mod tests {
                 .map(|i| (i as u32).wrapping_mul(31) % 300)
                 .collect();
             let order = [2usize, 0, 1];
-            let msd = lexicographic_sort_indices_msd(&d, &data, 3, &order);
-            let cmp = lexicographic_sort_indices_by_comparison(&d, &data, 3, &order);
-            assert_eq!(msd, cmp, "rows = {rows}");
+            let got = lexicographic_sort_indices(&d, &data, 3, &order);
+            assert_eq!(got, reference_order(&data, 3, &order), "rows = {rows}");
         }
-    }
-
-    #[test]
-    fn msd_moves_fewer_bytes_than_lsd_on_skewed_keys() {
-        let d = device();
-        // Heavily skewed: most rows share one key, sprinkled outliers force
-        // two byte levels per column. LSD scatters every row on every pass;
-        // MSD stops moving a row as soon as its bucket is resolved, so its
-        // scatter write traffic — the memory-bound cost the hybrid sort
-        // exists to cut — must be strictly smaller. (Raw pass counts are
-        // not comparable: LSD counts full-array passes, MSD counts
-        // per-bucket splits of any size.)
-        let rows = 6000usize;
-        let data: Vec<u32> = (0..rows * 2)
-            .map(|i| {
-                if i.is_multiple_of(500) {
-                    (i as u32) % 60_000
-                } else {
-                    3
-                }
-            })
-            .collect();
-        let before_msd = d.metrics().snapshot();
-        let _ = lexicographic_sort_indices_msd(&d, &data, 2, &[0, 1]);
-        let msd = d.metrics().snapshot().since(&before_msd);
-        let before_lsd = d.metrics().snapshot();
-        let _ = lexicographic_sort_indices_lsd(&d, &data, 2, &[0, 1]);
-        let lsd = d.metrics().snapshot().since(&before_lsd);
-        assert!(msd.sort_passes > 0 && lsd.sort_passes > 0);
-        assert!(
-            msd.bytes_written < lsd.bytes_written,
-            "skew must prune MSD scatter traffic: msd {} vs lsd {} bytes",
-            msd.bytes_written,
-            lsd.bytes_written,
-        );
     }
 
     #[test]
@@ -882,8 +542,8 @@ mod tests {
         let seq = Device::with_workers(DeviceProfile::nvidia_h100(), 1);
         let par = Device::with_workers(DeviceProfile::nvidia_h100(), 8);
         let data: Vec<u32> = (0..9000u32).map(|i| i.wrapping_mul(97) % 613).collect();
-        let a = lexicographic_sort_indices_msd(&seq, &data, 2, &[1, 0]);
-        let b = lexicographic_sort_indices_msd(&par, &data, 2, &[1, 0]);
+        let a = lexicographic_sort_indices(&seq, &data, 2, &[1, 0]);
+        let b = lexicographic_sort_indices(&par, &data, 2, &[1, 0]);
         assert_eq!(a, b);
     }
 
@@ -892,10 +552,8 @@ mod tests {
         let seq_device = Device::with_workers(DeviceProfile::nvidia_h100(), 1);
         let par_device = Device::with_workers(DeviceProfile::nvidia_h100(), 8);
         let items: Vec<u32> = (0..3000u32).map(|i| (i * 97) % 513).collect();
-        let mut a = items.clone();
-        let mut b = items;
-        stable_sort_by(&seq_device, &mut a, |x, y| x.cmp(y));
-        stable_sort_by(&par_device, &mut b, |x, y| x.cmp(y));
+        let a = lexicographic_sort_indices(&seq_device, &items, 1, &[0]);
+        let b = lexicographic_sort_indices(&par_device, &items, 1, &[0]);
         assert_eq!(a, b);
     }
 

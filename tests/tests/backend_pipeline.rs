@@ -568,6 +568,147 @@ fn sharded_ops_dispatch_one_epoch_per_op_not_one_per_shard() {
     );
 }
 
+/// One pinned [`gpulog::TopologyReport`]: totals, then per device
+/// `(modeled_compute_sec bits, in bytes, out bytes, in messages)`.
+type GoldenReport = (u64, u64, u64, u64, &'static [(u64, u64, u64, u64)]);
+
+/// `(program, n-way strategy, devices, report)` recorded before the
+/// multi-GPU model became an observer of the sharded executor: the
+/// refactor must leave every charge unchanged to the bit.
+#[rustfmt::skip]
+const GOLDEN_TOPOLOGY_REPORTS: &[(&str, &str, usize, GoldenReport)] = &[
+    ("reach", "TemporarilyMaterialized", 2, (18880, 15, 0x3f23f0be094bd3ec, 0x3f23f054294d6352, &[(0x3f1a3bfa04b3e3b3, 9280, 9600, 7), (0x3f192f490859692d, 9600, 9280, 8)])),
+    ("reach", "TemporarilyMaterialized", 4, (28320, 85, 0x3f27bc0b0c0db884, 0x3f27bbd310d11b0f, &[(0x3f1a3965a120320f, 7040, 7200, 20), (0x3f18207d5f29949a, 7040, 7200, 24), (0x3f192d07d4a495f8, 7040, 7200, 18), (0x3f1713f0ac1e9c5c, 7200, 6720, 23)])),
+    ("sg", "TemporarilyMaterialized", 2, (3920, 23, 0x3f1abe5e12bf6dc2, 0x3f1abe46841bef94, &[(0x3f1606105f0e1240, 1840, 2080, 11), (0x3f160600d71bba24, 2080, 1840, 12)])),
+    ("sg", "TemporarilyMaterialized", 4, (5848, 103, 0x3f20e8ed6deff50e, 0x3f20e8e55b41ff08, &[(0x3f13ecbd5d4e0ff8, 1428, 1564, 26), (0x3f16058d8cf12b2f, 1544, 1280, 25), (0x3f16059910980c5f, 1404, 1508, 25), (0x3f13ecb95902990c, 1472, 1496, 27)])),
+    ("sg", "FusedNestedLoop", 2, (2768, 17, 0x3f1238c3ee70cc96, 0x3f1238ac5fcd4e68, &[(0x3f0d5d25a754239d, 1336, 1432, 8), (0x3f0d5d069610bab5, 1432, 1336, 9)])),
+    ("sg", "FusedNestedLoop", 4, (4144, 79, 0x3f181e82b18aa8a6, 0x3f181e728c2ebc99, &[(0x3f092aedcd7f4b54, 1032, 1096, 20), (0x3f0d5c8ec3dc8962, 1016, 920, 19), (0x3f0d5cab4ae5bc9d, 1032, 1064, 19), (0x3f092aeb434515a8, 1064, 1064, 21)])),
+    ("neg-min", "TemporarilyMaterialized", 2, (1261176, 103, 0x3f50d5e7cabda8fa, 0x3f50d48d7b4552bc, &[(0x3f3b77d093f5a95a, 722988, 538188, 61), (0x3f47e1d365c0ef5d, 538188, 722988, 42)])),
+    ("neg-min", "TemporarilyMaterialized", 4, (1709944, 424, 0x3f543c907d43d47d, 0x3f543be2ff2bdde5, &[(0x3f33841a0fd35c4b, 581696, 327692, 112), (0x3f43dee6b4050149, 446220, 535932, 102), (0x3f333964e41c88aa, 245756, 314960, 110), (0x3f44221ea62ac05a, 436272, 531360, 100)])),
+];
+
+/// The multi-GPU model is pinned to the digit, not just `> 0`: fixed
+/// REACH, SG (both n-way strategies, covering `HashJoin` and `FusedJoin`)
+/// and negation + `min` programs on 2- and 4-device NVLink-like
+/// topologies must report exactly the recorded totals, per-device link
+/// traffic, and modeled seconds (as `f64::to_bits`).
+#[test]
+fn topology_reports_match_the_recorded_model() {
+    use gpulog::DeviceTopology;
+    use std::num::NonZeroUsize;
+    const REACH_SRC: &str = r"
+        .decl Edge(x: number, y: number)
+        .input Edge
+        .decl Reach(x: number, y: number)
+        .output Reach
+        Reach(x, y) :- Edge(x, y).
+        Reach(x, y) :- Edge(x, z), Reach(z, y).
+    ";
+    const SG_SRC: &str = r"
+        .decl Edge(x: number, y: number)
+        .input Edge
+        .decl SG(x: number, y: number)
+        .output SG
+        SG(x, y) :- Edge(p, x), Edge(p, y), x != y.
+        SG(x, y) :- Edge(a, x), SG(a, b), Edge(b, y), x != y.
+    ";
+    const NEG_MIN_SRC: &str = r"
+        .decl Edge(x: number, y: number)
+        .input Edge
+        .decl Blocked(x: number)
+        .input Blocked
+        .decl Succ(d: number, d1: number)
+        .input Succ
+        .decl PathLen(x: number, y: number, d: number)
+        .decl SP(x: number, y: number, d: number)
+        .output SP
+        PathLen(x, y, 1) :- Edge(x, y), !Blocked(y).
+        PathLen(x, z, d1) :- PathLen(x, y, d), Edge(y, z), Succ(d, d1), !Blocked(z).
+        SP(x, y, min(d)) :- PathLen(x, y, d).
+    ";
+    // A 40-node ring with chords (cycles, fan-in) and a 31-node binary
+    // tree with two cross edges (deep SG generations).
+    let ring: Vec<[u32; 2]> = (0..40u32)
+        .flat_map(|i| [[i, (i + 1) % 40], [i, (i * 7 + 3) % 40]])
+        .collect();
+    let tree: Vec<[u32; 2]> = (1..31u32)
+        .map(|i| [(i - 1) / 2, i])
+        .chain([[3, 12], [5, 20]])
+        .collect();
+    let cases = [
+        (
+            "reach",
+            NwayStrategy::TemporarilyMaterialized,
+            REACH_SRC,
+            &ring,
+        ),
+        ("sg", NwayStrategy::TemporarilyMaterialized, SG_SRC, &tree),
+        ("sg", NwayStrategy::FusedNestedLoop, SG_SRC, &tree),
+        (
+            "neg-min",
+            NwayStrategy::TemporarilyMaterialized,
+            NEG_MIN_SRC,
+            &ring,
+        ),
+    ];
+    let mut got = Vec::new();
+    for (program, nway, src, edges) in cases {
+        for devices in [2usize, 4] {
+            let d = device();
+            let topology = DeviceTopology::nvlink_like(NonZeroUsize::new(devices).unwrap());
+            let cfg = EngineConfig::new()
+                .with_nway(nway)
+                .with_device_topology(topology);
+            let mut engine = GpulogEngine::from_source(&d, src, cfg).unwrap();
+            engine.add_facts("Edge", edges).unwrap();
+            if program == "neg-min" {
+                engine.add_facts("Blocked", [[7u32], [22]]).unwrap();
+                engine
+                    .add_facts("Succ", (1..40u32).map(|i| [i, i + 1]))
+                    .unwrap();
+            }
+            let report = engine.run().unwrap().topology.expect("topology report");
+            let lanes: Vec<(u64, u64, u64, u64)> = report
+                .devices
+                .iter()
+                .map(|l| {
+                    (
+                        l.modeled_compute_sec.to_bits(),
+                        l.exchange_in_bytes,
+                        l.exchange_out_bytes,
+                        l.exchange_in_messages,
+                    )
+                })
+                .collect();
+            got.push((
+                program,
+                format!("{nway:?}"),
+                devices,
+                (
+                    report.total_exchange_bytes,
+                    report.total_exchange_messages,
+                    report.modeled_critical_path_sec.to_bits(),
+                    report.modeled_pipelined_critical_path_sec.to_bits(),
+                ),
+                lanes,
+            ));
+        }
+    }
+    assert_eq!(got.len(), GOLDEN_TOPOLOGY_REPORTS.len());
+    for ((program, nway, devices, totals, lanes), (gp, gn, gd, golden)) in
+        got.iter().zip(GOLDEN_TOPOLOGY_REPORTS)
+    {
+        let case = format!("{program} / {nway} / {devices} devices");
+        assert_eq!((*program, nway.as_str(), *devices), (*gp, *gn, *gd));
+        assert_eq!(
+            *totals,
+            (golden.0, golden.1, golden.2, golden.3),
+            "{case}: totals"
+        );
+        assert_eq!(lanes.as_slice(), golden.4, "{case}: per-device lanes");
+    }
+}
+
 /// On a merge-heavy chain-REACH workload (one iteration per node, tiny
 /// deltas) the pipelined backend must actually overlap: background merges
 /// stay outstanding across iterations (`overlap_nanos`, `epochs_in_flight`)
