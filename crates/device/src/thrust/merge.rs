@@ -5,6 +5,13 @@
 //! output evenly across workers by binary-searching the cross diagonals of
 //! the (|A|, |B|) merge grid, so every worker produces an equal slice of the
 //! result without communicating.
+//!
+//! Inside each partition, [`merge_sorted_index_rows`] picks one of two host
+//! loops: the per-element merge for balanced inputs, or a gallop for a
+//! small delta, which exponential-searches each delta row's insertion point
+//! and block-copies the full-side run before it. Both produce the same
+//! stable merge, and both are charged as the merge path the modeled device
+//! runs.
 
 use crate::device::Device;
 use std::cmp::Ordering;
@@ -141,6 +148,34 @@ fn merge_path_partition_rows(
     (lo, diag - lo)
 }
 
+/// A partition gallops when its `a` share is at least this many times its
+/// `b` share. Below that, the per-element loop's sequential scan beats one
+/// exponential search per `b` entry.
+const GALLOP_RATIO: usize = 16;
+
+/// The position in `a[from..end]` of the first entry whose row sorts
+/// strictly after `row` (`end` when none does), found by exponential search
+/// from `from`: O(log gap) row comparisons instead of one per skipped entry.
+fn gallop_upper_bound(
+    a: &[u32],
+    from: usize,
+    end: usize,
+    data: &[u32],
+    arity: usize,
+    row: &[u32],
+) -> usize {
+    let not_after = |idx: &u32| row_of(data, arity, *idx) <= row;
+    // Invariant: a[from..lo] sort at or before `row`; a[hi] (if hi < end)
+    // is the next probe.
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < end && not_after(&a[hi]) {
+        lo = hi + 1;
+        hi = (hi + step).min(end);
+        step *= 2;
+    }
+    lo + a[lo..hi].partition_point(not_after)
+}
+
 /// Merges two sorted index arrays over one shared row-major `data` buffer,
 /// comparing row slices **in place** — the allocation-free sibling of
 /// [`merge_sorted_indices_by_key`] for the HISA merge hot loop, which would
@@ -151,6 +186,13 @@ fn merge_path_partition_rows(
 /// into both the comparisons and the output, so no shifted copy of `b` is
 /// ever built. The output is the stable merge (ties keep `a` first) with
 /// every `b` entry already offset.
+///
+/// Each merge-path partition runs one of two loops. When its `b` share is
+/// small next to its `a` share (a small delta merged into a large full), it
+/// gallops: each `b` row's insertion point is found by exponential search in
+/// `a`, and the `a` run before it is block-copied, so host work scales with
+/// the delta. Otherwise it compares once per output element. The device
+/// charge is the merge-path charge either way.
 ///
 /// # Panics
 ///
@@ -196,6 +238,24 @@ pub fn merge_sorted_index_rows(
         }
         executor.run_tasks(slices, |p, slice| {
             let (mut ai, mut bi) = splits_ref[p];
+            let (a_end, b_end) = splits_ref.get(p + 1).copied().unwrap_or((a.len(), b.len()));
+            if (b_end - bi) * GALLOP_RATIO <= a_end - ai {
+                let mut out_at = 0;
+                for &delta in &b[bi..b_end] {
+                    let idx = delta + b_offset;
+                    // Merge path guarantees every `b` row of this partition
+                    // lands before `a_end`, so the search stays in range.
+                    let next =
+                        gallop_upper_bound(a, ai, a_end, data, arity, row_of(data, arity, idx));
+                    slice[out_at..out_at + next - ai].copy_from_slice(&a[ai..next]);
+                    out_at += next - ai;
+                    slice[out_at] = idx;
+                    out_at += 1;
+                    ai = next;
+                }
+                slice[out_at..].copy_from_slice(&a[ai..a_end]);
+                return;
+            }
             for slot in slice.iter_mut() {
                 let take_a = if ai >= a.len() {
                     false
@@ -337,6 +397,82 @@ mod tests {
         let m8 = merge_sorted_index_rows(&d8, &a, &b, &data, 2, rows as u32);
         assert_eq!(m1, m8);
         assert_eq!(m1.len(), rows + 200);
+    }
+
+    /// A sorted index over `rows` single-column rows plus, appended, the
+    /// sorted index of `delta_rows` more, spread between them:
+    /// (data, a, b, b_offset).
+    fn index_pair(rows: u32, delta_rows: u32) -> (Vec<u32>, Vec<u32>, Vec<u32>, u32) {
+        let data: Vec<u32> = (0..rows)
+            .map(|i| i * 4)
+            .chain((0..delta_rows).map(|i| i * 4 * rows / delta_rows.max(1) + 1))
+            .collect();
+        (data, (0..rows).collect(), (0..delta_rows).collect(), rows)
+    }
+
+    #[test]
+    fn merge_index_rows_gallop_keeps_full_first_on_ties() {
+        let d = device();
+        // Full is 100 rows of 3 then 100 rows of 5. A delta row of 3 must
+        // land after every full 3 (a first on ties); rows of 0 and 9 land at
+        // the ends.
+        let mut data: Vec<u32> = (0..100).map(|_| 3).chain((0..100).map(|_| 5)).collect();
+        data.extend([3, 0, 9]);
+        let a: Vec<u32> = (0..200).collect();
+        let mut expected: Vec<u32> = (0..100).collect();
+        expected.push(200);
+        expected.extend(100..200);
+        assert_eq!(
+            merge_sorted_index_rows(&d, &a, &[0], &data, 1, 200),
+            expected
+        );
+        let mut expected = vec![201];
+        expected.extend(0..200);
+        assert_eq!(
+            merge_sorted_index_rows(&d, &a, &[1], &data, 1, 200),
+            expected
+        );
+        expected.remove(0);
+        expected.push(202);
+        assert_eq!(
+            merge_sorted_index_rows(&d, &a, &[2], &data, 1, 200),
+            expected
+        );
+    }
+
+    #[test]
+    fn merge_index_rows_charges_the_merge_path_not_the_host_loop() {
+        // The closed-form merge-path charge: one launch, per output element
+        // one index read plus one row pair and one index write, and a
+        // linear pass plus the log-depth partition search.
+        fn merge_path_charge(total: u64, arity: u64) -> (u64, u64, u64, u64) {
+            let log_depth = u64::from(u64::BITS - (total.max(2) - 1).leading_zeros());
+            (total * (4 + 8 * arity), total * 4, total + log_depth, 1)
+        }
+        let d = device();
+        // Skewed (gallops) and balanced (per-element loop) inputs must be
+        // charged alike for the same total.
+        for (rows, delta_rows) in [(4000u32, 10u32), (2005, 2005), (1, 0), (0, 0)] {
+            let (data, a, b, offset) = index_pair(rows, delta_rows);
+            let before = d.metrics().snapshot();
+            let merged = merge_sorted_index_rows(&d, &a, &b, &data, 1, offset);
+            let used = d.metrics().snapshot().since(&before);
+            let total = merged.len() as u64;
+            assert_eq!(total, u64::from(rows + delta_rows));
+            assert!(merged
+                .windows(2)
+                .all(|w| data[w[0] as usize] < data[w[1] as usize]));
+            assert_eq!(
+                (
+                    used.bytes_read,
+                    used.bytes_written,
+                    used.ops,
+                    used.kernel_launches
+                ),
+                merge_path_charge(total, 1),
+                "rows={rows} delta_rows={delta_rows}"
+            );
+        }
     }
 
     #[test]

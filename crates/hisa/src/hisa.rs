@@ -624,7 +624,11 @@ impl Hisa {
     /// 2. the sorted index arrays are merged with the parallel merge-path
     ///    algorithm, comparing row slices in place and folding the delta's
     ///    row offset into the merge (no shifted index copy, no per-
-    ///    comparison key materialisation);
+    ///    comparison key materialisation). Where the delta is small next to
+    ///    full, each merge-path partition gallops: it exponential-searches
+    ///    every delta row's insertion point and block-copies the full run
+    ///    before it, so the comparisons scale with the delta and only the
+    ///    index copy scales with full;
     /// 3. the inverse permutation is rewritten (same streaming cost as the
     ///    index merge it follows);
     /// 4. the hash layer absorbs **only the delta's keys** through the
@@ -1239,10 +1243,7 @@ mod tests {
         let mut full = Hisa::build(&d, edge_spec(), &[5, 0, 9, 1]).unwrap();
         full.reserve_additional_rows(256).unwrap();
         let mut union: Vec<u32> = vec![5, 0, 9, 1];
-        for step in 1..6u32 {
-            let delta_tuples: Vec<u32> = (0..10u32)
-                .flat_map(|i| [(i * 7 + step) % 13, 50 + step * 10 + i])
-                .collect();
+        let merge_fresh = |full: &mut Hisa, union: &mut Vec<u32>, delta_tuples: &[u32]| {
             // Deduplicate against what's already merged (semi-naive
             // contract: delta and full are disjoint).
             let fresh_rows: Vec<u32> = delta_tuples
@@ -1252,15 +1253,28 @@ mod tests {
                 .copied()
                 .collect();
             if fresh_rows.is_empty() {
-                continue;
+                return;
             }
             let delta = Hisa::build(&d, edge_spec(), &fresh_rows).unwrap();
             full.merge_from(&delta).unwrap();
             union.extend_from_slice(&fresh_rows);
+        };
+        for step in 1..6u32 {
+            let delta_tuples: Vec<u32> = (0..10u32)
+                .flat_map(|i| [(i * 7 + step) % 13, 50 + step * 10 + i])
+                .collect();
+            merge_fresh(&mut full, &mut union, &delta_tuples);
+        }
+        // Grow full to ~2k rows, then merge tiny deltas landing at its
+        // start, middle and end, so the index merge gallops.
+        let bulk: Vec<u32> = (0..2000u32).flat_map(|k| [k % 13, 1000 + k]).collect();
+        merge_fresh(&mut full, &mut union, &bulk);
+        for tiny in [&[0, 0][..], &[6, 500], &[20, 7], &[12, 99_999, 3, 2, 13, 0]] {
+            merge_fresh(&mut full, &mut union, tiny);
         }
         let fresh = Hisa::build(&d, edge_spec(), &union).unwrap();
         assert_eq!(full.to_sorted_tuples(), fresh.to_sorted_tuples());
-        for key in 0..16u32 {
+        for key in 0..24u32 {
             assert_eq!(
                 full.key_start_position(&[key]),
                 fresh.key_start_position(&[key]),

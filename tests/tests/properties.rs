@@ -6,7 +6,7 @@
 use gpulog::relation::RelationStorage;
 use gpulog::EbmConfig;
 use gpulog_datasets::EdgeList;
-use gpulog_device::thrust::merge::merge_path_merge;
+use gpulog_device::thrust::merge::{merge_path_merge, merge_sorted_index_rows};
 use gpulog_device::thrust::sort::lexicographic_sort_indices;
 use gpulog_device::{profile::DeviceProfile, Device};
 use gpulog_hisa::{Hisa, IndexSpec, DEFAULT_LOAD_FACTOR};
@@ -60,6 +60,70 @@ proptest! {
         expected.extend_from_slice(&b);
         expected.sort();
         prop_assert_eq!(merged, expected);
+    }
+
+    #[test]
+    fn merge_sorted_index_rows_matches_std_merge_at_every_skew(
+        arity in 1usize..5,
+        pool in prop::collection::vec(((0u32..3, 0u32..4), (0u32..5, 0u32..100_000)), 0..1200),
+    ) {
+        let devices: Vec<(usize, Device)> = [1, 2, 3, 8]
+            .into_iter()
+            .map(|w| (w, Device::with_workers(DeviceProfile::nvidia_h100(), w)))
+            .collect();
+        // Distinct rows in generation order: narrow leading columns give
+        // shared key prefixes, the wide last column keeps rows distinct.
+        let mut seen = BTreeSet::new();
+        let distinct: Vec<Vec<u32>> = pool
+            .iter()
+            .map(|&((c0, c1), (c2, wide))| {
+                let mut row = [c0, c1, c2][..arity - 1].to_vec();
+                row.push(wide);
+                row
+            })
+            .filter(|row| seen.insert(row.clone()))
+            .collect();
+        let n = distinct.len();
+        // |b| = 0, 1, |a|/64, |a| and 8·|a|: both sides of the gallop check.
+        for (n_a, n_b) in [
+            (n, 0),
+            (n.saturating_sub(1), n.min(1)),
+            (n * 64 / 65, n * 64 / 65 / 64),
+            (n / 2, n / 2),
+            (n / 9, n / 9 * 8),
+        ] {
+            let used = &distinct[..n_a + n_b];
+            let mut ranked: Vec<&Vec<u32>> = used.iter().collect();
+            ranked.sort();
+            let spread: Vec<&Vec<u32>> =
+                (0..n_b).map(|j| ranked[j * ranked.len() / n_b]).collect();
+            // The delta clustered at the start, clustered at the end, or
+            // spread evenly through full.
+            for in_b in [&ranked[..n_b], &ranked[n_a..], &spread[..]] {
+                let in_b: BTreeSet<&Vec<u32>> = in_b.iter().copied().collect();
+                let (b_rows, a_rows): (Vec<&Vec<u32>>, Vec<&Vec<u32>>) =
+                    used.iter().partition(|row| in_b.contains(row));
+                let flat = |rows: &[&Vec<u32>]| -> Vec<u32> {
+                    rows.iter().flat_map(|row| row.iter().copied()).collect()
+                };
+                let (a_flat, b_flat) = (flat(&a_rows), flat(&b_rows));
+                let columns: Vec<usize> = (0..arity).collect();
+                let a = reference_sort_indices(&a_flat, arity, &columns);
+                let b = reference_sort_indices(&b_flat, arity, &columns);
+                let mut data = a_flat;
+                data.extend_from_slice(&b_flat);
+                // Positions sorted by row content; a's rows precede b's in
+                // `data`, so the stable reference keeps `a` first on ties.
+                let expected = reference_sort_indices(&data, arity, &columns);
+                for (workers, d) in &devices {
+                    let got = merge_sorted_index_rows(d, &a, &b, &data, arity, a.len() as u32);
+                    prop_assert_eq!(
+                        &got, &expected,
+                        "arity {} |a| {} |b| {} workers {}", arity, a.len(), b.len(), workers
+                    );
+                }
+            }
+        }
     }
 
     #[test]
