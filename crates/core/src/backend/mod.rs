@@ -3,20 +3,19 @@
 //! The engine never runs relational-algebra kernels itself: it lowers every
 //! rule plan into an [`RaPipeline`] (see [`crate::planner::lower_rule_plan`])
 //! and hands the pipeline to a [`Backend`] together with an [`EvalContext`]
-//! — the device, the relation storages, and the statistics sink. There are
-//! two op loops, the serial one and the sharded one, behind four backends:
+//! — the device, the relation storages, and the statistics sink. There is
+//! one op loop, parameterised by the shard count `S`, behind three backend
+//! types:
 //!
-//! * [`SerialBackend`] executes operators one after another on a single
-//!   simulated device, exactly reproducing the paper's single-GPU
-//!   evaluation loop.
 //! * [`ShardedBackend`] hash-partitions relations by their join keys and
 //!   fans each join / delta-population op out as `S` independent per-shard
-//!   tasks dispatched to the persistent worker pool in a single epoch —
-//!   the ROADMAP's sharded-relations item, landed entirely behind this
-//!   trait. Its op loop is the only sharded one in the crate, and it
-//!   reports placement, data movement and per-shard kernels to an
-//!   internal observer that does nothing by default.
-//! * [`MultiGpuBackend`] is that sharded loop with a topology cost model
+//!   tasks dispatched to the persistent worker pool in a single epoch. At
+//!   `S = 1` — the default engine — the same loop runs one part with no
+//!   partition pass and no k-way merge, exactly reproducing the paper's
+//!   single-GPU evaluation loop. It reports placement, data movement and
+//!   per-shard kernels to an internal observer that does nothing by
+//!   default.
+//! * [`MultiGpuBackend`] is that loop with a topology cost model
 //!   as its observer: shard `i` is pinned to device `i` of a simulated
 //!   [`gpulog_device::topology::DeviceTopology`], the kernels the loop ran
 //!   are charged to that device's counters, and rows that cross devices
@@ -31,7 +30,7 @@
 //!   concession is [`Backend::fence`], called wherever it reads relation
 //!   storage directly.
 //!
-//! Every backend computes fixpoints byte-identical to the serial one.
+//! Every backend computes fixpoints byte-identical to the one-shard loop's.
 
 use crate::ebm::EbmConfig;
 use crate::error::EngineResult;
@@ -47,12 +46,10 @@ use std::num::NonZeroUsize;
 
 mod multigpu;
 mod pipelined;
-mod serial;
 mod sharded;
 
 pub use multigpu::MultiGpuBackend;
 pub use pipelined::PipelinedBackend;
-pub use serial::SerialBackend;
 pub use sharded::ShardedBackend;
 
 /// Everything a backend needs to execute one pipeline: the device to launch
@@ -77,7 +74,8 @@ impl EvalContext<'_> {
     /// exactly the tuples whose key values hash to `i` (see
     /// [`gpulog_hisa::shard_of`]). The map is cached on the relation's
     /// storage and kept consistent across delta merges, so a fixpoint run
-    /// pays the full build once and per-shard merges afterwards.
+    /// pays the full build once and per-shard merges afterwards. A 1-way
+    /// map is the version's own index on `key_cols`.
     ///
     /// # Errors
     ///

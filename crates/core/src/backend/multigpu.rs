@@ -2,7 +2,7 @@
 //! shard pinned to a modeled device, and a cost model observing it.
 //!
 //! `MultiGpuBackend` runs [`ShardedBackend`]'s op loop unchanged — fixpoints
-//! stay byte-identical to [`SerialBackend`](super::SerialBackend) — and
+//! stay byte-identical to the one-shard loop's — and
 //! hands it a [`TopologyModel`] as its [`ShardObserver`]. The model runs no
 //! kernel of its own: it pins shard `i` to device `i` of a
 //! [`DeviceTopology`], attributes every per-part kernel the executor reports
@@ -22,7 +22,7 @@
 //!   (**join exchange**);
 //! * ops with nothing to shard on (cross products, fused chains whose
 //!   first level binds no key, the grouped reduce) gather to device 0, run
-//!   the serial op body there, and the gather is charged;
+//!   the op body over the whole index there, and the gather is charged;
 //! * anti-joins and deeper fused-join levels probe indices modeled as
 //!   replicated on every device, so they move nothing.
 //!
@@ -449,7 +449,6 @@ impl Backend for MultiGpuBackend {
 
 #[cfg(test)]
 mod tests {
-    use super::super::serial::SerialBackend;
     use super::*;
     use crate::ebm::EbmConfig;
     use crate::relation::RelationStorage;
@@ -492,7 +491,7 @@ mod tests {
                 rels[0].full().tuples_flat().to_vec(),
             )
         };
-        let serial = run(&SerialBackend);
+        let serial = run(&ShardedBackend::new(1).unwrap());
         for devices in [1usize, 2, 3, 7] {
             let multi = backend(devices);
             assert_eq!(run(&multi), serial, "devices = {devices}");

@@ -15,7 +15,7 @@
 //! the foreground evaluates the next iteration's joins. Coalescing pays the
 //! full-relation sorted-index and inverse-permutation streaming passes once
 //! per drain instead of once per delta, and the lane hides the drain behind
-//! compute — the two wins the ISSUE's chain-REACH smoke measures.
+//! compute — the two wins the chain-REACH bench smoke measures.
 //!
 //! Correctness hinges on one readiness rule: any op that reads a relation's
 //! **full** version first *settles* that relation (drains the in-flight
@@ -25,7 +25,7 @@
 //! operands being sorted-unique, byte-equal) to deduplicating against the
 //! fully-merged full. The engine calls [`Backend::fence`] wherever it reads
 //! storage directly, which settles every relation; fixpoints are therefore
-//! byte-identical to [`super::SerialBackend`].
+//! byte-identical to the bulk-synchronous [`ShardedBackend`]'s.
 
 use super::{Backend, EvalContext, PipelineOutcome, ShardedBackend};
 use crate::error::EngineResult;
@@ -93,7 +93,7 @@ impl fmt::Debug for PipelinedBackend {
 
 impl PipelinedBackend {
     /// Creates a backend evaluating over `shards` hash partitions with
-    /// iteration overlap. One shard pipelines the serial evaluation loop.
+    /// iteration overlap. One shard pipelines the single-device loop.
     ///
     /// # Errors
     ///
@@ -318,7 +318,6 @@ impl Backend for PipelinedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SerialBackend;
     use crate::ebm::EbmConfig;
     use crate::error::EngineError;
     use crate::planner::ScanStep;
@@ -336,9 +335,10 @@ mod tests {
         vec![RelationStorage::new(d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()]
     }
 
-    /// Runs the same sequence of `new` rounds through a serial and a
-    /// pipelined diff, comparing the installed delta after every round and
-    /// the fenced full at the end, byte for byte.
+    /// Runs the same sequence of `new` rounds through a one-shard
+    /// bulk-synchronous diff and a pipelined one, comparing the installed
+    /// delta after every round and the fenced full at the end, byte for
+    /// byte.
     fn assert_rounds_byte_identical(rounds: &[&[u32]]) {
         let d = device();
         let mut serial_rels = storage(&d);
@@ -350,7 +350,7 @@ mod tests {
             .index_on(&d, &[1])
             .unwrap();
         pipe_rels[0].full_mut().unwrap().index_on(&d, &[1]).unwrap();
-        let serial = SerialBackend;
+        let serial = ShardedBackend::new(1).unwrap();
         let pipelined = PipelinedBackend::new(2).unwrap();
         let mut serial_stats = RunStats::default();
         let mut pipe_stats = RunStats::default();

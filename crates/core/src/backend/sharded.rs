@@ -1,11 +1,11 @@
-//! The hash-partitioned, worker-pool-parallel backend — and the crate's one
-//! sharded op loop.
+//! The hash-partitioned, worker-pool-parallel executor — the crate's one
+//! op loop, run by every backend at some shard count `S`.
 //!
-//! `ShardedBackend` is the ROADMAP's sharded-relations item: every relation
-//! version involved in a join gets a *shard map* — `S` HISAs partitioned by
-//! [`gpulog_hisa::shard_of`] over the join-key hash — and each shardable op
-//! becomes `S` independent per-shard tasks handed to the persistent
-//! [`gpulog_device` worker pool](gpulog_device::Executor) as **one epoch**:
+//! Every relation version involved in a join gets a *shard map* — `S` HISAs
+//! partitioned by [`gpulog_hisa::shard_of`] over the join-key hash — and
+//! each shardable op becomes `S` independent per-shard tasks handed to the
+//! persistent [`gpulog_device` worker pool](gpulog_device::Executor) as
+//! **one epoch**:
 //!
 //! * [`RaOp::HashJoin`] — the intermediate re-partitions by the same key
 //!   hash as the inner's shard map, so shard `i` of the outer only probes
@@ -18,7 +18,7 @@
 //! * [`RaOp::Diff`] — the `new` buffer partitions by the full-tuple hash;
 //!   each shard deduplicates and subtracts `full` independently, and a
 //!   k-way merge of the per-shard (sorted, disjoint) results reassembles
-//!   the exact byte sequence the serial difference produces. The sharded
+//!   the exact byte sequence one global difference produces. The sharded
 //!   full representations merge their delta slice shard-locally, so the
 //!   serial merge bottleneck disappears from the sharded read path.
 //!
@@ -28,10 +28,20 @@
 //! sequence of partitioning the concatenated intermediate. Ops with
 //! nothing to shard on (cross products, fused chains whose first level
 //! binds no key, and the grouped reduce, whose groups span shards) gather
-//! the parts and run the serial op body. Because the delta is re-sorted
-//! globally, a sharded run is **byte-identical** to a serial run at every
-//! fixpoint — the property tests in `tests/tests/backend_pipeline.rs` pin
-//! exactly that.
+//! the parts into one and run the same op body over it, probing the whole
+//! index (the 1-way map). Because the delta is re-sorted globally, every
+//! shard count reaches a **byte-identical** fixpoint — the property tests
+//! in `tests/tests/backend_pipeline.rs` pin exactly that.
+//!
+//! ## One shard
+//!
+//! `S = 1` is the default engine's configuration and the paper's
+//! single-GPU evaluation loop: the intermediate is always one part, a
+//! re-partition passes it through, a diff subtracts `full` from the whole
+//! `new` buffer with no partition pass and no k-way merge, and a 1-way
+//! shard map *is* the version's own index
+//! ([`crate::relation::RelationVersion::sharded_index_on`]), so no shard
+//! copy is ever built. The observer hooks fire exactly as at any `S`.
 //!
 //! ## Observing the executor
 //!
@@ -42,18 +52,19 @@
 //! `i` to modeled device `i` and prices those reports — so the multi-GPU
 //! simulation charges the kernels this loop actually ran.
 
-use super::serial::{self, fused_join_op, hash_join_op, reduce_op, scan_op};
 use super::{Backend, EvalContext, PipelineOutcome};
 use crate::error::{EngineError, EngineResult};
-use crate::planner::{ColumnSource, FilterStep, JoinStep, RelId, VersionSel};
+use crate::planner::{ColumnSource, FilterStep, JoinStep, RelId, ScanStep, VersionSel};
 use crate::ra::nway::{fused_rule_join_batch, FusedLevel};
 use crate::ra::op::{RaOp, RaPipeline};
-use crate::ra::project::filter_batch;
-use crate::ra::{anti_join_batch, difference_batch, hash_join_batch, project_batch};
-use crate::relation::{RelationStorage, RelationVersion};
+use crate::ra::project::{batch_from_flat, filter_batch, scan_select};
+use crate::ra::{
+    anti_join_batch, difference_batch, group_reduce_batch, hash_join_batch, project_batch,
+};
+use crate::relation::RelationVersion;
 use crate::stats::Phase;
 use gpulog_device::Device;
-use gpulog_hisa::TupleBatch;
+use gpulog_hisa::{Hisa, TupleBatch};
 use std::num::NonZeroUsize;
 use std::slice;
 use std::time::Instant;
@@ -73,7 +84,8 @@ pub(super) enum PartOp {
     AntiJoin,
     /// A head projection.
     Project,
-    /// A serial join body over the gathered intermediate.
+    /// A hash or fused join over the gathered intermediate, probing whole
+    /// indices.
     GatheredJoin,
     /// The grouped reduce over the gathered intermediate.
     Reduce,
@@ -140,7 +152,7 @@ impl ShardObserver for Unobserved {}
 /// `hash(join_key) % shards`, and every shardable op runs as one worker-pool
 /// epoch of per-shard tasks. Construct with [`ShardedBackend::new`] or let
 /// [`crate::EngineBuilder`] install it from
-/// [`crate::EngineConfig::with_shard_count`].
+/// [`crate::EngineConfig::with_shard_count`] (one shard by default).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedBackend {
     /// Non-zero by construction, so the data layer's partitioning calls
@@ -150,7 +162,9 @@ pub struct ShardedBackend {
 
 impl ShardedBackend {
     /// Creates a backend evaluating over `shards` hash partitions. One
-    /// shard degenerates to the serial evaluation loop.
+    /// shard is the single-device evaluation loop: the intermediate stays
+    /// one part, no partition pass or k-way merge runs, and each relation
+    /// version's own index is its 1-way shard map.
     ///
     /// # Errors
     ///
@@ -172,9 +186,8 @@ impl ShardedBackend {
         self.shards.get()
     }
 
-    /// The sharded op loop: runs `pipeline` over per-shard parts, reporting
-    /// to `obs`, and returns early (like the serial backend) when the
-    /// intermediate goes empty.
+    /// The op loop: runs `pipeline` over per-shard parts, reporting to
+    /// `obs`, and returns early when the intermediate goes empty.
     pub(super) fn run(
         &self,
         ctx: &mut EvalContext<'_>,
@@ -182,7 +195,7 @@ impl ShardedBackend {
         obs: &dyn ShardObserver,
     ) -> EngineResult<PipelineOutcome> {
         let mut outcome = PipelineOutcome::default();
-        let mut parts = vec![TupleBatch::empty(1)];
+        let mut parts = Vec::new();
         for op in &pipeline.ops {
             let consumes_intermediate = !matches!(op, RaOp::Scan { .. } | RaOp::Diff { .. });
             if consumes_intermediate && parts.iter().all(TupleBatch::is_empty) {
@@ -192,34 +205,19 @@ impl ShardedBackend {
             }
             match op {
                 RaOp::Scan { step, filters } => {
-                    parts = obs.place_scan(scan_op(ctx, step, filters));
+                    parts = obs.place_scan(scan(ctx, step, filters));
                     obs.ran(PartOp::Scan, &parts, &parts);
                 }
                 RaOp::HashJoin { step, filters } => {
-                    parts = if step.outer_key_cols.is_empty() {
-                        // Cross product: no key to shard on.
-                        gather(ctx, parts, obs, PartOp::GatheredJoin, |ctx, batch| {
-                            hash_join_op(ctx, batch, step, filters)
-                        })?
-                    } else {
-                        self.hash_join(ctx, parts, step, filters, obs)?
-                    };
+                    parts = self.hash_join(ctx, parts, step, filters, obs)?;
                 }
                 RaOp::FusedJoin { levels, head_proj } => {
-                    let shardable = levels
-                        .first()
-                        .is_some_and(|(level0, _)| !level0.outer_key_cols.is_empty());
-                    parts = if shardable {
-                        self.fused_join(ctx, parts, levels, head_proj, obs)?
-                    } else {
-                        gather(ctx, parts, obs, PartOp::GatheredJoin, |ctx, batch| {
-                            fused_join_op(ctx, batch, levels, head_proj)
-                        })?
-                    };
+                    parts = self.fused_join(ctx, parts, levels, head_proj, obs)?;
                 }
                 RaOp::AntiJoin { step } => {
                     // A probe against the negated relation's canonical full
-                    // index, which every shard reads whole.
+                    // index, which every shard reads whole. Stratification
+                    // guarantees that version is complete.
                     let t = Instant::now();
                     let device = ctx.device;
                     let existing = ctx.relations[step.relation].full().canonical();
@@ -252,9 +250,16 @@ impl ShardedBackend {
                 RaOp::Reduce { op, agg_column } => {
                     // A group's rows may span shards, so the reduction sees
                     // the gathered intermediate.
-                    parts = gather(ctx, parts, obs, PartOp::Reduce, |ctx, batch| {
-                        Ok(reduce_op(ctx, batch, *op, *agg_column))
-                    })?;
+                    let batch = gather(parts, obs);
+                    let t = Instant::now();
+                    let reduced = group_reduce_batch(ctx.device, &batch, *agg_column, *op);
+                    ctx.stats.add_phase(Phase::Deduplication, t.elapsed());
+                    obs.ran(
+                        PartOp::Reduce,
+                        slice::from_ref(&batch),
+                        slice::from_ref(&reduced),
+                    );
+                    parts = vec![reduced];
                 }
                 RaOp::Diff { relation } => {
                     self.diff(ctx, *relation, &mut outcome, obs)?;
@@ -281,6 +286,11 @@ impl ShardedBackend {
         obs: &dyn ShardObserver,
     ) -> Vec<TupleBatch> {
         let s = self.shards.get();
+        if let ([part], 1) = (parts.as_slice(), s) {
+            // One shard owns every key: the lone part stays where it is.
+            obs.repartitioned(&[part.as_flat().len()]);
+            return parts;
+        }
         let mut moved = vec![0usize; parts.len() * s];
         let mut per_dest: Vec<Vec<TupleBatch>> =
             (0..s).map(|_| Vec::with_capacity(parts.len())).collect();
@@ -295,20 +305,49 @@ impl ShardedBackend {
         per_dest.into_iter().map(concat_parts).collect()
     }
 
-    /// Builds (or refreshes from cache) the shard map a join probes,
-    /// reporting a fresh delta-version build.
+    /// The width of the map a join level with outer key `outer_key_cols`
+    /// probes: `S` when there is a key to re-partition on, otherwise one
+    /// (the whole index, probed by the gathered intermediate).
+    fn map_shards(&self, outer_key_cols: &[usize]) -> NonZeroUsize {
+        if outer_key_cols.is_empty() {
+            NonZeroUsize::MIN
+        } else {
+            self.shards
+        }
+    }
+
+    /// Lays the intermediate out for a join level keyed on
+    /// `outer_key_cols` (see [`ShardedBackend::map_shards`]): re-partitioned
+    /// and reported as `keyed`, or gathered into one part and reported as
+    /// [`PartOp::GatheredJoin`].
+    fn lay_out(
+        &self,
+        parts: Vec<TupleBatch>,
+        outer_key_cols: &[usize],
+        keyed: PartOp,
+        obs: &dyn ShardObserver,
+    ) -> (Vec<TupleBatch>, PartOp) {
+        if outer_key_cols.is_empty() {
+            (vec![gather(parts, obs)], PartOp::GatheredJoin)
+        } else {
+            (self.repartition(parts, outer_key_cols, obs), keyed)
+        }
+    }
+
+    /// Builds (or refreshes from cache) the `shards`-way map a join level
+    /// probes, reporting a fresh delta-version build of an `S`-way map.
     fn build_shard_map(
         &self,
         ctx: &mut EvalContext<'_>,
         step: &JoinStep,
+        shards: NonZeroUsize,
         obs: &dyn ShardObserver,
     ) -> EngineResult<()> {
         let (relation, version, key_cols) = (step.relation, step.version, &step.inner_key_cols);
-        let fresh = version == VersionSel::Delta
-            && ctx
-                .shard_map(relation, version, key_cols, self.shards)
-                .is_none();
-        ctx.build_shard_map(relation, version, key_cols, self.shards)?;
+        let fresh = shards == self.shards
+            && version == VersionSel::Delta
+            && ctx.shard_map(relation, version, key_cols, shards).is_none();
+        ctx.build_shard_map(relation, version, key_cols, shards)?;
         if fresh {
             let storage = &ctx.relations[relation];
             obs.delta_shard_map_built(storage.delta.tuples_flat(), storage.arity, key_cols);
@@ -318,7 +357,8 @@ impl ShardedBackend {
 
     /// [`RaOp::HashJoin`] over the shard map: shard `i` of the re-partitioned
     /// outer probes shard `i` of the inner relation — `S` independent joins
-    /// dispatched to the worker pool as a single epoch.
+    /// dispatched to the worker pool as a single epoch. A cross product
+    /// gathers and probes the whole inner.
     fn hash_join(
         &self,
         ctx: &mut EvalContext<'_>,
@@ -327,24 +367,20 @@ impl ShardedBackend {
         filters: &[FilterStep],
         obs: &dyn ShardObserver,
     ) -> EngineResult<Vec<TupleBatch>> {
+        let shards = self.map_shards(&step.outer_key_cols);
         let t = Instant::now();
         let index_phase = match step.version {
             VersionSel::Full => Phase::IndexFull,
             VersionSel::Delta => Phase::IndexDelta,
         };
-        self.build_shard_map(ctx, step, obs)?;
+        self.build_shard_map(ctx, step, shards, obs)?;
         ctx.stats.add_phase(index_phase, t.elapsed());
 
         let t = Instant::now();
-        let parts = self.repartition(parts, &step.outer_key_cols, obs);
+        let (parts, op) = self.lay_out(parts, &step.outer_key_cols, PartOp::HashJoin, obs);
         let device = ctx.device;
         let inners = ctx
-            .shard_map(
-                step.relation,
-                step.version,
-                &step.inner_key_cols,
-                self.shards,
-            )
+            .shard_map(step.relation, step.version, &step.inner_key_cols, shards)
             .expect("shard map built above");
         let outs = fan_out_shards(device, &parts, |shard, part| {
             let mut out = hash_join_batch(
@@ -361,7 +397,7 @@ impl ShardedBackend {
             }
             out
         });
-        obs.ran(PartOp::HashJoin, &parts, &outs);
+        obs.ran(op, &parts, &outs);
         ctx.stats.add_phase(Phase::Join, t.elapsed());
         Ok(outs)
     }
@@ -369,7 +405,8 @@ impl ShardedBackend {
     /// [`RaOp::FusedJoin`] with the outer and the first level's inner
     /// partition-aligned on the level-0 key; deeper levels probe their
     /// whole index inside each per-shard fused kernel. One pool epoch of
-    /// `S` fused joins.
+    /// `S` fused joins — or one gathered fused join when level 0 binds no
+    /// key.
     fn fused_join(
         &self,
         ctx: &mut EvalContext<'_>,
@@ -378,58 +415,52 @@ impl ShardedBackend {
         head_proj: &[ColumnSource],
         obs: &dyn ShardObserver,
     ) -> EngineResult<Vec<TupleBatch>> {
-        let (level0, _) = &levels[0];
+        let key0: &[usize] = levels
+            .first()
+            .map_or(&[], |(level0, _)| &level0.outer_key_cols);
+        let level_shards = |depth: usize| {
+            if depth == 0 {
+                self.map_shards(key0)
+            } else {
+                NonZeroUsize::MIN
+            }
+        };
         let t = Instant::now();
-        self.build_shard_map(ctx, level0, obs)?;
-        for (step, _) in &levels[1..] {
-            let storage = &mut ctx.relations[step.relation];
-            let version = match step.version {
-                VersionSel::Full => storage.full_mut()?,
-                VersionSel::Delta => &mut storage.delta,
-            };
-            version.index_on(ctx.device, &step.inner_key_cols)?;
+        for (depth, (step, _)) in levels.iter().enumerate() {
+            self.build_shard_map(ctx, step, level_shards(depth), obs)?;
         }
         ctx.stats.add_phase(Phase::IndexFull, t.elapsed());
 
         let t = Instant::now();
-        let parts = self.repartition(parts, &level0.outer_key_cols, obs);
+        let (parts, op) = self.lay_out(parts, key0, PartOp::FusedJoin, obs);
         let device = ctx.device;
-        let relations: &[RelationStorage] = ctx.relations;
-        let inners0 = ctx
-            .shard_map(
-                level0.relation,
-                level0.version,
-                &level0.inner_key_cols,
-                self.shards,
-            )
-            .expect("shard map built above");
+        let maps: Vec<&[Hisa]> = levels
+            .iter()
+            .enumerate()
+            .map(|(depth, (step, _))| {
+                ctx.shard_map(
+                    step.relation,
+                    step.version,
+                    &step.inner_key_cols,
+                    level_shards(depth),
+                )
+                .expect("shard map built above")
+            })
+            .collect();
         let outs = fan_out_shards(device, &parts, |shard, part| {
             let fused_levels: Vec<FusedLevel<'_>> = levels
                 .iter()
-                .enumerate()
-                .map(|(depth, (step, step_filters))| {
-                    let inner = if depth == 0 {
-                        &inners0[shard]
-                    } else {
-                        let storage = &relations[step.relation];
-                        let version = match step.version {
-                            VersionSel::Full => storage.full(),
-                            VersionSel::Delta => &storage.delta,
-                        };
-                        version
-                            .existing_index(&step.inner_key_cols)
-                            .expect("index built above")
-                    };
-                    FusedLevel {
-                        step,
-                        inner,
-                        filters: step_filters.as_slice(),
-                    }
+                .zip(&maps)
+                .map(|((step, step_filters), map)| FusedLevel {
+                    step,
+                    // A 1-way map serves every part.
+                    inner: if map.len() == 1 { &map[0] } else { &map[shard] },
+                    filters: step_filters.as_slice(),
                 })
                 .collect();
             fused_rule_join_batch(device, part, &fused_levels, head_proj)
         });
-        obs.ran(PartOp::FusedJoin, &parts, &outs);
+        obs.ran(op, &parts, &outs);
         ctx.stats.add_phase(Phase::Join, t.elapsed());
         Ok(outs)
     }
@@ -437,7 +468,7 @@ impl ShardedBackend {
     /// [`RaOp::Diff`] sharded by the full-tuple hash: per-shard
     /// deduplication and set difference in one pool epoch, then a k-way
     /// merge of the (sorted, pairwise-disjoint) shard results into the
-    /// globally sorted delta — byte-identical to the serial difference.
+    /// globally sorted delta — byte-identical to one global difference.
     fn diff(
         &self,
         ctx: &mut EvalContext<'_>,
@@ -453,8 +484,12 @@ impl ShardedBackend {
 
         let t = Instant::now();
         obs.new_rows_sent_to_owners(relation, &new);
-        let full_key: Vec<usize> = (0..arity).collect();
-        let parts = new.partition_by_key_hash(&full_key, self.shards);
+        let parts = if self.shards.get() == 1 {
+            vec![new]
+        } else {
+            let full_key: Vec<usize> = (0..arity).collect();
+            new.partition_by_key_hash(&full_key, self.shards)
+        };
         let delta = {
             let full = storage.full().canonical();
             let outs = fan_out_shards(device, &parts, |_, part| {
@@ -467,6 +502,8 @@ impl ShardedBackend {
         outcome.delta_rows = delta.len();
         obs.delta_sent_to_shard_maps(&delta, storage.full());
 
+        // `difference_batch` flags its output sorted-unique, so the delta
+        // HISA build skips its sort/dedup passes.
         let t = Instant::now();
         storage.set_delta_batch(&delta)?;
         ctx.stats.add_phase(Phase::IndexDelta, t.elapsed());
@@ -482,23 +519,41 @@ impl ShardedBackend {
     }
 }
 
-/// Runs a serial op body over the gathered intermediate, which then lives
-/// as one part on shard 0.
-fn gather<F>(
-    ctx: &mut EvalContext<'_>,
-    parts: Vec<TupleBatch>,
-    obs: &dyn ShardObserver,
-    op: PartOp,
-    body: F,
-) -> EngineResult<Vec<TupleBatch>>
-where
-    F: FnOnce(&mut EvalContext<'_>, &TupleBatch) -> EngineResult<TupleBatch>,
-{
+/// Executes a [`RaOp::Scan`]: select from the relation version, apply the
+/// atom-local filters, and keep the plan's columns. An empty source yields
+/// an empty batch without launching kernels.
+fn scan(ctx: &mut EvalContext<'_>, step: &ScanStep, filters: &[FilterStep]) -> TupleBatch {
+    let t = Instant::now();
+    let storage = &ctx.relations[step.relation];
+    let source = match step.version {
+        VersionSel::Full => storage.full(),
+        VersionSel::Delta => &storage.delta,
+    };
+    let batch = if source.is_empty() {
+        TupleBatch::empty(1)
+    } else {
+        let scanned = scan_select(
+            ctx.device,
+            source.tuples_flat(),
+            storage.arity,
+            &step.const_filters,
+            &step.eq_filters,
+            &step.keep_cols,
+        );
+        let mut batch = batch_from_flat(step.keep_cols.len(), scanned);
+        if !filters.is_empty() {
+            batch = filter_batch(ctx.device, &batch, filters);
+        }
+        batch
+    };
+    ctx.stats.add_phase(Phase::Join, t.elapsed());
+    batch
+}
+
+/// Concatenates every part onto shard 0, reporting the gather.
+fn gather(parts: Vec<TupleBatch>, obs: &dyn ShardObserver) -> TupleBatch {
     obs.gathered(&parts);
-    let batch = concat_parts(parts);
-    let out = body(ctx, &batch)?;
-    obs.ran(op, slice::from_ref(&batch), slice::from_ref(&out));
-    Ok(vec![out])
+    concat_parts(parts)
 }
 
 /// Concatenates parts (all of one arity) in order, moving a lone part
@@ -521,6 +576,9 @@ fn fan_out_shards<F>(device: &Device, parts: &[TupleBatch], run: F) -> Vec<Tuple
 where
     F: Fn(usize, &TupleBatch) -> TupleBatch + Sync,
 {
+    if let [part] = parts {
+        return vec![run(0, part)];
+    }
     let mut outs: Vec<Option<TupleBatch>> = (0..parts.len()).map(|_| None).collect();
     let jobs: Vec<(usize, &TupleBatch, &mut Option<TupleBatch>)> = parts
         .iter()
@@ -544,48 +602,53 @@ impl Backend for ShardedBackend {
         ctx: &mut EvalContext<'_>,
         pipeline: &RaPipeline,
     ) -> EngineResult<PipelineOutcome> {
-        if self.shards.get() == 1 {
-            // One shard is exactly the serial evaluation loop; skip the
-            // partition/merge machinery.
-            return serial::SerialBackend.execute(ctx, pipeline);
-        }
         self.run(ctx, pipeline, &Unobserved)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::serial::SerialBackend;
     use super::*;
+    use crate::backend::MultiGpuBackend;
     use crate::ebm::EbmConfig;
-    use crate::planner::{EmitSource, ScanStep};
+    use crate::planner::EmitSource;
+    use crate::relation::RelationStorage;
     use crate::stats::RunStats;
     use gpulog_device::profile::DeviceProfile;
-    use gpulog_device::Device;
+    use gpulog_device::topology::DeviceTopology;
     use gpulog_hisa::DEFAULT_LOAD_FACTOR;
 
     fn device() -> Device {
         Device::with_workers(DeviceProfile::nvidia_h100(), 4)
     }
 
-    fn join_pipeline() -> RaPipeline {
+    fn one_shard() -> ShardedBackend {
+        ShardedBackend::new(1).unwrap()
+    }
+
+    fn full_scan(relation: RelId) -> RaOp {
+        RaOp::Scan {
+            step: ScanStep {
+                relation,
+                version: VersionSel::Full,
+                const_filters: vec![],
+                eq_filters: vec![],
+                keep_cols: vec![0, 1],
+            },
+            filters: vec![],
+        }
+    }
+
+    /// `H(x, z) :- A(x, y), B(y, z).` with `B` read at `version`.
+    fn join_pipeline_on(version: VersionSel) -> RaPipeline {
         RaPipeline {
             head: 2,
             ops: vec![
-                RaOp::Scan {
-                    step: ScanStep {
-                        relation: 0,
-                        version: VersionSel::Full,
-                        const_filters: vec![],
-                        eq_filters: vec![],
-                        keep_cols: vec![0, 1],
-                    },
-                    filters: vec![],
-                },
+                full_scan(0),
                 RaOp::HashJoin {
                     step: JoinStep {
                         relation: 1,
-                        version: VersionSel::Full,
+                        version,
                         outer_key_cols: vec![1],
                         inner_key_cols: vec![0],
                         inner_const_filters: vec![],
@@ -604,6 +667,10 @@ mod tests {
             ],
             text: "H(x, z) :- A(x, y), B(y, z).".into(),
         }
+    }
+
+    fn join_pipeline() -> RaPipeline {
+        join_pipeline_on(VersionSel::Full)
     }
 
     fn storages(d: &Device) -> Vec<RelationStorage> {
@@ -629,6 +696,80 @@ mod tests {
     }
 
     #[test]
+    fn scan_project_pipeline_derives_into_the_head_buffer() {
+        let d = device();
+        let mut relations = vec![
+            RelationStorage::new(&d, "E", 2, DEFAULT_LOAD_FACTOR).unwrap(),
+            RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap(),
+        ];
+        relations[0].load_full(&[1, 2, 3, 4]).unwrap();
+        let pipeline = RaPipeline {
+            head: 1,
+            ops: vec![
+                full_scan(0),
+                RaOp::Project {
+                    columns: vec![ColumnSource::Col(1), ColumnSource::Col(0)],
+                },
+            ],
+            text: "R(y, x) :- E(x, y).".into(),
+        };
+        let mut stats = RunStats::default();
+        let mut ctx = EvalContext {
+            device: &d,
+            relations: &mut relations,
+            stats: &mut stats,
+            ebm: EbmConfig::default(),
+        };
+        let outcome = one_shard().execute(&mut ctx, &pipeline).unwrap();
+        assert_eq!(outcome.derived_rows, 2);
+        assert_eq!(
+            relations[1].take_new(&EbmConfig::default()),
+            vec![2, 1, 4, 3]
+        );
+    }
+
+    #[test]
+    fn diff_pipeline_populates_and_merges_the_delta() {
+        let d = device();
+        let mut relations = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
+        relations[0].load_full(&[1, 2]).unwrap();
+        relations[0].push_new(&[1, 2, 3, 4, 3, 4, 5, 6]);
+        let mut stats = RunStats::default();
+        let mut ctx = EvalContext {
+            device: &d,
+            relations: &mut relations,
+            stats: &mut stats,
+            ebm: EbmConfig::default(),
+        };
+        let outcome = one_shard().execute(&mut ctx, &RaPipeline::diff(0)).unwrap();
+        assert_eq!(outcome.new_rows, 4);
+        assert_eq!(outcome.delta_rows, 2, "dedup removes (3,4); (1,2) in full");
+        assert_eq!(relations[0].len(), 3);
+        assert!(relations[0].contains(&[5, 6]));
+        assert!(stats.phase(Phase::Merge) > 0.0);
+    }
+
+    #[test]
+    fn empty_pipeline_derives_nothing() {
+        let d = device();
+        let mut relations = vec![RelationStorage::new(&d, "R", 1, DEFAULT_LOAD_FACTOR).unwrap()];
+        let mut stats = RunStats::default();
+        let mut ctx = EvalContext {
+            device: &d,
+            relations: &mut relations,
+            stats: &mut stats,
+            ebm: EbmConfig::default(),
+        };
+        let pipeline = RaPipeline {
+            head: 0,
+            ops: vec![],
+            text: "trivially empty".into(),
+        };
+        let outcome = one_shard().execute(&mut ctx, &pipeline).unwrap();
+        assert_eq!(outcome, PipelineOutcome::default());
+    }
+
+    #[test]
     fn sharded_join_matches_serial_as_a_set_for_every_shard_count() {
         let d = device();
         let mut serial_rels = storages(&d);
@@ -639,11 +780,12 @@ mod tests {
             stats: &mut stats,
             ebm: EbmConfig::default(),
         };
-        SerialBackend.execute(&mut ctx, &join_pipeline()).unwrap();
+        one_shard().execute(&mut ctx, &join_pipeline()).unwrap();
         let mut expected = serial_rels[2].take_new(&EbmConfig::default());
+        assert!(!expected.is_empty());
         sort_rows(&mut expected, 2);
 
-        for shards in [1usize, 2, 3, 7] {
+        for shards in [2usize, 3, 7] {
             let backend = ShardedBackend::new(shards).unwrap();
             let mut rels = storages(&d);
             let mut stats = RunStats::default();
@@ -683,7 +825,8 @@ mod tests {
                 rels[0].full().tuples_flat().to_vec(),
             )
         };
-        let serial = run(&SerialBackend);
+        let serial = run(&one_shard());
+        assert!(serial.0.delta_rows > 0);
         for shards in [2usize, 3, 7] {
             let sharded = run(&ShardedBackend::new(shards).unwrap());
             assert_eq!(sharded, serial, "shards = {shards}");
@@ -692,6 +835,7 @@ mod tests {
 
     /// Records each `ran` report's op and part count; optionally splits
     /// scans by full-row hash, as the topology model does.
+    #[derive(Default)]
     struct Recorder {
         split_scans: bool,
         reports: std::cell::RefCell<Vec<(PartOp, usize)>>,
@@ -749,6 +893,59 @@ mod tests {
         assert_eq!(split_reports[0], (PartOp::Scan, 3));
         assert_eq!(plain_reports[1..], after_scan);
         assert_eq!(split_reports[1..], after_scan);
+    }
+
+    /// At one shard no HISA copy is ever built: observed or not, and under
+    /// a 1-device topology model, a diff and joins against `B`'s full and
+    /// delta versions cache no shard map and leave every relation holding
+    /// exactly the device bytes the default backend leaves.
+    #[test]
+    fn one_shard_maps_are_the_versions_own_indices() {
+        let d = device();
+        let exercise = |run: &dyn Fn(&mut EvalContext<'_>, &RaPipeline)| {
+            let mut rels = storages(&d);
+            rels[1].push_new(&[3, 100, 4, 101, 3, 102]);
+            let mut stats = RunStats::default();
+            let mut ctx = EvalContext {
+                device: &d,
+                relations: &mut rels,
+                stats: &mut stats,
+                ebm: EbmConfig::default(),
+            };
+            for pipeline in [
+                RaPipeline::diff(1),
+                join_pipeline(),
+                join_pipeline_on(VersionSel::Delta),
+            ] {
+                run(&mut ctx, &pipeline);
+            }
+            assert!(rels[2].take_new(&EbmConfig::default()).len() > 2);
+            rels.iter()
+                .map(|r| {
+                    let specs = [r.full(), &r.delta].map(RelationVersion::sharded_index_specs);
+                    assert!(specs.iter().all(Vec::is_empty), "{}: {specs:?}", r.name);
+                    r.device_bytes()
+                })
+                .collect::<Vec<_>>()
+        };
+        let default = exercise(&|ctx, pipeline| {
+            one_shard().execute(ctx, pipeline).unwrap();
+        });
+        let recorder = Recorder::default();
+        let observed = exercise(&|ctx, pipeline| {
+            one_shard().run(ctx, pipeline, &recorder).unwrap();
+        });
+        let multi = MultiGpuBackend::new(DeviceTopology::nvlink_like(NonZeroUsize::MIN));
+        let modeled = exercise(&|ctx, pipeline| {
+            multi.execute(ctx, pipeline).unwrap();
+        });
+        assert_eq!(observed, default);
+        assert_eq!(modeled, default);
+        assert!(recorder
+            .reports
+            .borrow()
+            .iter()
+            .all(|&(_, parts)| parts == 1));
     }
 
     fn sort_rows(flat: &mut [u32], arity: usize) {

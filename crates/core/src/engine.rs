@@ -11,15 +11,14 @@
 //! The engine itself runs no relational-algebra kernels: at construction
 //! it lowers every rule plan into an [`RaPipeline`] (see
 //! [`crate::planner::lower_rule_plan`]) and dispatches each pipeline
-//! through its [`Backend`] — [`SerialBackend`] by default. See
+//! through its [`Backend`] — by default a one-shard [`ShardedBackend`]. See
 //! `docs/architecture.md` for the Batch → Op → Backend layering.
 
 use crate::analysis::magic_rewrite;
 use crate::analysis::passes::{lint_program, optimize_program, LintLevel, ProgramDiagnostics};
 use crate::ast::{Atom, Program, Query, Term};
 use crate::backend::{
-    Backend, EvalContext, MultiGpuBackend, PipelineOutcome, PipelinedBackend, SerialBackend,
-    ShardedBackend,
+    Backend, EvalContext, MultiGpuBackend, PipelineOutcome, PipelinedBackend, ShardedBackend,
 };
 use crate::ebm::EbmConfig;
 use crate::error::{EngineError, EngineResult};
@@ -383,10 +382,10 @@ impl<'d> EngineBuilder<'d> {
 
     /// Installs a custom evaluation backend. Without one, `build` picks
     /// from the configuration: [`PipelinedBackend`] when iteration overlap
-    /// is configured, [`MultiGpuBackend`] when a device topology is,
-    /// [`ShardedBackend`] for a shard count above one, and
-    /// [`SerialBackend`] otherwise. An explicitly-installed backend always
-    /// wins over those defaults.
+    /// is configured, [`MultiGpuBackend`] when a device topology is, and
+    /// otherwise [`ShardedBackend`] over the configured shard count (one by
+    /// default, the single-device loop). An explicitly-installed backend
+    /// always wins over those defaults.
     #[must_use]
     pub fn backend(mut self, backend: Box<dyn Backend>) -> Self {
         self.backend = Some(backend);
@@ -465,8 +464,8 @@ impl<'d> EngineBuilder<'d> {
 
 /// The backend an engine gets when none is installed explicitly:
 /// [`PipelinedBackend`] when iteration overlap is configured,
-/// [`MultiGpuBackend`] when a device topology is configured,
-/// [`SerialBackend`] for a shard count of one, [`ShardedBackend`] above.
+/// [`MultiGpuBackend`] when a device topology is configured, and
+/// [`ShardedBackend`] over the configured shard count otherwise.
 ///
 /// # Errors
 ///
@@ -506,11 +505,7 @@ fn default_backend(config: &EngineConfig) -> EngineResult<Box<dyn Backend>> {
         }
         return Ok(Box::new(MultiGpuBackend::new(topology.clone())));
     }
-    if config.shard_count == 1 {
-        Ok(Box::new(SerialBackend))
-    } else {
-        Ok(Box::new(ShardedBackend::new(config.shard_count)?))
-    }
+    Ok(Box::new(ShardedBackend::new(config.shard_count)?))
 }
 
 /// The result of a goal-directed run ([`GpulogEngine::run_query`]).
@@ -1461,7 +1456,8 @@ mod tests {
             .max_iterations(100)
             .build()
             .unwrap();
-        assert_eq!(e.backend().name(), "serial");
+        assert_eq!(e.backend().name(), "sharded");
+        assert_eq!(e.config().shard_count, 1);
         assert_eq!(e.config().max_iterations, 100);
         e.add_facts("Edge", [[0u32, 1], [1, 2]]).unwrap();
         e.run().unwrap();
@@ -1492,7 +1488,7 @@ mod tests {
         let compiled = compile(&program).unwrap();
         let mut from_compiled = GpulogEngine::builder(&d)
             .compiled(compiled)
-            .backend(Box::new(SerialBackend))
+            .backend(Box::new(ShardedBackend::new(1).unwrap()))
             .config(EngineConfig::new().with_load_factor(0.7))
             .build()
             .unwrap();
@@ -1534,10 +1530,10 @@ mod tests {
         let e = GpulogEngine::builder(&d)
             .program(REACH)
             .shard_count(4)
-            .backend(Box::new(SerialBackend))
+            .backend(Box::new(PipelinedBackend::new(1).unwrap()))
             .build()
             .unwrap();
-        assert_eq!(e.backend().name(), "serial");
+        assert_eq!(e.backend().name(), "pipelined");
     }
 
     #[test]
@@ -1573,7 +1569,7 @@ mod tests {
             .pipelined(0)
             .build()
             .unwrap();
-        assert_eq!(e.backend().name(), "serial");
+        assert_eq!(e.backend().name(), "sharded");
         // A matching explicit shard count is accepted; a conflicting one
         // and a topology combination are rejected.
         let ok = GpulogEngine::builder(&d)
@@ -1656,10 +1652,10 @@ mod tests {
         let explicit = GpulogEngine::builder(&d)
             .program(REACH)
             .device_topology(topology)
-            .backend(Box::new(SerialBackend))
+            .backend(Box::new(PipelinedBackend::new(1).unwrap()))
             .build()
             .unwrap();
-        assert_eq!(explicit.backend().name(), "serial");
+        assert_eq!(explicit.backend().name(), "pipelined");
     }
 
     #[test]

@@ -33,12 +33,12 @@
 //!    (`Scan`, `HashJoin`, `FusedJoin`, `AntiJoin`, `Project`, `Reduce`,
 //!    `Diff`).
 //! 3. **Backend** — a [`backend::Backend`] executes pipelines against an
-//!    [`backend::EvalContext`]; the stock [`backend::SerialBackend`] runs
-//!    operator-at-a-time on one simulated device, and
-//!    [`backend::ShardedBackend`], the one sharded executor,
-//!    hash-partitions relations by join key and fans each join /
-//!    delta-population op across the persistent worker pool as one epoch
-//!    of per-shard tasks. [`backend::MultiGpuBackend`] is that executor
+//!    [`backend::EvalContext`]. [`backend::ShardedBackend`] is the one
+//!    executor: it hash-partitions relations by join key and fans each
+//!    join / delta-population op across the persistent worker pool as one
+//!    epoch of per-shard tasks, and at its default of one shard it runs
+//!    operator-at-a-time on one simulated device with no partition pass.
+//!    [`backend::MultiGpuBackend`] is that executor
 //!    plus a cost model observing it: shard `i` is pinned to modeled
 //!    device `i` of a [`DeviceTopology`]
 //!    ([`EngineConfig::with_device_topology`]), the kernels the executor
@@ -53,7 +53,7 @@
 //!    [`RunStats`]'s `overlap_nanos` / `pipeline_stall_nanos` /
 //!    `epochs_in_flight`, and the bench harness selects it with a
 //!    `pipelined:N` backend spec) — all with fixpoints byte-identical to
-//!    the serial backend's. Select sharding with
+//!    the one-shard loop's. Select sharding with
 //!    [`EngineConfig::with_shard_count`] or the builder's
 //!    `.shard_count(..)` knob:
 //!
@@ -337,8 +337,7 @@ pub use ast::{
     RelationDecl, Rule, RuleBuilder, Span, Term,
 };
 pub use backend::{
-    Backend, EvalContext, MultiGpuBackend, PipelineOutcome, PipelinedBackend, SerialBackend,
-    ShardedBackend,
+    Backend, EvalContext, MultiGpuBackend, PipelineOutcome, PipelinedBackend, ShardedBackend,
 };
 pub use ebm::EbmConfig;
 pub use engine::{EngineBuilder, EngineConfig, GpulogEngine, QueryResult};
@@ -366,7 +365,7 @@ mod tests {
         assert_send::<EngineConfig>();
         assert_send::<TupleBatch>();
         assert_send::<RaPipeline>();
-        assert_send::<SerialBackend>();
+        assert_send::<ShardedBackend>();
         assert_send::<PipelinedBackend>();
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<FixpointSnapshot>();

@@ -10,6 +10,7 @@ use gpulog_hisa::{
 };
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
+use std::slice;
 use std::sync::Arc;
 
 /// One version (full or delta) of a relation, with its indices.
@@ -26,8 +27,9 @@ pub struct RelationVersion {
     /// Hash-sharded indices, keyed by `(key columns, shard count)`: shard
     /// `i` holds exactly the tuples whose key values satisfy
     /// [`gpulog_hisa::shard_of`]`(key, shards) == i`, each shard indexed on the key
-    /// columns. Built lazily by the sharded backend; kept consistent across
-    /// delta merges like the flat secondary indices.
+    /// columns. Built lazily by the sharded backend for two or more shards
+    /// (a 1-way map is the index itself); kept consistent across delta
+    /// merges like the flat secondary indices.
     sharded: HashMap<(Vec<usize>, usize), Vec<Hisa>>,
     load_factor: f64,
 }
@@ -173,7 +175,8 @@ impl RelationVersion {
     /// partition becomes its own HISA indexed on `key_cols`. All shard
     /// builds are dispatched to the worker pool as a single epoch, so the
     /// cost of a sharded index build is one pool hand-off regardless of the
-    /// shard count.
+    /// shard count. A 1-way map is the version's own index on `key_cols`
+    /// ([`RelationVersion::index_on`]); no shard copy is built or cached.
     ///
     /// # Errors
     ///
@@ -181,14 +184,18 @@ impl RelationVersion {
     ///
     /// # Panics
     ///
-    /// Panics if `key_cols` is empty (there is no key to shard on); a zero
-    /// shard count is unrepresentable ([`NonZeroUsize`]).
+    /// Panics if `key_cols` is empty and `shards` is above one (there is no
+    /// key to shard on); a zero shard count is unrepresentable
+    /// ([`NonZeroUsize`]).
     pub fn sharded_index_on(
         &mut self,
         device: &Device,
         key_cols: &[usize],
         shards: NonZeroUsize,
     ) -> EngineResult<&[Hisa]> {
+        if shards.get() == 1 {
+            return self.index_on(device, key_cols).map(slice::from_ref);
+        }
         assert!(!key_cols.is_empty(), "sharding requires a join key");
         let cache_key = (key_cols.to_vec(), shards.get());
         if !self.sharded.contains_key(&cache_key) {
@@ -226,12 +233,16 @@ impl RelationVersion {
         Ok(&self.sharded[&cache_key])
     }
 
-    /// Returns already-built sharded indices without building them.
+    /// Returns already-built sharded indices without building them (for
+    /// one shard, the already-built [`RelationVersion::existing_index`]).
     pub fn existing_sharded_index(
         &self,
         key_cols: &[usize],
         shards: NonZeroUsize,
     ) -> Option<&[Hisa]> {
+        if shards.get() == 1 {
+            return self.existing_index(key_cols).map(slice::from_ref);
+        }
         self.sharded
             .get(&(key_cols.to_vec(), shards.get()))
             .map(Vec::as_slice)

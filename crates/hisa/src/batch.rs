@@ -224,7 +224,7 @@ impl TupleBatch {
         arity: usize,
         parts: I,
     ) -> TupleBatch {
-        let parts: Vec<TupleBatch> = parts
+        let mut parts: Vec<TupleBatch> = parts
             .into_iter()
             .inspect(|part| {
                 assert_eq!(part.arity(), arity, "batch arity mismatch in merge");
@@ -235,6 +235,10 @@ impl TupleBatch {
             })
             .filter(|part| !part.is_empty())
             .collect();
+        if parts.len() == 1 {
+            // A lone non-empty part is already the merge: move, don't copy.
+            return parts.pop().expect("one part");
+        }
         let total: usize = parts.iter().map(|p| p.as_flat().len()).sum();
         let mut data = Vec::with_capacity(total);
         let mut cursors = vec![0usize; parts.len()];

@@ -203,7 +203,7 @@ mod tests {
     use gpulog::EngineConfig;
     use gpulog_device::profile::DeviceProfile;
     use gpulog_device::Device;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread;
 
     const REACH: &str = r"
@@ -274,11 +274,13 @@ mod tests {
             (nodes * (nodes - 1) / 2) as usize
         };
         let stop = Arc::new(AtomicBool::new(false));
+        let reading = Arc::new(AtomicUsize::new(0));
         let handle = writer.handle();
         let threads: Vec<_> = (0..readers)
             .map(|_| {
                 let handle = handle.clone();
                 let stop = Arc::clone(&stop);
+                let reading = Arc::clone(&reading);
                 thread::spawn(move || {
                     let mut observed = 0u64;
                     while !stop.load(Ordering::Relaxed) {
@@ -295,12 +297,23 @@ mod tests {
                         let frontier = (2 + gen) as u32;
                         assert!(snap.contains("Reach", &[0, frontier]));
                         assert!(!snap.contains("Reach", &[0, frontier + 1]));
+                        if observed == 0 {
+                            reading.fetch_add(1, Ordering::Relaxed);
+                        }
                         observed += 1;
                     }
                     observed
                 })
             })
             .collect();
+        // Publish only once every reader is reading, so the publications
+        // race live readers even when the scheduler starts them late (a
+        // reader that panicked first ends the wait; its join reports it).
+        while reading.load(Ordering::Relaxed) < readers
+            && !threads.iter().any(thread::JoinHandle::is_finished)
+        {
+            thread::yield_now();
+        }
         for round in 0..4u32 {
             let next = 4 + round;
             writer

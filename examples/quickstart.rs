@@ -27,12 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Run to fixpoint. Every rule is lowered to an operator pipeline
     //    (Scan → HashJoin* → Project) and dispatched through the engine's
-    //    backend — `SerialBackend` unless one was installed on the builder.
-    //    Adding `.shard_count(4)` to the builder (or
-    //    `EngineConfig::with_shard_count`) swaps in the hash-partitioned
-    //    `ShardedBackend`: relations shard by join-key hash and each
+    //    backend — `ShardedBackend` at one shard (the single-device loop)
+    //    unless one was installed on the builder. Adding `.shard_count(4)`
+    //    to the builder (or `EngineConfig::with_shard_count`) runs the same
+    //    loop hash-partitioned: relations shard by join-key hash and each
     //    join/dedup op fans across the worker pool, with results
-    //    byte-identical to the serial run.
+    //    byte-identical to the one-shard run.
     let stats = engine.run()?;
 
     // 5. Inspect results: indexed point lookups, borrowed row iteration,

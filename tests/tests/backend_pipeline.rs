@@ -1,13 +1,13 @@
-//! Property tests pinning the lowered `RaOp` pipeline (executed by
-//! `SerialBackend`) against the legacy flat-slice kernels
-//! (`scan_select` / `hash_join` / `project_rows` / `difference`) on random
-//! inputs, plus `TupleBatch` container round-trips. These are the
-//! refactoring guardrails: the operator IR must derive byte-identical
-//! results to composing the free functions by hand — and, since the
-//! sharded backend landed, any backend's fixpoints must be byte-identical
-//! to `SerialBackend`'s on random programs and inputs.
+//! Property tests pinning the lowered `RaOp` pipeline (executed by the
+//! one-shard `ShardedBackend`, the default engine's executor) against the
+//! legacy flat-slice kernels (`scan_select` / `hash_join` / `project_rows`
+//! / `difference`) on random inputs, plus `TupleBatch` container
+//! round-trips. These are the refactoring guardrails: the operator IR must
+//! derive byte-identical results to composing the free functions by hand —
+//! and any backend's fixpoints must be byte-identical to the one-shard
+//! loop's on random programs and inputs.
 
-use gpulog::backend::{Backend, EvalContext, SerialBackend, ShardedBackend};
+use gpulog::backend::{Backend, EvalContext, ShardedBackend};
 use gpulog::planner::{ColumnSource, EmitSource, JoinStep, ScanStep, VersionSel};
 use gpulog::ra::project::{filter_rows, project_rows, scan_select};
 use gpulog::ra::{difference, hash_join, RaOp, RaPipeline};
@@ -22,6 +22,11 @@ fn device() -> Device {
     Device::with_workers(DeviceProfile::nvidia_h100(), 4)
 }
 
+/// The default engine's executor: the op loop at one shard.
+fn one_shard() -> ShardedBackend {
+    ShardedBackend::new(1).unwrap()
+}
+
 fn pairs_strategy(max_value: u32, max_rows: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..max_value, 0..max_value), 0..max_rows)
 }
@@ -33,7 +38,7 @@ fn flatten(pairs: &[(u32, u32)]) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // `Scan → HashJoin → Project` through `SerialBackend` must equal the
+    // `Scan → HashJoin → Project` through one shard must equal the
     // hand-composed `scan_select` → `hash_join` → `project_rows` chain.
     #[test]
     fn pipeline_matches_legacy_scan_join_project(
@@ -103,7 +108,7 @@ proptest! {
             stats: &mut stats,
             ebm: EbmConfig::default(),
         };
-        let outcome = SerialBackend.execute(&mut ctx, &pipeline).unwrap();
+        let outcome = one_shard().execute(&mut ctx, &pipeline).unwrap();
         let got = relations[2].take_new(&EbmConfig::default());
 
         // The storage path deduplicates the outer relation (HISA set
@@ -166,7 +171,7 @@ proptest! {
                 stats: &mut stats,
                 ebm: EbmConfig::default(),
             };
-            SerialBackend
+            one_shard()
                 .execute(
                     &mut ctx,
                     &RaPipeline {
@@ -246,7 +251,7 @@ proptest! {
             stats: &mut stats,
             ebm: EbmConfig::default(),
         };
-        let outcome = SerialBackend
+        let outcome = one_shard()
             .execute(&mut ctx, &RaPipeline::diff(0))
             .unwrap();
 
@@ -568,66 +573,42 @@ fn sharded_ops_dispatch_one_epoch_per_op_not_one_per_shard() {
     );
 }
 
-/// One pinned [`gpulog::TopologyReport`]: totals, then per device
-/// `(modeled_compute_sec bits, in bytes, out bytes, in messages)`.
-type GoldenReport = (u64, u64, u64, u64, &'static [(u64, u64, u64, u64)]);
+const GOLDEN_REACH_SRC: &str = r"
+    .decl Edge(x: number, y: number)
+    .input Edge
+    .decl Reach(x: number, y: number)
+    .output Reach
+    Reach(x, y) :- Edge(x, y).
+    Reach(x, y) :- Edge(x, z), Reach(z, y).
+";
+const GOLDEN_SG_SRC: &str = r"
+    .decl Edge(x: number, y: number)
+    .input Edge
+    .decl SG(x: number, y: number)
+    .output SG
+    SG(x, y) :- Edge(p, x), Edge(p, y), x != y.
+    SG(x, y) :- Edge(a, x), SG(a, b), Edge(b, y), x != y.
+";
+const GOLDEN_NEG_MIN_SRC: &str = r"
+    .decl Edge(x: number, y: number)
+    .input Edge
+    .decl Blocked(x: number)
+    .input Blocked
+    .decl Succ(d: number, d1: number)
+    .input Succ
+    .decl PathLen(x: number, y: number, d: number)
+    .decl SP(x: number, y: number, d: number)
+    .output SP
+    PathLen(x, y, 1) :- Edge(x, y), !Blocked(y).
+    PathLen(x, z, d1) :- PathLen(x, y, d), Edge(y, z), Succ(d, d1), !Blocked(z).
+    SP(x, y, min(d)) :- PathLen(x, y, d).
+";
 
-/// `(program, n-way strategy, devices, report)` recorded before the
-/// multi-GPU model became an observer of the sharded executor: the
-/// refactor must leave every charge unchanged to the bit.
-#[rustfmt::skip]
-const GOLDEN_TOPOLOGY_REPORTS: &[(&str, &str, usize, GoldenReport)] = &[
-    ("reach", "TemporarilyMaterialized", 2, (18880, 15, 0x3f23f0be094bd3ec, 0x3f23f054294d6352, &[(0x3f1a3bfa04b3e3b3, 9280, 9600, 7), (0x3f192f490859692d, 9600, 9280, 8)])),
-    ("reach", "TemporarilyMaterialized", 4, (28320, 85, 0x3f27bc0b0c0db884, 0x3f27bbd310d11b0f, &[(0x3f1a3965a120320f, 7040, 7200, 20), (0x3f18207d5f29949a, 7040, 7200, 24), (0x3f192d07d4a495f8, 7040, 7200, 18), (0x3f1713f0ac1e9c5c, 7200, 6720, 23)])),
-    ("sg", "TemporarilyMaterialized", 2, (3920, 23, 0x3f1abe5e12bf6dc2, 0x3f1abe46841bef94, &[(0x3f1606105f0e1240, 1840, 2080, 11), (0x3f160600d71bba24, 2080, 1840, 12)])),
-    ("sg", "TemporarilyMaterialized", 4, (5848, 103, 0x3f20e8ed6deff50e, 0x3f20e8e55b41ff08, &[(0x3f13ecbd5d4e0ff8, 1428, 1564, 26), (0x3f16058d8cf12b2f, 1544, 1280, 25), (0x3f16059910980c5f, 1404, 1508, 25), (0x3f13ecb95902990c, 1472, 1496, 27)])),
-    ("sg", "FusedNestedLoop", 2, (2768, 17, 0x3f1238c3ee70cc96, 0x3f1238ac5fcd4e68, &[(0x3f0d5d25a754239d, 1336, 1432, 8), (0x3f0d5d069610bab5, 1432, 1336, 9)])),
-    ("sg", "FusedNestedLoop", 4, (4144, 79, 0x3f181e82b18aa8a6, 0x3f181e728c2ebc99, &[(0x3f092aedcd7f4b54, 1032, 1096, 20), (0x3f0d5c8ec3dc8962, 1016, 920, 19), (0x3f0d5cab4ae5bc9d, 1032, 1064, 19), (0x3f092aeb434515a8, 1064, 1064, 21)])),
-    ("neg-min", "TemporarilyMaterialized", 2, (1261176, 103, 0x3f50d5e7cabda8fa, 0x3f50d48d7b4552bc, &[(0x3f3b77d093f5a95a, 722988, 538188, 61), (0x3f47e1d365c0ef5d, 538188, 722988, 42)])),
-    ("neg-min", "TemporarilyMaterialized", 4, (1709944, 424, 0x3f543c907d43d47d, 0x3f543be2ff2bdde5, &[(0x3f33841a0fd35c4b, 581696, 327692, 112), (0x3f43dee6b4050149, 446220, 535932, 102), (0x3f333964e41c88aa, 245756, 314960, 110), (0x3f44221ea62ac05a, 436272, 531360, 100)])),
-];
-
-/// The multi-GPU model is pinned to the digit, not just `> 0`: fixed
-/// REACH, SG (both n-way strategies, covering `HashJoin` and `FusedJoin`)
-/// and negation + `min` programs on 2- and 4-device NVLink-like
-/// topologies must report exactly the recorded totals, per-device link
-/// traffic, and modeled seconds (as `f64::to_bits`).
-#[test]
-fn topology_reports_match_the_recorded_model() {
-    use gpulog::DeviceTopology;
-    use std::num::NonZeroUsize;
-    const REACH_SRC: &str = r"
-        .decl Edge(x: number, y: number)
-        .input Edge
-        .decl Reach(x: number, y: number)
-        .output Reach
-        Reach(x, y) :- Edge(x, y).
-        Reach(x, y) :- Edge(x, z), Reach(z, y).
-    ";
-    const SG_SRC: &str = r"
-        .decl Edge(x: number, y: number)
-        .input Edge
-        .decl SG(x: number, y: number)
-        .output SG
-        SG(x, y) :- Edge(p, x), Edge(p, y), x != y.
-        SG(x, y) :- Edge(a, x), SG(a, b), Edge(b, y), x != y.
-    ";
-    const NEG_MIN_SRC: &str = r"
-        .decl Edge(x: number, y: number)
-        .input Edge
-        .decl Blocked(x: number)
-        .input Blocked
-        .decl Succ(d: number, d1: number)
-        .input Succ
-        .decl PathLen(x: number, y: number, d: number)
-        .decl SP(x: number, y: number, d: number)
-        .output SP
-        PathLen(x, y, 1) :- Edge(x, y), !Blocked(y).
-        PathLen(x, z, d1) :- PathLen(x, y, d), Edge(y, z), Succ(d, d1), !Blocked(z).
-        SP(x, y, min(d)) :- PathLen(x, y, d).
-    ";
-    // A 40-node ring with chords (cycles, fan-in) and a 31-node binary
-    // tree with two cross edges (deep SG generations).
+/// The fixed cases every golden test runs: REACH on a 40-node ring with
+/// chords (cycles, fan-in), SG on a 31-node binary tree with two cross
+/// edges (deep generations) under both n-way strategies (covering
+/// `HashJoin` and `FusedJoin`), and negation + `min` on the ring.
+fn golden_cases() -> Vec<(&'static str, NwayStrategy, &'static str, Vec<[u32; 2]>)> {
     let ring: Vec<[u32; 2]> = (0..40u32)
         .flat_map(|i| [[i, (i + 1) % 40], [i, (i * 7 + 3) % 40]])
         .collect();
@@ -635,39 +616,91 @@ fn topology_reports_match_the_recorded_model() {
         .map(|i| [(i - 1) / 2, i])
         .chain([[3, 12], [5, 20]])
         .collect();
-    let cases = [
+    vec![
         (
             "reach",
             NwayStrategy::TemporarilyMaterialized,
-            REACH_SRC,
-            &ring,
+            GOLDEN_REACH_SRC,
+            ring.clone(),
         ),
-        ("sg", NwayStrategy::TemporarilyMaterialized, SG_SRC, &tree),
-        ("sg", NwayStrategy::FusedNestedLoop, SG_SRC, &tree),
+        (
+            "sg",
+            NwayStrategy::TemporarilyMaterialized,
+            GOLDEN_SG_SRC,
+            tree.clone(),
+        ),
+        ("sg", NwayStrategy::FusedNestedLoop, GOLDEN_SG_SRC, tree),
         (
             "neg-min",
             NwayStrategy::TemporarilyMaterialized,
-            NEG_MIN_SRC,
-            &ring,
+            GOLDEN_NEG_MIN_SRC,
+            ring,
         ),
-    ];
+    ]
+}
+
+/// Runs one golden case to its fixpoint on a fresh device.
+fn run_golden_case(
+    d: &Device,
+    program: &str,
+    src: &str,
+    edges: &[[u32; 2]],
+    cfg: EngineConfig,
+) -> RunStats {
+    let mut engine = GpulogEngine::from_source(d, src, cfg).unwrap();
+    engine.add_facts("Edge", edges).unwrap();
+    if program == "neg-min" {
+        engine.add_facts("Blocked", [[7u32], [22]]).unwrap();
+        engine
+            .add_facts("Succ", (1..40u32).map(|i| [i, i + 1]))
+            .unwrap();
+    }
+    engine.run().unwrap()
+}
+
+/// One pinned [`gpulog::TopologyReport`]: totals, then per device
+/// `(modeled_compute_sec bits, in bytes, out bytes, in messages)`.
+type GoldenReport = (u64, u64, u64, u64, &'static [(u64, u64, u64, u64)]);
+
+/// `(program, n-way strategy, devices, report)`. The 2- and 4-device rows
+/// were recorded before the multi-GPU model became an observer of the
+/// sharded executor, the 1-device rows before the default backend became
+/// the sharded loop at one shard: every refactor must leave every charge
+/// unchanged to the bit.
+#[rustfmt::skip]
+const GOLDEN_TOPOLOGY_REPORTS: &[(&str, &str, usize, GoldenReport)] = &[
+    ("reach", "TemporarilyMaterialized", 1, (0, 0, 0x3f225e9530370e83, 0x3f225e2b50389de8, &[(0x3f225e9530370e81, 0, 0, 0)])),
+    ("reach", "TemporarilyMaterialized", 2, (18880, 15, 0x3f23f0be094bd3ec, 0x3f23f054294d6352, &[(0x3f1a3bfa04b3e3b3, 9280, 9600, 7), (0x3f192f490859692d, 9600, 9280, 8)])),
+    ("reach", "TemporarilyMaterialized", 4, (28320, 85, 0x3f27bc0b0c0db884, 0x3f27bbd310d11b0f, &[(0x3f1a3965a120320f, 7040, 7200, 20), (0x3f18207d5f29949a, 7040, 7200, 24), (0x3f192d07d4a495f8, 7040, 7200, 18), (0x3f1713f0ac1e9c5c, 7200, 6720, 23)])),
+    ("sg", "TemporarilyMaterialized", 1, (0, 0, 0x3f1606ec333b049b, 0x3f1606c10e5a5faf, &[(0x3f1606ec333b049c, 0, 0, 0)])),
+    ("sg", "TemporarilyMaterialized", 2, (3920, 23, 0x3f1abe5e12bf6dc2, 0x3f1abe46841bef94, &[(0x3f1606105f0e1240, 1840, 2080, 11), (0x3f160600d71bba24, 2080, 1840, 12)])),
+    ("sg", "TemporarilyMaterialized", 4, (5848, 103, 0x3f20e8ed6deff50e, 0x3f20e8e55b41ff08, &[(0x3f13ecbd5d4e0ff8, 1428, 1564, 26), (0x3f16058d8cf12b2f, 1544, 1280, 25), (0x3f16059910980c5f, 1404, 1508, 25), (0x3f13ecb95902990c, 1472, 1496, 27)])),
+    ("sg", "FusedNestedLoop", 1, (0, 0, 0x3f0d5dfae4267e9c, 0x3f0d5da49a6534c2, &[(0x3f0d5dfae4267e9d, 0, 0, 0)])),
+    ("sg", "FusedNestedLoop", 2, (2768, 17, 0x3f1238c3ee70cc96, 0x3f1238ac5fcd4e68, &[(0x3f0d5d25a754239d, 1336, 1432, 8), (0x3f0d5d069610bab5, 1432, 1336, 9)])),
+    ("sg", "FusedNestedLoop", 4, (4144, 79, 0x3f181e82b18aa8a6, 0x3f181e728c2ebc99, &[(0x3f092aedcd7f4b54, 1032, 1096, 20), (0x3f0d5c8ec3dc8962, 1016, 920, 19), (0x3f0d5cab4ae5bc9d, 1032, 1064, 19), (0x3f092aeb434515a8, 1064, 1064, 21)])),
+    ("neg-min", "TemporarilyMaterialized", 1, (0, 0, 0x3f502fc726c174e7, 0x3f502e6cd7491ea9, &[(0x3f502fc726c174e8, 0, 0, 0)])),
+    ("neg-min", "TemporarilyMaterialized", 2, (1261176, 103, 0x3f50d5e7cabda8fa, 0x3f50d48d7b4552bc, &[(0x3f3b77d093f5a95a, 722988, 538188, 61), (0x3f47e1d365c0ef5d, 538188, 722988, 42)])),
+    ("neg-min", "TemporarilyMaterialized", 4, (1709944, 424, 0x3f543c907d43d47d, 0x3f543be2ff2bdde5, &[(0x3f33841a0fd35c4b, 581696, 327692, 112), (0x3f43dee6b4050149, 446220, 535932, 102), (0x3f333964e41c88aa, 245756, 314960, 110), (0x3f44221ea62ac05a, 436272, 531360, 100)])),
+];
+
+/// The multi-GPU model is pinned to the digit, not just `> 0`: the golden
+/// cases on 1-, 2- and 4-device NVLink-like topologies must report exactly
+/// the recorded totals, per-device link traffic, and modeled seconds (as
+/// `f64::to_bits`).
+#[test]
+fn topology_reports_match_the_recorded_model() {
+    use std::num::NonZeroUsize;
     let mut got = Vec::new();
-    for (program, nway, src, edges) in cases {
-        for devices in [2usize, 4] {
+    for (program, nway, src, edges) in golden_cases() {
+        for devices in [1usize, 2, 4] {
             let d = device();
             let topology = DeviceTopology::nvlink_like(NonZeroUsize::new(devices).unwrap());
             let cfg = EngineConfig::new()
                 .with_nway(nway)
                 .with_device_topology(topology);
-            let mut engine = GpulogEngine::from_source(&d, src, cfg).unwrap();
-            engine.add_facts("Edge", edges).unwrap();
-            if program == "neg-min" {
-                engine.add_facts("Blocked", [[7u32], [22]]).unwrap();
-                engine
-                    .add_facts("Succ", (1..40u32).map(|i| [i, i + 1]))
-                    .unwrap();
-            }
-            let report = engine.run().unwrap().topology.expect("topology report");
+            let report = run_golden_case(&d, program, src, &edges, cfg)
+                .topology
+                .expect("topology report");
             let lanes: Vec<(u64, u64, u64, u64)> = report
                 .devices
                 .iter()
@@ -706,6 +739,57 @@ fn topology_reports_match_the_recorded_model() {
             "{case}: totals"
         );
         assert_eq!(lanes.as_slice(), golden.4, "{case}: per-device lanes");
+    }
+}
+
+/// `(program, n-way strategy, [kernel_launches, sort_passes, allocations,
+/// bytes_read, bytes_written, hash_inserts, hash_rebuilds,
+/// peak_bytes_in_use])` of a default-config run, recorded while the
+/// default backend was still a separate serial op loop: running the
+/// default through the sharded loop at one shard must charge the device
+/// exactly the same.
+#[rustfmt::skip]
+const GOLDEN_DEFAULT_COUNTERS: &[(&str, &str, [u64; 8])] = &[
+    ("reach", "TemporarilyMaterialized", [182, 11, 102, 498536, 530048, 1600, 4, 221888]),
+    ("sg", "TemporarilyMaterialized", [126, 5, 73, 83112, 109648, 326, 3, 60608]),
+    ("sg", "FusedNestedLoop", [105, 5, 73, 61000, 92288, 326, 3, 60608]),
+    ("neg-min", "TemporarilyMaterialized", [1023, 1507, 420, 30286348, 16382016, 29432, 8, 1939512]),
+];
+
+/// The default engine's device counters are pinned to the digit on the
+/// golden cases.
+#[test]
+fn default_engine_counters_match_the_recorded_run() {
+    let mut got = Vec::new();
+    for (program, nway, src, edges) in golden_cases() {
+        let d = device();
+        run_golden_case(
+            &d,
+            program,
+            src,
+            &edges,
+            EngineConfig::new().with_nway(nway),
+        );
+        let c = d.metrics().snapshot();
+        got.push((
+            program,
+            format!("{nway:?}"),
+            [
+                c.kernel_launches,
+                c.sort_passes,
+                c.allocations,
+                c.bytes_read,
+                c.bytes_written,
+                c.hash_inserts,
+                c.hash_rebuilds,
+                c.peak_bytes_in_use,
+            ],
+        ));
+    }
+    assert_eq!(got.len(), GOLDEN_DEFAULT_COUNTERS.len());
+    for ((program, nway, counters), (gp, gn, golden)) in got.iter().zip(GOLDEN_DEFAULT_COUNTERS) {
+        assert_eq!((*program, nway.as_str()), (*gp, *gn));
+        assert_eq!(counters, golden, "{program} / {nway}: device counters");
     }
 }
 
