@@ -327,7 +327,9 @@ impl ShardObserver for TopologyModel {
                     (input.as_flat().len() + out.as_flat().len()) as u64,
                 ),
                 PartOp::AntiJoin => (in_bytes + 16 * in_rows, out_bytes, in_rows),
-                PartOp::Reduce => (2 * in_bytes, in_bytes + out_bytes, in_rows),
+                // A sort (read + write) and the compaction of the survivors
+                // — the dedup half of a diff.
+                PartOp::Reduce | PartOp::Dedup => (2 * in_bytes, in_bytes + out_bytes, in_rows),
                 // Dedup sorts its part (read + write) and probes full once
                 // per row; the delta slice is written back and later merged.
                 PartOp::Diff => (2 * in_bytes, in_bytes + 2 * out_bytes, in_rows),

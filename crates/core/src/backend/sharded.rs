@@ -9,7 +9,9 @@
 //!
 //! * [`RaOp::HashJoin`] — the intermediate re-partitions by the same key
 //!   hash as the inner's shard map, so shard `i` of the outer only probes
-//!   shard `i` of the inner. `S` independent joins, one pool dispatch.
+//!   shard `i` of the inner. `S` independent joins, one pool dispatch. A
+//!   join marked `dedup_outer` first deduplicates each part: every copy of
+//!   a row hashes to the same shard, so per-part dedup is exact.
 //! * [`RaOp::FusedJoin`] — the outer partitions by the *first* level's key
 //!   and that level's inner is sharded the same way; deeper levels (whose
 //!   keys are produced mid-kernel) probe their whole index.
@@ -59,7 +61,8 @@ use crate::ra::nway::{fused_rule_join_batch, FusedLevel};
 use crate::ra::op::{RaOp, RaPipeline};
 use crate::ra::project::{batch_from_flat, filter_batch, scan_select};
 use crate::ra::{
-    anti_join_batch, difference_batch, group_reduce_batch, hash_join_batch, project_batch,
+    anti_join_batch, deduplicate_rows, difference_batch, group_reduce_batch, hash_join_batch,
+    project_batch,
 };
 use crate::relation::RelationVersion;
 use crate::stats::Phase;
@@ -91,6 +94,8 @@ pub(super) enum PartOp {
     Reduce,
     /// Per-owner deduplication and difference of a `Diff`.
     Diff,
+    /// Per-part deduplication of a join's re-partitioned outer.
+    Dedup,
 }
 
 /// The points of the sharded op loop where an observer can attribute
@@ -208,8 +213,12 @@ impl ShardedBackend {
                     parts = obs.place_scan(scan(ctx, step, filters));
                     obs.ran(PartOp::Scan, &parts, &parts);
                 }
-                RaOp::HashJoin { step, filters } => {
-                    parts = self.hash_join(ctx, parts, step, filters, obs)?;
+                RaOp::HashJoin {
+                    step,
+                    filters,
+                    dedup_outer,
+                } => {
+                    parts = self.hash_join(ctx, parts, step, filters, *dedup_outer, obs)?;
                 }
                 RaOp::FusedJoin { levels, head_proj } => {
                     parts = self.fused_join(ctx, parts, levels, head_proj, obs)?;
@@ -359,12 +368,18 @@ impl ShardedBackend {
     /// outer probes shard `i` of the inner relation — `S` independent joins
     /// dispatched to the worker pool as a single epoch. A cross product
     /// gathers and probes the whole inner.
+    ///
+    /// With `dedup_outer`, each laid-out part is first deduplicated when
+    /// that pays (see [`dedup_pays`]). The re-partition put every copy of a
+    /// row in one part, so the per-part dedup is exact and the decision —
+    /// taken over totals across parts — is the same at every `S`.
     fn hash_join(
         &self,
         ctx: &mut EvalContext<'_>,
         parts: Vec<TupleBatch>,
         step: &JoinStep,
         filters: &[FilterStep],
+        dedup_outer: bool,
         obs: &dyn ShardObserver,
     ) -> EngineResult<Vec<TupleBatch>> {
         let shards = self.map_shards(&step.outer_key_cols);
@@ -382,6 +397,19 @@ impl ShardedBackend {
         let inners = ctx
             .shard_map(step.relation, step.version, &step.inner_key_cols, shards)
             .expect("shard map built above");
+        let mut dedup_spent = None;
+        let parts = if dedup_outer && dedup_pays(&parts, inners) {
+            let t = Instant::now();
+            let deduped = fan_out_shards(device, &parts, |_, part| {
+                let rows = deduplicate_rows(device, part.as_flat(), part.arity());
+                TupleBatch::from_sorted_unique_flat(part.arity(), rows)
+            });
+            obs.ran(PartOp::Dedup, &parts, &deduped);
+            dedup_spent = Some(t.elapsed());
+            deduped
+        } else {
+            parts
+        };
         let outs = fan_out_shards(device, &parts, |shard, part| {
             let mut out = hash_join_batch(
                 device,
@@ -398,7 +426,12 @@ impl ShardedBackend {
             out
         });
         obs.ran(op, &parts, &outs);
-        ctx.stats.add_phase(Phase::Join, t.elapsed());
+        let mut join_spent = t.elapsed();
+        if let Some(spent) = dedup_spent {
+            ctx.stats.add_phase(Phase::Deduplication, spent);
+            join_spent -= spent;
+        }
+        ctx.stats.add_phase(Phase::Join, join_spent);
         Ok(outs)
     }
 
@@ -550,6 +583,23 @@ fn scan(ctx: &mut EvalContext<'_>, step: &ScanStep, filters: &[FilterStep]) -> T
     batch
 }
 
+/// The fewest outer rows (summed over parts) worth a dedup pass. Below
+/// this the sort's fixed kernel launches cost more on the modeled device
+/// than the duplicate probes they would save.
+const MIN_DEDUP_OUTER_ROWS: usize = 1 << 16;
+
+/// Whether deduplicating a join's outer `parts` before probing `inners`
+/// pays: the outer is large (at least [`MIN_DEDUP_OUTER_ROWS`] rows) and
+/// the inner holds more rows than distinct keys, so every duplicate outer
+/// row would be multiplied by a fan-out above one. Both totals are sums
+/// over all parts and shards, which partition the same rows at every `S`.
+fn dedup_pays(parts: &[TupleBatch], inners: &[Hisa]) -> bool {
+    let outer_rows: usize = parts.iter().map(TupleBatch::len).sum();
+    let inner_rows: usize = inners.iter().map(Hisa::len).sum();
+    let inner_keys: usize = inners.iter().map(Hisa::key_count).sum();
+    outer_rows >= MIN_DEDUP_OUTER_ROWS && inner_rows > inner_keys
+}
+
 /// Concatenates every part onto shard 0, reporting the gather.
 fn gather(parts: Vec<TupleBatch>, obs: &dyn ShardObserver) -> TupleBatch {
     obs.gathered(&parts);
@@ -660,6 +710,7 @@ mod tests {
                         ],
                     },
                     filters: vec![],
+                    dedup_outer: false,
                 },
                 RaOp::Project {
                     columns: vec![ColumnSource::Col(0), ColumnSource::Col(2)],

@@ -2,14 +2,24 @@
 //!
 //! Every rule becomes a left-deep pipeline: a *scan* of its first body atom,
 //! followed by one *join step* per remaining atom, followed by a projection
-//! onto the head. Each join step is materialized into a temporary buffer —
+//! onto the head (left out when it is the identity). Each join step is materialized into a temporary buffer —
 //! the paper's "temporarily-materialized n-way join" (Section 5.2). For
 //! rules inside a recursive stratum the planner emits one *delta version*
 //! per occurrence of a same-stratum relation, realising semi-naïve
 //! evaluation; the occurrence marked delta is moved to the front of the
 //! pipeline so the (small) delta drives the outer loop.
+//!
+//! Intermediates carry only *live* columns. After each step a variable is
+//! kept while a later positive atom, a constraint not yet applied, a
+//! negated atom or the head still reads it; every other bound column is
+//! dropped, so a join probes once per distinct binding of what is still
+//! needed rather than once per full binding. A join whose outer lost a
+//! column may hold duplicate rows and is marked to deduplicate its input
+//! (see [`RulePlan::dedup_outer`]). When the head is all distinct
+//! variables and nothing else is live after the last step, that step emits
+//! the head tuple itself and the lowering needs no projection.
 
-use crate::analysis::{stratify_program, StratifiedProgram};
+use crate::analysis::stratify_program;
 use crate::ast::{AggregateOp, Atom, CmpOp, Program, Rule, Term};
 use crate::error::{EngineError, EngineResult};
 use crate::ra::nway::NwayStrategy;
@@ -68,8 +78,10 @@ pub struct ScanStep {
     pub const_filters: Vec<(usize, u32)>,
     /// `(column, column)` equality filters from repeated variables.
     pub eq_filters: Vec<(usize, usize)>,
-    /// Columns kept in the intermediate tuple (one per distinct variable,
-    /// in order of first appearance).
+    /// Columns kept in the intermediate tuple: one per live variable, in
+    /// order of first appearance (head order when the scan is the last
+    /// step and emits the head tuple). Never empty: with nothing live, one
+    /// column is kept so the row multiplicity survives.
     pub keep_cols: Vec<usize>,
 }
 
@@ -89,7 +101,8 @@ pub struct JoinStep {
     pub inner_const_filters: Vec<(usize, u32)>,
     /// Equality filters between inner columns (repeated variables).
     pub inner_eq_filters: Vec<(usize, usize)>,
-    /// How to build the next intermediate tuple.
+    /// How to build the next intermediate tuple: one source per live
+    /// variable. Never empty, like [`ScanStep::keep_cols`].
     pub emit: Vec<EmitSource>,
 }
 
@@ -131,6 +144,9 @@ pub struct RulePlan {
     pub scan: ScanStep,
     /// Join pipeline (possibly empty for single-atom rules).
     pub joins: Vec<JoinStep>,
+    /// One flag per join: whether its outer may hold duplicate rows
+    /// because the step before it dropped a bound column.
+    pub dedup_outer: Vec<bool>,
     /// Anti-joins from negated literals, applied after every positive join
     /// (all variables bound) and before the head projection.
     pub anti_joins: Vec<AntiJoinStep>,
@@ -148,6 +164,23 @@ pub struct RulePlan {
     pub trivially_empty: bool,
     /// Human-readable source form (for diagnostics and plan dumps).
     pub text: String,
+}
+
+impl RulePlan {
+    /// Whether the head projection copies the final intermediate through
+    /// unchanged: `Col(0), .., Col(n - 1)` over an `n`-column last step.
+    pub fn head_proj_is_identity(&self) -> bool {
+        let width = self
+            .joins
+            .last()
+            .map_or(self.scan.keep_cols.len(), |join| join.emit.len());
+        self.head_proj.len() == width
+            && self
+                .head_proj
+                .iter()
+                .enumerate()
+                .all(|(i, &source)| source == ColumnSource::Col(i))
+    }
 }
 
 /// A stratum with its rules compiled into plans.
@@ -208,13 +241,14 @@ pub struct LoweredStratum {
 /// n-way strategy.
 ///
 /// The temporarily-materialized strategy becomes `Scan → HashJoin* →
-/// AntiJoin* → Project [→ Reduce]`; the fused strategy becomes `Scan →
-/// FusedJoin [→ Reduce]` (the fused kernel produces head tuples
-/// directly). Rules with negated literals always take the materialized
-/// lowering — the anti-join probes pre-projection intermediate columns,
-/// which the fused kernel never materializes. A trivially-empty plan
-/// lowers to an empty pipeline, which every backend must treat as
-/// deriving nothing.
+/// AntiJoin* [→ Project] [→ Reduce]`, with the `Project` left out when it
+/// is the identity (the last step already emits the head tuple); the
+/// fused strategy becomes `Scan → FusedJoin [→ Reduce]` (the fused kernel
+/// produces head tuples directly). Rules with negated literals always take
+/// the materialized lowering — the anti-join probes pre-projection
+/// intermediate columns, which the fused kernel never materializes. A
+/// trivially-empty plan lowers to an empty pipeline, which every backend
+/// must treat as deriving nothing.
 pub fn lower_rule_plan(plan: &RulePlan, strategy: NwayStrategy) -> RaPipeline {
     let strategy = if plan.anti_joins.is_empty() {
         strategy
@@ -223,42 +257,27 @@ pub fn lower_rule_plan(plan: &RulePlan, strategy: NwayStrategy) -> RaPipeline {
     };
     let mut ops = Vec::new();
     if !plan.trivially_empty {
-        // A scan that binds no variables (an all-constant atom, e.g.
-        // `R(1) :- E(2, 3).`) would produce a zero-column intermediate and
-        // lose the matched-row count on the way to the head projection.
-        // Keep one dummy column instead: its values are never referenced
-        // (no variable means no downstream Col/Outer source can exist),
-        // but the multiplicity survives. Joins inherit the dummy through
-        // `emit` for the same reason.
-        let mut scan = plan.scan.clone();
-        if scan.keep_cols.is_empty() {
-            scan.keep_cols.push(0);
-        }
         ops.push(RaOp::Scan {
-            step: scan,
+            step: plan.scan.clone(),
             filters: plan.filters[0].clone(),
         });
         match strategy {
             NwayStrategy::TemporarilyMaterialized => {
                 for (k, join) in plan.joins.iter().enumerate() {
-                    let mut join = join.clone();
-                    if join.emit.is_empty() {
-                        // Empty emit implies no variable is bound yet, so
-                        // the outer intermediate is exactly the dummy
-                        // column introduced above.
-                        join.emit.push(EmitSource::Outer(0));
-                    }
                     ops.push(RaOp::HashJoin {
-                        step: join,
+                        step: join.clone(),
                         filters: plan.filters[k + 1].clone(),
+                        dedup_outer: plan.dedup_outer[k],
                     });
                 }
                 for step in &plan.anti_joins {
                     ops.push(RaOp::AntiJoin { step: step.clone() });
                 }
-                ops.push(RaOp::Project {
-                    columns: plan.head_proj.clone(),
-                });
+                if !plan.head_proj_is_identity() {
+                    ops.push(RaOp::Project {
+                        columns: plan.head_proj.clone(),
+                    });
+                }
             }
             NwayStrategy::FusedNestedLoop => {
                 ops.push(RaOp::FusedJoin {
@@ -359,10 +378,10 @@ pub fn compile(program: &Program) -> EngineResult<CompiledProgram> {
                 .map(|(i, _)| i)
                 .collect();
             if recursive_occurrences.is_empty() {
-                non_recursive.push(plan_rule(rule, rule_index, None, &id_of, &stratified)?);
+                non_recursive.push(plan_rule(rule, rule_index, None, &id_of)?);
             } else {
                 for &occ in &recursive_occurrences {
-                    recursive.push(plan_rule(rule, rule_index, Some(occ), &id_of, &stratified)?);
+                    recursive.push(plan_rule(rule, rule_index, Some(occ), &id_of)?);
                 }
             }
         }
@@ -392,7 +411,6 @@ fn plan_rule(
     rule_index: usize,
     delta_occurrence: Option<usize>,
     id_of: &HashMap<&str, RelId>,
-    stratified: &StratifiedProgram,
 ) -> EngineResult<RulePlan> {
     // Positive literals drive the scan/join pipeline; negated literals
     // become anti-joins once every variable is bound.
@@ -436,20 +454,36 @@ fn plan_rule(
         collect_vars(positives[atom_idx], &mut bound_vars);
         order.push(atom_idx);
     }
+    let steps: Vec<&Atom> = order.iter().map(|&i| positives[i]).collect();
 
-    // Walk the pipeline, tracking which variable each intermediate column holds.
-    let mut columns: Vec<String> = Vec::new();
-    let first_atom = positives[order[0]];
-    let scan = plan_scan(
-        first_atom,
+    // The last step emits the head tuple itself when the head is all
+    // distinct variables (and nothing else is live by then).
+    let head_vars: Vec<&str> = rule.head.variables().collect();
+    let head_is_distinct_vars = head_vars.len() == rule.head.terms.len()
+        && head_vars
+            .iter()
+            .enumerate()
+            .all(|(i, v)| !head_vars[..i].contains(v));
+    let head_order_at = |step: usize| {
+        (head_is_distinct_vars && step + 1 == steps.len()).then_some(head_vars.as_slice())
+    };
+
+    // Walk the pipeline, tracking which variable each intermediate column
+    // holds (`None` for the dummy column of an atom that binds none).
+    let mut columns: Vec<Option<&str>> = Vec::new();
+    let mut applied = vec![false; rule.constraints.len()];
+    let (scan, mut outer_narrowed) = plan_scan(
+        steps[0],
         version_for(order[0], delta_occurrence),
         id_of,
+        &|var| is_live(rule, &steps[1..], &applied, var),
+        head_order_at(0),
         &mut columns,
     );
 
     let mut joins = Vec::new();
+    let mut dedup_outer = Vec::new();
     let mut filters: Vec<Vec<FilterStep>> = vec![Vec::new()];
-    let mut applied = vec![false; rule.constraints.len()];
     let mut trivially_empty = false;
     collect_applicable_filters(
         rule,
@@ -459,15 +493,18 @@ fn plan_rule(
         &mut trivially_empty,
     );
 
-    for &atom_idx in &order[1..] {
-        let atom = positives[atom_idx];
-        let join = plan_join(
-            atom,
-            version_for(atom_idx, delta_occurrence),
+    for k in 1..steps.len() {
+        let (join, narrowed) = plan_join(
+            steps[k],
+            version_for(order[k], delta_occurrence),
             id_of,
+            &|var| is_live(rule, &steps[k + 1..], &applied, var),
+            head_order_at(k),
             &mut columns,
         );
         joins.push(join);
+        dedup_outer.push(outer_narrowed);
+        outer_narrowed = narrowed;
         let mut step_filters = Vec::new();
         collect_applicable_filters(
             rule,
@@ -481,7 +518,7 @@ fn plan_rule(
 
     // Anti-joins: each negated literal probes the intermediate against the
     // negated relation's full version. Validation guarantees every
-    // variable is bound by now.
+    // variable is bound by now, and liveness kept each one.
     let anti_joins: Vec<AntiJoinStep> = rule
         .negative_atoms()
         .map(|atom| AntiJoinStep {
@@ -491,13 +528,10 @@ fn plan_rule(
                 .iter()
                 .map(|t| match t {
                     Term::Const(c) => ColumnSource::Const(*c),
-                    Term::Var(v) => {
-                        let col = columns
-                            .iter()
-                            .position(|c| c == v)
-                            .expect("negated-atom variable bound (checked by validation)");
-                        ColumnSource::Col(col)
-                    }
+                    Term::Var(v) => ColumnSource::Col(
+                        column_of(&columns, v)
+                            .expect("negated-atom variable bound (checked by validation)"),
+                    ),
                 })
                 .collect(),
         })
@@ -510,13 +544,9 @@ fn plan_rule(
         .iter()
         .map(|t| match t {
             Term::Const(c) => ColumnSource::Const(*c),
-            Term::Var(v) => {
-                let col = columns
-                    .iter()
-                    .position(|c| c == v)
-                    .expect("head variable bound (checked by validation)");
-                ColumnSource::Col(col)
-            }
+            Term::Var(v) => ColumnSource::Col(
+                column_of(&columns, v).expect("head variable bound (checked by validation)"),
+            ),
         })
         .collect();
 
@@ -525,12 +555,12 @@ fn plan_rule(
         agg_column: agg.column,
     });
 
-    let _ = stratified;
     Ok(RulePlan {
         rule_index,
         head: id_of[rule.head.relation.as_str()],
         scan,
         joins,
+        dedup_outer,
         anti_joins,
         filters,
         head_proj,
@@ -554,15 +584,74 @@ fn version_for(atom_idx: usize, delta_occurrence: Option<usize>) -> VersionSel {
     }
 }
 
-fn plan_scan(
-    atom: &Atom,
+/// Whether `var` is still read after a pipeline step: by a `later`
+/// positive atom, a constraint not yet `applied`, a negated atom, or the
+/// head (which includes an aggregate's variable).
+fn is_live(rule: &Rule, later: &[&Atom], applied: &[bool], var: &str) -> bool {
+    let in_atom = |atom: &Atom| atom.variables().any(|v| v == var);
+    later.iter().any(|atom| in_atom(atom))
+        || rule.negative_atoms().any(in_atom)
+        || in_atom(&rule.head)
+        || rule
+            .constraints
+            .iter()
+            .zip(applied)
+            .any(|(c, &done)| !done && [&c.left, &c.right].iter().any(|t| t.as_var() == Some(var)))
+}
+
+/// The intermediate column holding `var`, if it is bound and live.
+fn column_of(columns: &[Option<&str>], var: &str) -> Option<usize> {
+    columns.iter().position(|&c| c == Some(var))
+}
+
+/// Keeps the live entries of a step's bound `(variable, source)` pairs, in
+/// binding order — or in `head_order` when one is given and the live
+/// variables are exactly the head's — and never none: with nothing live,
+/// the first pair stays so the row multiplicity survives. Records the
+/// kept variables as the new intermediate `columns` and returns the kept
+/// sources plus whether a bound column was dropped.
+fn keep_live<'r, S: Copy>(
+    bound: &[(Option<&'r str>, S)],
+    live: &dyn Fn(&str) -> bool,
+    head_order: Option<&[&'r str]>,
+    columns: &mut Vec<Option<&'r str>>,
+) -> (Vec<S>, bool) {
+    let mut kept: Vec<(Option<&'r str>, S)> = bound
+        .iter()
+        .copied()
+        .filter(|&(var, _)| var.is_some_and(live))
+        .collect();
+    if let Some(head) = head_order.filter(|head| head.len() == kept.len()) {
+        let by_head: Option<Vec<_>> = head
+            .iter()
+            .map(|&h| kept.iter().copied().find(|&(var, _)| var == Some(h)))
+            .collect();
+        if let Some(by_head) = by_head {
+            kept = by_head;
+        }
+    }
+    if kept.is_empty() {
+        kept.extend(bound.first().copied());
+    }
+    *columns = kept.iter().map(|&(var, _)| var).collect();
+    let dropped = kept.len() < bound.len();
+    (
+        kept.into_iter().map(|(_, source)| source).collect(),
+        dropped,
+    )
+}
+
+fn plan_scan<'r>(
+    atom: &'r Atom,
     version: VersionSel,
     id_of: &HashMap<&str, RelId>,
-    columns: &mut Vec<String>,
-) -> ScanStep {
+    live: &dyn Fn(&str) -> bool,
+    head_order: Option<&[&'r str]>,
+    columns: &mut Vec<Option<&'r str>>,
+) -> (ScanStep, bool) {
     let mut const_filters = Vec::new();
     let mut eq_filters = Vec::new();
-    let mut keep_cols = Vec::new();
+    let mut bound: Vec<(Option<&str>, usize)> = Vec::new();
     let mut first_occurrence: HashMap<&str, usize> = HashMap::new();
     for (col, term) in atom.terms.iter().enumerate() {
         match term {
@@ -571,32 +660,44 @@ fn plan_scan(
                 Some(&first) => eq_filters.push((first, col)),
                 None => {
                     first_occurrence.insert(v, col);
-                    keep_cols.push(col);
-                    columns.push(v.clone());
+                    bound.push((Some(v), col));
                 }
             },
         }
     }
-    ScanStep {
+    if bound.is_empty() {
+        // An all-constant atom (e.g. `R(1) :- E(2, 3).`) binds nothing;
+        // a dummy column keeps its matched-row count.
+        bound.push((None, 0));
+    }
+    let (keep_cols, dropped) = keep_live(&bound, live, head_order, columns);
+    let step = ScanStep {
         relation: id_of[atom.relation.as_str()],
         version,
         const_filters,
         eq_filters,
         keep_cols,
-    }
+    };
+    (step, dropped)
 }
 
-fn plan_join(
-    atom: &Atom,
+fn plan_join<'r>(
+    atom: &'r Atom,
     version: VersionSel,
     id_of: &HashMap<&str, RelId>,
-    columns: &mut Vec<String>,
-) -> JoinStep {
+    live: &dyn Fn(&str) -> bool,
+    head_order: Option<&[&'r str]>,
+    columns: &mut Vec<Option<&'r str>>,
+) -> (JoinStep, bool) {
     let mut outer_key_cols = Vec::new();
     let mut inner_key_cols = Vec::new();
     let mut inner_const_filters = Vec::new();
     let mut inner_eq_filters = Vec::new();
-    let mut new_vars: Vec<(String, usize)> = Vec::new();
+    let mut bound: Vec<(Option<&str>, EmitSource)> = columns
+        .iter()
+        .enumerate()
+        .map(|(c, &var)| (var, EmitSource::Outer(c)))
+        .collect();
     let mut first_occurrence: HashMap<&str, usize> = HashMap::new();
     for (col, term) in atom.terms.iter().enumerate() {
         match term {
@@ -608,21 +709,17 @@ fn plan_join(
                     continue;
                 }
                 first_occurrence.insert(v, col);
-                if let Some(outer_col) = columns.iter().position(|c| c == v) {
+                if let Some(outer_col) = column_of(columns, v) {
                     outer_key_cols.push(outer_col);
                     inner_key_cols.push(col);
                 } else {
-                    new_vars.push((v.clone(), col));
+                    bound.push((Some(v), EmitSource::Inner(col)));
                 }
             }
         }
     }
-    let mut emit: Vec<EmitSource> = (0..columns.len()).map(EmitSource::Outer).collect();
-    for (v, col) in new_vars {
-        emit.push(EmitSource::Inner(col));
-        columns.push(v);
-    }
-    JoinStep {
+    let (emit, dropped) = keep_live(&bound, live, head_order, columns);
+    let step = JoinStep {
         relation: id_of[atom.relation.as_str()],
         version,
         outer_key_cols,
@@ -630,12 +727,13 @@ fn plan_join(
         inner_const_filters,
         inner_eq_filters,
         emit,
-    }
+    };
+    (step, dropped)
 }
 
 fn collect_applicable_filters(
     rule: &Rule,
-    columns: &[String],
+    columns: &[Option<&str>],
     applied: &mut [bool],
     out: &mut Vec<FilterStep>,
     trivially_empty: &mut bool,
@@ -647,7 +745,7 @@ fn collect_applicable_filters(
         let resolve = |t: &Term| -> Option<ColumnSource> {
             match t {
                 Term::Const(v) => Some(ColumnSource::Const(*v)),
-                Term::Var(v) => columns.iter().position(|c| c == v).map(ColumnSource::Col),
+                Term::Var(v) => column_of(columns, v).map(ColumnSource::Col),
             }
         };
         if let (Some(left), Some(right)) = (resolve(&c.left), resolve(&c.right)) {
@@ -853,15 +951,223 @@ mod tests {
 
     #[test]
     fn lowering_produces_scan_join_project_for_materialized() {
+        // REACH's recursive join emits `[x, y]` in head order, so the
+        // identity projection is left out.
         let c = compile_src(REACH);
         let stratum = c.strata.iter().find(|s| s.is_recursive).unwrap();
         let plan = &stratum.recursive[0];
+        assert_eq!(
+            plan.joins[0].emit,
+            vec![EmitSource::Inner(0), EmitSource::Outer(1)]
+        );
+        assert!(plan.head_proj_is_identity());
         let pipeline = lower_rule_plan(plan, NwayStrategy::TemporarilyMaterialized);
         assert_eq!(pipeline.head, plan.head);
+        assert_eq!(pipeline.ops.len(), 2);
+        assert!(matches!(pipeline.ops[0], RaOp::Scan { .. }));
+        assert!(matches!(pipeline.ops[1], RaOp::HashJoin { .. }));
+
+        // A head constant needs a real projection after the join.
+        let c = compile_src(
+            r"
+            .decl Edge(x: number, y: number)
+            .decl Tagged(x: number, t: number)
+            .input Edge
+            .output Tagged
+            Tagged(x, 9) :- Edge(x, z), Edge(z, y).
+        ",
+        );
+        let plan = &c.strata.last().unwrap().non_recursive[0];
+        let pipeline = lower_rule_plan(plan, NwayStrategy::TemporarilyMaterialized);
         assert_eq!(pipeline.ops.len(), 3);
         assert!(matches!(pipeline.ops[0], RaOp::Scan { .. }));
         assert!(matches!(pipeline.ops[1], RaOp::HashJoin { .. }));
         assert!(matches!(pipeline.ops[2], RaOp::Project { .. }));
+    }
+
+    /// `SG(x, y) :- Edge(a, x), SG(a, b), Edge(b, y), x != y.` with the
+    /// delta `SG(a, b)` scanned first: `a` dies after the first join, and
+    /// the second join emits the head tuple.
+    #[test]
+    fn sg_recursive_plan_carries_only_live_columns() {
+        let c = compile_src(
+            r"
+            .decl Edge(x: number, y: number)
+            .decl SG(x: number, y: number)
+            .input Edge
+            .output SG
+            SG(x, y) :- Edge(a, x), SG(a, b), Edge(b, y), x != y.
+        ",
+        );
+        let sg = c.relation_id("SG").unwrap();
+        let stratum = c.strata.iter().find(|s| s.relations.contains(&sg)).unwrap();
+        let rec = &stratum.recursive[0];
+        // Scan SG(a, b) keeps [a, b]; both are read by a later atom.
+        assert_eq!(rec.scan.keep_cols, vec![0, 1]);
+        // Join Edge(a, x) on a, emitting [b, x].
+        assert_eq!(rec.joins[0].outer_key_cols, vec![0]);
+        assert_eq!(
+            rec.joins[0].emit,
+            vec![EmitSource::Outer(1), EmitSource::Inner(1)]
+        );
+        // Join Edge(b, y) on b, emitting [x, y] in head order.
+        assert_eq!(rec.joins[1].outer_key_cols, vec![0]);
+        assert_eq!(
+            rec.joins[1].emit,
+            vec![EmitSource::Outer(1), EmitSource::Inner(1)]
+        );
+        assert_eq!(
+            rec.filters[2],
+            vec![FilterStep {
+                left: ColumnSource::Col(0),
+                op: CmpOp::Ne,
+                right: ColumnSource::Col(1),
+            }]
+        );
+        // Only the second join's outer lost a column.
+        assert_eq!(rec.dedup_outer, vec![false, true]);
+        let pipeline = lower_rule_plan(rec, NwayStrategy::TemporarilyMaterialized);
+        let dedup: Vec<bool> = pipeline
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                RaOp::HashJoin { dedup_outer, .. } => Some(*dedup_outer),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(dedup, vec![false, true]);
+        assert!(!pipeline
+            .ops
+            .iter()
+            .any(|op| matches!(op, RaOp::Project { .. })));
+    }
+
+    #[test]
+    fn constraint_variables_stay_live_until_the_filter_consumes_them() {
+        let c = compile_src(
+            r"
+            .decl A(x: number, y: number)
+            .decl B(x: number, w: number)
+            .decl C(x: number, v: number)
+            .decl R(x: number)
+            .input A
+            .input B
+            .input C
+            .output R
+            R(x) :- A(x, y), B(x, w), y < w, C(x, v).
+        ",
+        );
+        let plan = &c.strata.last().unwrap().non_recursive[0];
+        // After B, y and w are still read by the pending constraint...
+        assert_eq!(
+            plan.joins[0].emit,
+            vec![
+                EmitSource::Outer(0),
+                EmitSource::Outer(1),
+                EmitSource::Inner(1)
+            ]
+        );
+        assert_eq!(
+            plan.filters[1],
+            vec![FilterStep {
+                left: ColumnSource::Col(1),
+                op: CmpOp::Lt,
+                right: ColumnSource::Col(2),
+            }]
+        );
+        // ...which consumes them, so C's join keeps only x (the head).
+        assert_eq!(plan.joins[1].emit, vec![EmitSource::Outer(0)]);
+        assert_eq!(plan.dedup_outer, vec![false, false]);
+        assert!(plan.head_proj_is_identity());
+    }
+
+    #[test]
+    fn negated_variables_stay_live_and_the_anti_join_rule_keeps_its_project() {
+        let c = compile_src(
+            r"
+            .decl A(x: number, y: number)
+            .decl B(y: number, z: number)
+            .decl N(z: number)
+            .decl R(x: number)
+            .input A
+            .input B
+            .input N
+            .output R
+            R(x) :- A(x, y), B(y, z), !N(z).
+        ",
+        );
+        let plan = &c.strata.last().unwrap().non_recursive[0];
+        // y dies at the join; z survives for the negated atom.
+        assert_eq!(
+            plan.joins[0].emit,
+            vec![EmitSource::Outer(0), EmitSource::Inner(1)]
+        );
+        assert_eq!(plan.anti_joins[0].probe, vec![ColumnSource::Col(1)]);
+        assert_eq!(plan.head_proj, vec![ColumnSource::Col(0)]);
+        let pipeline = lower_rule_plan(plan, NwayStrategy::TemporarilyMaterialized);
+        assert_eq!(pipeline.ops.len(), 4);
+        assert!(matches!(pipeline.ops[2], RaOp::AntiJoin { .. }));
+        assert!(matches!(pipeline.ops[3], RaOp::Project { .. }));
+    }
+
+    #[test]
+    fn aggregate_variable_stays_live_through_the_join() {
+        let c = compile_src(
+            r"
+            .decl A(x: number, y: number, d: number)
+            .decl B(y: number)
+            .decl S(x: number, d: number)
+            .input A
+            .input B
+            .output S
+            S(x, sum(d)) :- A(x, y, d), B(y).
+        ",
+        );
+        let plan = &c.strata.last().unwrap().non_recursive[0];
+        assert_eq!(plan.scan.keep_cols, vec![0, 1, 2]);
+        assert_eq!(
+            plan.joins[0].emit,
+            vec![EmitSource::Outer(0), EmitSource::Outer(2)]
+        );
+        let pipeline = lower_rule_plan(plan, NwayStrategy::TemporarilyMaterialized);
+        assert_eq!(pipeline.ops.len(), 3);
+        assert!(matches!(pipeline.ops[1], RaOp::HashJoin { .. }));
+        assert!(matches!(pipeline.ops[2], RaOp::Reduce { .. }));
+    }
+
+    #[test]
+    fn rule_without_live_variables_keeps_one_column_and_still_derives() {
+        use crate::engine::{EngineConfig, GpulogEngine};
+        use gpulog_device::{profile::DeviceProfile, Device};
+
+        let src = r"
+            .decl A(x: number)
+            .decl B(x: number)
+            .decl R(x: number)
+            .input A
+            .input B
+            .output R
+            R(1) :- A(x), B(x).
+        ";
+        let c = compile_src(src);
+        let plan = &c.strata.last().unwrap().non_recursive[0];
+        assert_eq!(plan.scan.keep_cols, vec![0]);
+        assert_eq!(plan.joins[0].emit, vec![EmitSource::Outer(0)]);
+        assert_eq!(plan.head_proj, vec![ColumnSource::Const(1)]);
+
+        let d = Device::with_workers(DeviceProfile::nvidia_h100(), 2);
+        for nway in [
+            NwayStrategy::TemporarilyMaterialized,
+            NwayStrategy::FusedNestedLoop,
+        ] {
+            let cfg = EngineConfig::new().with_nway(nway);
+            let mut engine = GpulogEngine::from_source(&d, src, cfg).unwrap();
+            engine.add_facts("A", [[4u32], [5]]).unwrap();
+            engine.add_facts("B", [[5u32], [6]]).unwrap();
+            engine.run().unwrap();
+            assert_eq!(engine.relation_size("R"), Some(1), "{nway:?}");
+            assert!(engine.contains("R", &[1]));
+        }
     }
 
     #[test]
@@ -953,11 +1259,11 @@ mod tests {
             r"
             .decl Edge(x: number, y: number)
             .decl Blocked(x: number)
-            .decl Reach(x: number, y: number)
+            .decl Reach(x: number)
             .input Edge
             .input Blocked
             .output Reach
-            Reach(x, y) :- Edge(x, y), !Blocked(y).
+            Reach(x) :- Edge(x, y), !Blocked(y).
         ",
         );
         let stratum = c

@@ -12,10 +12,15 @@
 //! An op consumes the current intermediate batch and produces the next one:
 //!
 //! ```text
-//! Scan ──batch──▶ HashJoin ──batch──▶ ... ──batch──▶ Project ──▶ head `new`
+//! Scan ──batch──▶ HashJoin ──batch──▶ ... ──batch──▶ [Project] ──▶ head `new`
 //!        └─────────────── or ───────────────┘
-//! Scan ──batch──▶ FusedJoin ──────────────────────────────────▶ head `new`
+//! Scan ──batch──▶ FusedJoin ────────────────────────────────────▶ head `new`
 //! ```
+//!
+//! The `Project` is omitted when it would be the identity: the planner has
+//! the last step emit the head tuple itself whenever the head is all
+//! distinct variables and nothing else is live (see
+//! [`crate::planner::RulePlan::head_proj_is_identity`]).
 //!
 //! [`RaOp::Diff`] is the odd one out: it implements the delta-population
 //! phase (dedup `new`, subtract `full`, install the delta), consuming the
@@ -44,6 +49,12 @@ pub enum RaOp {
         step: JoinStep,
         /// Constraint filters applied to the join's output.
         filters: Vec<FilterStep>,
+        /// The outer may hold duplicate rows: the step before this join
+        /// dropped a bound column that is no longer live. The executor
+        /// then deduplicates the outer before probing, when the outer is
+        /// large and the inner has more rows than distinct keys (each
+        /// duplicate would be multiplied by the fan-out).
+        dedup_outer: bool,
     },
     /// The whole join chain evaluated in one fused nested-loop kernel,
     /// producing head tuples directly (the ablation strategy of paper

@@ -12,9 +12,9 @@ use gpulog_hisa::TupleBatch;
 
 /// Wraps a kernel's flat output as a [`TupleBatch`]. A zero-column output
 /// is represented as an empty one-column batch so it stays constructible;
-/// lowered pipelines never produce one (the planner keeps a dummy column
-/// when an atom binds no variables, precisely so row multiplicity is not
-/// lost — see [`crate::planner::lower_rule_plan`]).
+/// lowered pipelines never produce one (the planner keeps one column when
+/// nothing is live, precisely so row multiplicity is not lost — see
+/// [`crate::planner::ScanStep::keep_cols`]).
 pub(crate) fn batch_from_flat(arity: usize, flat: Vec<u32>) -> TupleBatch {
     if arity == 0 {
         debug_assert!(flat.is_empty(), "zero-arity batch with values");

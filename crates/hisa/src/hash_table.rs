@@ -125,8 +125,14 @@ impl HashTable {
         self.capacity
     }
 
-    /// Number of distinct keys inserted (approximate under concurrency; the
-    /// exact count is refreshed by [`HashTable::recount_entries`]).
+    /// Number of distinct keys inserted. Exact, even under concurrency:
+    /// every distinct key claims its slot exactly once (a compare-and-swap
+    /// on the empty key), the bulk builds recount the claimed slots,
+    /// [`HashTable::insert_batch_min_by`] adds the claims it won, and
+    /// rehashes carry the count over. The shared-reference single-key
+    /// inserts ([`HashTable::insert`], [`HashTable::insert_min_by`]) cannot
+    /// update it; callers using them directly refresh it with
+    /// [`HashTable::recount_entries`].
     pub fn entries(&self) -> usize {
         self.entries
     }

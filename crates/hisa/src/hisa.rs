@@ -359,6 +359,13 @@ impl Hisa {
         self.data.len() / self.spec.arity()
     }
 
+    /// Number of distinct join keys (key-column hashes) — the hash
+    /// layer's entry count. `len() / key_count()` is the mean fan-out of a
+    /// probe that hits.
+    pub fn key_count(&self) -> usize {
+        self.hash.entries()
+    }
+
     /// `true` when the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
@@ -1292,6 +1299,61 @@ mod tests {
             a.sort();
             b.sort();
             assert_eq!(a, b, "range query for key {key}");
+        }
+    }
+
+    #[test]
+    fn key_count_is_the_exact_distinct_key_count_through_every_layer_change() {
+        use std::collections::HashSet;
+        let distinct_keys = |h: &Hisa| {
+            h.iter_rows()
+                .map(|row| row[0])
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        // 20k rows over 1 009 keys, with duplicates: enough rows that the
+        // hash build fans out over every worker.
+        let rows: Vec<u32> = (0..20_000u32).flat_map(|i| [i % 1009, i % 7919]).collect();
+        for workers in [1, 4] {
+            let d = Device::with_workers(DeviceProfile::nvidia_h100(), workers);
+            let batch = TupleBatch::new(2, rows.clone());
+            let mut full =
+                Hisa::build_from_batch(&d, edge_spec(), &batch, DEFAULT_LOAD_FACTOR).unwrap();
+            assert_eq!(full.key_count(), 1009, "{workers} workers");
+            assert_eq!(full.key_count(), distinct_keys(&full));
+            // The sorted-unique fast path counts the same keys.
+            let sorted = TupleBatch::from_sorted_unique_flat(2, full.data().to_vec());
+            let fast =
+                Hisa::build_from_batch(&d, edge_spec(), &sorted, DEFAULT_LOAD_FACTOR).unwrap();
+            assert_eq!(fast.key_count(), 1009);
+
+            // A delta holding 200 known keys and 300 fresh ones, merged
+            // incrementally into reserved headroom, then shrunk back.
+            let delta_rows: Vec<u32> = (0..500u32).flat_map(|i| [809 + i, 9000 + i]).collect();
+            let delta = Hisa::build(&d, edge_spec(), &delta_rows).unwrap();
+            assert_eq!(delta.key_count(), 500);
+            let rebuilds = d.metrics().snapshot().hash_rebuilds;
+            full.reserve_additional_rows(40_000).unwrap();
+            assert_eq!(d.metrics().snapshot().hash_rebuilds, rebuilds + 1);
+            assert_eq!(full.key_count(), 1009, "a growth rehash keeps the count");
+            full.merge_from(&delta).unwrap();
+            assert_eq!(full.key_count(), 1309);
+            assert_eq!(full.key_count(), distinct_keys(&full));
+            full.shrink_to_fit();
+            assert_eq!(d.metrics().snapshot().hash_rebuilds, rebuilds + 2);
+            assert_eq!(full.key_count(), 1309, "a shrink rehash keeps the count");
+
+            // A 100-row table absorbing 4 000 more rows overflows its load
+            // factor, so the merge rebuilds the hash layer from scratch.
+            let mut tight = Hisa::build(&d, edge_spec(), &rows[..200]).unwrap();
+            let wide: Vec<u32> = (0..4_000u32).flat_map(|i| [5000 + i, i]).collect();
+            let rebuilds = d.metrics().snapshot().hash_rebuilds;
+            tight
+                .merge_from(&Hisa::build(&d, edge_spec(), &wide).unwrap())
+                .unwrap();
+            assert_eq!(d.metrics().snapshot().hash_rebuilds, rebuilds + 1);
+            assert_eq!(tight.key_count(), 4100, "an overflow rebuild recounts");
+            assert_eq!(tight.key_count(), distinct_keys(&tight));
         }
     }
 

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     engine.add_facts("Edge", [[0u32, 1], [1, 2], [2, 0], [2, 3], [3, 4]])?;
 
     // 4. Run to fixpoint. Every rule is lowered to an operator pipeline
-    //    (Scan → HashJoin* → Project) and dispatched through the engine's
+    //    (Scan → HashJoin* [→ Project]) and dispatched through the engine's
     //    backend — `ShardedBackend` at one shard (the single-device loop)
     //    unless one was installed on the builder. Adding `.shard_count(4)`
     //    to the builder (or `EngineConfig::with_shard_count`) runs the same

@@ -189,6 +189,56 @@ fn gpulog_and_baselines_agree_on_sg() {
     }
 }
 
+/// `new_tuples` of the SG run below before join outputs were narrowed to
+/// their live columns and duplicate-holding join inputs deduplicated.
+const SG_POWER_LAW_NEW_TUPLES_BEFORE_NARROWING: usize = 690_648;
+
+#[test]
+fn sg_deduplicated_join_inputs_derive_less_with_the_same_fixpoint_on_every_backend() {
+    use gpulog::DeviceTopology;
+    use std::num::NonZeroUsize;
+
+    // Large enough that the recursive rule's second join sees a narrowed
+    // `[b, x]` outer of over 2^16 rows in one iteration, so the dedup
+    // before that join fires.
+    let graph = power_law_graph(200, 3, 5);
+    let expected: Vec<Vec<u32>> = sg::reference_sg(&graph)
+        .into_iter()
+        .map(|(x, y)| vec![x, y])
+        .collect();
+    let run = |cfg: gpulog::EngineConfig| {
+        let d = device();
+        let mut engine = sg::prepare(&d, &graph, cfg).unwrap();
+        let stats = engine.run().unwrap();
+        let mut tuples = engine.relation_tuples("SG").unwrap();
+        tuples.sort_unstable();
+        let new_tuples: usize = stats.iteration_records.iter().map(|r| r.new_tuples).sum();
+        (tuples, new_tuples)
+    };
+    let (tuples, new_tuples) = run(gpulog::EngineConfig::new());
+    assert_eq!(tuples, expected, "SG vs reference");
+    assert!(
+        new_tuples < SG_POWER_LAW_NEW_TUPLES_BEFORE_NARROWING,
+        "narrowed, deduplicated joins must derive fewer rows ({new_tuples})"
+    );
+    let two = NonZeroUsize::new(2).unwrap();
+    for (name, cfg) in [
+        ("sharded:2", gpulog::EngineConfig::new().with_shard_count(2)),
+        ("sharded:7", gpulog::EngineConfig::new().with_shard_count(7)),
+        ("pipelined:2", gpulog::EngineConfig::new().with_pipelined(2)),
+        (
+            "multigpu:2",
+            gpulog::EngineConfig::new().with_device_topology(DeviceTopology::nvlink_like(two)),
+        ),
+    ] {
+        let (got, got_new) = run(cfg);
+        assert_eq!(got, tuples, "{name}: SG relation");
+        assert_eq!(got_new, new_tuples, "{name}: new_tuples");
+    }
+    let (fused, _) = run(gpulog::EngineConfig::new().with_nway(NwayStrategy::FusedNestedLoop));
+    assert_eq!(fused, tuples, "fused: SG relation");
+}
+
 #[test]
 fn gpulog_and_souffle_like_agree_on_cspa_relation_sizes() {
     let input = gpulog_datasets::cspa::httpd_like(1.0 / 3000.0);

@@ -15,7 +15,7 @@ use gpulog_device::profile::DeviceProfile;
 use gpulog_device::Device;
 use gpulog_hisa::TupleBatch;
 use gpulog_serve::ServeWriter;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const REACH: &str = r"
@@ -72,10 +72,12 @@ fn isolation_under_concurrent_writes(spec: &str) {
     let handle = writer.handle();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let reading = Arc::new(AtomicUsize::new(0));
     let threads: Vec<_> = (0..READERS)
         .map(|_| {
             let handle = handle.clone();
             let stop = Arc::clone(&stop);
+            let reading = Arc::clone(&reading);
             let expected = Arc::clone(&expected);
             std::thread::spawn(move || {
                 let mut observations = 0u64;
@@ -97,6 +99,9 @@ fn isolation_under_concurrent_writes(spec: &str) {
                         "[{gen}] torn or divergent Reach fixpoint"
                     );
                     generations_seen.insert(gen);
+                    if observations == 0 {
+                        reading.fetch_add(1, Ordering::Relaxed);
+                    }
                     observations += 1;
                 }
                 (observations, generations_seen)
@@ -104,6 +109,14 @@ fn isolation_under_concurrent_writes(spec: &str) {
         })
         .collect();
 
+    // Publish only once every reader is reading, so the publications race
+    // live readers even when the scheduler starts them late (a reader that
+    // panicked first ends the wait; its join reports it).
+    while reading.load(Ordering::Relaxed) < READERS
+        && !threads.iter().any(std::thread::JoinHandle::is_finished)
+    {
+        std::thread::yield_now();
+    }
     for gen in 1..=ROUNDS {
         // Stage exactly the delta between generation `gen` and `gen + 1`.
         let have = edges_at_generation(gen);
