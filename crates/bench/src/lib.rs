@@ -48,19 +48,21 @@ pub fn gpulog_device(scale: f64) -> Device {
     Device::new(profile)
 }
 
-/// A parsed backend selection shared by the bench bins' `--backend` flag
-/// and the CI matrix's `GPULOG_TEST_BACKEND` variable (via
+/// A parsed executor configuration shared by the bench bins' `--backend`
+/// flag and the CI matrix's `GPULOG_TEST_BACKEND` variable (via
 /// `gpulog_tests::config_from_env`), so the two spec grammars cannot
-/// drift apart.
+/// drift apart. Every spec selects the one executor, `ShardedBackend`,
+/// with different knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendSpec {
-    /// The serial single-device backend.
+    /// One shard, eager merging: the single-device loop (the default).
     Serial,
-    /// The hash-partitioned `ShardedBackend` with `N` shards.
+    /// `N` hash shards, eager merging.
     Sharded(usize),
-    /// The `MultiGpuBackend` over an `N`-device NVLink-like topology.
+    /// One shard per device of an `N`-device NVLink-like topology, priced
+    /// by the topology cost model.
     MultiGpu(usize),
-    /// The iteration-overlapping `PipelinedBackend` with `N` shards.
+    /// `N` hash shards with deferred (background, coalesced) merging.
     Pipelined(usize),
 }
 

@@ -1,58 +1,52 @@
-//! Pluggable evaluation backends.
+//! The evaluation executor.
 //!
 //! The engine never runs relational-algebra kernels itself: it lowers every
-//! rule plan into an [`RaPipeline`] (see [`crate::planner::lower_rule_plan`])
-//! and hands the pipeline to a [`Backend`] together with an [`EvalContext`]
-//! — the device, the relation storages, and the statistics sink. There is
-//! one op loop, parameterised by the shard count `S`, behind three backend
-//! types:
+//! rule plan into an [`RaPipeline`](crate::ra::op::RaPipeline) (see
+//! [`crate::planner::lower_rule_plan`]) and hands the pipeline to its one
+//! executor, [`ShardedBackend`], together with an [`EvalContext`] — the
+//! device, the relation storages, and the statistics sink. Delta population is the executor's second entry point,
+//! [`ShardedBackend::populate`]. One op loop serves every configuration,
+//! parameterised three ways:
 //!
-//! * [`ShardedBackend`] hash-partitions relations by their join keys and
-//!   fans each join / delta-population op out as `S` independent per-shard
-//!   tasks dispatched to the persistent worker pool in a single epoch. At
-//!   `S = 1` — the default engine — the same loop runs one part with no
+//! * **Shards `S`.** Relations hash-partition by their join keys and each
+//!   join / delta-population op fans out as `S` independent per-shard tasks
+//!   dispatched to the persistent worker pool in a single epoch. At
+//!   `S = 1` — the default engine — the loop runs one part with no
 //!   partition pass and no k-way merge, exactly reproducing the paper's
-//!   single-GPU evaluation loop. It reports placement, data movement and
-//!   per-shard kernels to an internal observer that does nothing by
-//!   default.
-//! * [`MultiGpuBackend`] is that loop with a topology cost model
-//!   as its observer: shard `i` is pinned to device `i` of a simulated
-//!   [`gpulog_device::topology::DeviceTopology`], the kernels the loop ran
-//!   are charged to that device's counters, and rows that cross devices
-//!   (join re-partitions, gathers, the end-of-iteration delta exchange)
-//!   are charged to the topology's link model — producing per-device
-//!   modeled time, cross-device exchange bytes, and a modeled critical
-//!   path (surfaced through [`Backend::topology_report`]).
-//! * [`PipelinedBackend`] wraps the sharded backend but breaks the
+//!   single-GPU evaluation loop.
+//! * **Merge policy.** Eager merging folds each delta into `full` as it is
+//!   installed (the bulk-synchronous loop). Deferred merging breaks the
 //!   per-iteration merge barrier: deltas install immediately while the
-//!   O(|full|) merge passes coalesce and drain on the device's background
-//!   lane, overlapping with the next iteration's joins. The engine's only
-//!   concession is [`Backend::fence`], called wherever it reads relation
-//!   storage directly.
+//!   O(|full|) merge passes coalesce in relation storage and drain on the
+//!   device's background lane, overlapping the next iteration's joins (see
+//!   [`crate::relation::RelationStorage`]). Every op that reads a full
+//!   version settles it first ([`EvalContext::settle`]).
+//! * **Observer.** With a simulated
+//!   [`gpulog_device::topology::DeviceTopology`] configured, a cost model
+//!   pins shard `i` to modeled device `i`, charges the kernels the loop ran
+//!   to that device's counters, and charges every row that crosses devices
+//!   (join re-partitions, gathers, the delta exchange) to the topology's
+//!   link model — surfaced through [`ShardedBackend::topology_report`].
 //!
-//! Every backend computes fixpoints byte-identical to the one-shard loop's.
+//! Every configuration computes fixpoints byte-identical to the one-shard
+//! eager loop's.
 
 use crate::ebm::EbmConfig;
 use crate::error::EngineResult;
 use crate::planner::{RelId, VersionSel};
-use crate::ra::op::RaPipeline;
 use crate::relation::RelationStorage;
-use crate::stats::RunStats;
-use gpulog_device::topology::TopologyReport;
+use crate::stats::{Phase, RunStats};
 use gpulog_device::Device;
 use gpulog_hisa::Hisa;
-use std::fmt;
 use std::num::NonZeroUsize;
+use std::time::Instant;
 
 mod multigpu;
-mod pipelined;
 mod sharded;
 
-pub use multigpu::MultiGpuBackend;
-pub use pipelined::PipelinedBackend;
 pub use sharded::ShardedBackend;
 
-/// Everything a backend needs to execute one pipeline: the device to launch
+/// Everything the executor needs to run one pipeline: the device to launch
 /// kernels on, the relation storages to read and write, the statistics sink
 /// the paper's Figure 6 phase buckets are timed into, and the
 /// eager-buffer-management policy governing allocations.
@@ -69,6 +63,36 @@ pub struct EvalContext<'a> {
 }
 
 impl EvalContext<'_> {
+    /// Settles one relation before its full version is read: joins its
+    /// in-flight background merge and folds its pending delta runs in (see
+    /// [`RelationStorage`]'s deferred merging), charging the wait and the
+    /// fold to the merge phase. A settled relation costs one emptiness
+    /// check and is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns a device error if the merge does not fit.
+    pub fn settle(&mut self, relation: RelId) -> EngineResult<()> {
+        let storage = &mut self.relations[relation];
+        if storage.is_settled() {
+            return Ok(());
+        }
+        let t = Instant::now();
+        storage.settle(&self.ebm)?;
+        self.stats.add_phase(Phase::Merge, t.elapsed());
+        Ok(())
+    }
+
+    /// Settles every relation (see [`EvalContext::settle`]), leaving each
+    /// storage exactly as eager merging would.
+    ///
+    /// # Errors
+    ///
+    /// Returns a device error if a merge does not fit.
+    pub fn settle_all(&mut self) -> EngineResult<()> {
+        (0..self.relations.len()).try_for_each(|relation| self.settle(relation))
+    }
+
     /// Builds (or refreshes from cache) the shard map of one relation
     /// version: `shards` HISAs over `key_cols`, where shard `i` holds
     /// exactly the tuples whose key values hash to `i` (see
@@ -77,9 +101,12 @@ impl EvalContext<'_> {
     /// pays the full build once and per-shard merges afterwards. A 1-way
     /// map is the version's own index on `key_cols`.
     ///
+    /// A full version is settled first.
+    ///
     /// # Errors
     ///
-    /// Returns a device error if building any shard exhausts device memory.
+    /// Returns a device error if settling or building any shard exhausts
+    /// device memory.
     pub fn build_shard_map(
         &mut self,
         relation: RelId,
@@ -87,6 +114,9 @@ impl EvalContext<'_> {
         key_cols: &[usize],
         shards: NonZeroUsize,
     ) -> EngineResult<()> {
+        if version == VersionSel::Full {
+            self.settle(relation)?;
+        }
         let storage = &mut self.relations[relation];
         let version = match version {
             VersionSel::Full => storage.full_mut()?,
@@ -116,62 +146,18 @@ impl EvalContext<'_> {
     }
 }
 
-/// What executing one pipeline produced.
+/// What executing one rule pipeline produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOutcome {
-    /// Head tuples appended to the head relation's `new` buffer (rule
-    /// pipelines).
+    /// Head tuples appended to the head relation's `new` buffer.
     pub derived_rows: usize,
-    /// Raw `new` rows consumed (diff pipelines).
-    pub new_rows: usize,
-    /// Delta rows installed and merged into full (diff pipelines).
-    pub delta_rows: usize,
 }
 
-/// A rule-evaluation backend: executes lowered [`RaPipeline`]s against an
-/// [`EvalContext`].
-///
-/// Implementations must preserve the engine's semantics — a pipeline's head
-/// tuples go to the head relation's `new` buffer, and a
-/// [`crate::ra::op::RaOp::Diff`] pipeline installs and merges the
-/// relation's next delta — but are free to choose *how*: serially on one
-/// device, sharded across worker groups, or overlapped across iterations.
-pub trait Backend: fmt::Debug + Send {
-    /// A short human-readable backend name (for diagnostics).
-    fn name(&self) -> &str;
-
-    /// Executes one operator pipeline to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns device errors (including out-of-memory) raised while
-    /// building indices or materializing intermediates.
-    fn execute(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        pipeline: &RaPipeline,
-    ) -> EngineResult<PipelineOutcome>;
-
-    /// The cumulative multi-device modeling report, for backends that pin
-    /// work to a simulated [`gpulog_device::topology::DeviceTopology`]
-    /// ([`MultiGpuBackend`]); `None` for single-device backends. The
-    /// engine copies it into [`crate::RunStats::topology`] after a run.
-    fn topology_report(&self) -> Option<TopologyReport> {
-        None
-    }
-
-    /// Settles every deferred effect the backend may still have in flight,
-    /// leaving each relation's stored state exactly as a bulk-synchronous
-    /// backend would. The engine calls this wherever it is about to read
-    /// relation storage directly (fixpoint seeding, end of a stratum);
-    /// backends that complete every pipeline eagerly — all of them except
-    /// [`PipelinedBackend`] — keep this default no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns device errors raised while draining deferred work.
-    fn fence(&self, ctx: &mut EvalContext<'_>) -> EngineResult<()> {
-        let _ = ctx;
-        Ok(())
-    }
+/// What populating one relation's delta produced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PopulateOutcome {
+    /// Raw `new` rows consumed.
+    pub new_rows: usize,
+    /// Delta rows installed (and merged into full, now or deferred).
+    pub delta_rows: usize,
 }

@@ -1,10 +1,10 @@
-//! The simulated multi-GPU backend: the sharded executor with each hash
-//! shard pinned to a modeled device, and a cost model observing it.
+//! The simulated multi-GPU observer: a cost model pinning each hash shard
+//! of the executor to a modeled device.
 //!
-//! `MultiGpuBackend` runs [`ShardedBackend`]'s op loop unchanged — fixpoints
-//! stay byte-identical to the one-shard loop's — and
-//! hands it a [`TopologyModel`] as its [`ShardObserver`]. The model runs no
-//! kernel of its own: it pins shard `i` to device `i` of a
+//! With a device topology configured, [`ShardedBackend`] runs its op loop
+//! unchanged — fixpoints stay byte-identical to the one-shard loop's — and
+//! reports to a [`TopologyModel`] as its [`ShardObserver`]. The model runs
+//! no kernel of its own: it pins shard `i` to device `i` of a
 //! [`DeviceTopology`], attributes every per-part kernel the executor reports
 //! to that device's modeled counters, and charges every row the executor
 //! moves across a device boundary to the topology's [`LinkProfile`].
@@ -14,8 +14,8 @@
 //! A row's home is deterministic:
 //!
 //! * a relation's tuples (and therefore scan outputs) live on the device
-//!   owning them by **full-row hash** — the same `shard_of` that the diff
-//!   op partitions by, so ownership and delta population agree. The model
+//!   owning them by **full-row hash** — the same `shard_of` that delta
+//!   population partitions by, so ownership and delta population agree. The model
 //!   places each scan this way; plain sharded execution keeps one part;
 //! * a keyed join re-partitions the in-flight parts by the join key:
 //!   rows whose key hashes to a different device move across the link
@@ -28,7 +28,7 @@
 //!
 //! ## The delta exchange
 //!
-//! At the end of each iteration the `Diff` op moves rows twice:
+//! At the end of each iteration delta population moves rows twice:
 //!
 //! 1. **producer → owner**: each device's freshly derived rows (recorded
 //!    per rule pipeline as producer segments at install) are partitioned by
@@ -39,20 +39,17 @@
 //!    `i` needs exactly the delta rows whose *key* hashes to `i`), and a
 //!    fresh delta-version shard-map build charges the same distribution.
 //!
-//! Every pipeline is a bulk-synchronous step, so the run's **modeled
-//! critical path** accumulates, per executed pipeline, the slowest
+//! Every pipeline (and every delta population) is a bulk-synchronous step,
+//! so the run's **modeled critical path** accumulates, per step, the slowest
 //! device's modeled compute plus its incoming transfer time
 //! (`messages x latency + bytes / bandwidth`). The cumulative report —
 //! per-device modeled seconds, exchange bytes and messages, critical path,
 //! and the aggregate-over-critical-path modeled speedup — is surfaced
-//! through [`Backend::topology_report`] and lands in
+//! through [`ShardedBackend::topology_report`] and lands in
 //! [`crate::RunStats::topology`].
 
-use super::sharded::{PartOp, ShardObserver, ShardedBackend};
-use super::{Backend, EvalContext, PipelineOutcome};
-use crate::error::EngineResult;
+use super::sharded::{PartOp, ShardObserver};
 use crate::planner::RelId;
-use crate::ra::op::RaPipeline;
 use crate::relation::RelationVersion;
 use gpulog_device::cost::CostModel;
 use gpulog_device::metrics::CounterSnapshot;
@@ -73,7 +70,8 @@ fn bytes(batch: &TupleBatch) -> u64 {
 /// The cumulative modeling state of one topology: per-device work
 /// counters, link-traffic tallies, the accumulated critical paths, and the
 /// producer ledger recording which device derived each segment of every
-/// relation's `new` buffer (consumed by the next `Diff` on that relation).
+/// relation's `new` buffer (consumed by that relation's next delta
+/// population).
 #[derive(Debug)]
 struct TopologySim {
     work: Vec<CounterSnapshot>,
@@ -94,9 +92,9 @@ struct TopologySim {
     pipelined_critical_path_sec: f64,
 }
 
-/// Per-device tallies at the start of one pipeline.
+/// Per-device tallies at the start of one step.
 #[derive(Debug)]
-struct StepStart {
+pub(super) struct StepStart {
     work: Vec<CounterSnapshot>,
     in_bytes: Vec<u64>,
     in_messages: Vec<u64>,
@@ -106,14 +104,15 @@ struct StepStart {
 /// per-device work with each device's [`CostModel`] and cross-device
 /// traffic with the topology's link.
 #[derive(Debug)]
-struct TopologyModel {
+pub(super) struct TopologyModel {
     topology: DeviceTopology,
     models: Vec<CostModel>,
     sim: Mutex<TopologySim>,
 }
 
 impl TopologyModel {
-    fn new(topology: DeviceTopology) -> Self {
+    /// A model pinning shard `i` to device `i` of `topology`.
+    pub(super) fn new(topology: DeviceTopology) -> Self {
         let models = topology
             .devices()
             .iter()
@@ -153,7 +152,7 @@ impl TopologyModel {
     }
 
     /// The per-device tallies a pipeline's step is priced from.
-    fn open_step(&self) -> StepStart {
+    pub(super) fn open_step(&self) -> StepStart {
         let sim = self.sim();
         StepStart {
             work: sim.work.clone(),
@@ -169,7 +168,7 @@ impl TopologyModel {
     /// previous step's deferred merges run concurrently and bound the step
     /// from below — a merge slower than the compute it hides behind
     /// surfaces as residual step time.
-    fn close_step(&self, start: &StepStart) {
+    pub(super) fn close_step(&self, start: &StepStart) {
         let link: &LinkProfile = self.topology.link();
         let mut sim = self.sim();
         let s = self.devices().get();
@@ -197,7 +196,7 @@ impl TopologyModel {
     }
 
     /// The cumulative modeling report.
-    fn report(&self) -> TopologyReport {
+    pub(super) fn report(&self) -> TopologyReport {
         let sim = self.sim();
         let devices = (0..self.devices().get())
             .map(|d| DeviceLaneReport {
@@ -398,61 +397,12 @@ impl ShardObserver for TopologyModel {
     }
 }
 
-/// The multi-GPU simulation backend. Construct with
-/// [`MultiGpuBackend::new`] or let [`crate::EngineBuilder`] install it from
-/// [`crate::EngineConfig::with_device_topology`].
-#[derive(Debug)]
-pub struct MultiGpuBackend {
-    sharded: ShardedBackend,
-    model: TopologyModel,
-}
-
-impl MultiGpuBackend {
-    /// Creates a backend pinning shard `i` to device `i` of `topology`.
-    pub fn new(topology: DeviceTopology) -> Self {
-        MultiGpuBackend {
-            sharded: ShardedBackend::with_shards(topology.device_count()),
-            model: TopologyModel::new(topology),
-        }
-    }
-
-    /// The topology this backend models.
-    pub fn topology(&self) -> &DeviceTopology {
-        &self.model.topology
-    }
-
-    /// The cumulative modeling report: per-device modeled compute, link
-    /// traffic, critical path, and modeled speedup.
-    pub fn report(&self) -> TopologyReport {
-        self.model.report()
-    }
-}
-
-impl Backend for MultiGpuBackend {
-    fn name(&self) -> &str {
-        "multigpu"
-    }
-
-    fn execute(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        pipeline: &RaPipeline,
-    ) -> EngineResult<PipelineOutcome> {
-        let start = self.model.open_step();
-        let result = self.sharded.run(ctx, pipeline, &self.model);
-        self.model.close_step(&start);
-        result
-    }
-
-    fn topology_report(&self) -> Option<TopologyReport> {
-        Some(self.report())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{EvalContext, ShardedBackend};
     use crate::ebm::EbmConfig;
+    use crate::engine::EngineConfig;
     use crate::relation::RelationStorage;
     use crate::stats::RunStats;
     use gpulog_device::profile::DeviceProfile;
@@ -467,15 +417,20 @@ mod tests {
         NonZeroUsize::new(n).unwrap()
     }
 
-    fn backend(devices: usize) -> MultiGpuBackend {
-        MultiGpuBackend::new(DeviceTopology::nvlink_like(nz(devices)))
+    fn backend(devices: usize) -> ShardedBackend {
+        let topology = DeviceTopology::nvlink_like(nz(devices));
+        ShardedBackend::from_config(&EngineConfig::new().with_device_topology(topology)).unwrap()
+    }
+
+    fn model(backend: &ShardedBackend) -> &TopologyModel {
+        backend.topology.as_ref().expect("a topology is configured")
     }
 
     #[test]
     fn diff_is_byte_identical_to_serial_and_counts_exchange() {
         let d = device();
         let new_rows: Vec<u32> = (0..300u32).flat_map(|i| [i % 37, i % 13]).collect();
-        let run = |backend: &dyn Backend| {
+        let run = |backend: &ShardedBackend| {
             let mut rels = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
             rels[0].load_full(&[1, 1, 5, 5, 36, 12]).unwrap();
             rels[0].push_new(&new_rows);
@@ -486,7 +441,7 @@ mod tests {
                 stats: &mut stats,
                 ebm: EbmConfig::default(),
             };
-            let outcome = backend.execute(&mut ctx, &RaPipeline::diff(0)).unwrap();
+            let outcome = backend.populate(&mut ctx, 0).unwrap();
             (
                 outcome,
                 rels[0].delta.tuples_flat().to_vec(),
@@ -497,7 +452,7 @@ mod tests {
         for devices in [1usize, 2, 3, 7] {
             let multi = backend(devices);
             assert_eq!(run(&multi), serial, "devices = {devices}");
-            let report = multi.report();
+            let report = multi.topology_report().unwrap();
             assert_eq!(report.devices.len(), devices);
             if devices == 1 {
                 assert_eq!(report.total_exchange_bytes, 0, "one device never exchanges");
@@ -518,8 +473,8 @@ mod tests {
             stats: &mut stats,
             ebm: EbmConfig::default(),
         };
-        multi.execute(&mut ctx, &RaPipeline::diff(0)).unwrap();
-        let report = multi.report();
+        multi.populate(&mut ctx, 0).unwrap();
+        let report = multi.topology_report().unwrap();
         assert!(report.modeled_critical_path_sec > 0.0);
         assert!((report.modeled_speedup() - 1.0).abs() < 1e-9);
         assert_eq!(report.total_exchange_messages, 0);
@@ -531,7 +486,7 @@ mod tests {
         let multi = backend(2);
         let mut rels = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
         let mut stats = RunStats::default();
-        // Several merge-carrying diff rounds: every round's merge share is
+        // Several merge-carrying population rounds: every round's merge share is
         // deferred behind the next round, so the pipelined path must price
         // strictly below the bulk-synchronous one.
         for round in 0..4u32 {
@@ -543,9 +498,9 @@ mod tests {
                 stats: &mut stats,
                 ebm: EbmConfig::default(),
             };
-            multi.execute(&mut ctx, &RaPipeline::diff(0)).unwrap();
+            multi.populate(&mut ctx, 0).unwrap();
         }
-        let report = multi.report();
+        let report = multi.topology_report().unwrap();
         assert!(report.modeled_pipelined_critical_path_sec > 0.0);
         assert!(
             report.modeled_pipelined_critical_path_sec < report.modeled_critical_path_sec,
@@ -564,7 +519,7 @@ mod tests {
         // three quarters of them must cross the link to their owners.
         let rows: Vec<u32> = (0..64u32).flat_map(|i| [i, i + 1000]).collect();
         rels[0].push_new(&rows);
-        multi.model.sim().producers.insert(0, vec![(0, 64)]);
+        model(&multi).sim().producers.insert(0, vec![(0, 64)]);
         let mut stats = RunStats::default();
         let mut ctx = EvalContext {
             device: &d,
@@ -572,8 +527,8 @@ mod tests {
             stats: &mut stats,
             ebm: EbmConfig::default(),
         };
-        multi.execute(&mut ctx, &RaPipeline::diff(0)).unwrap();
-        let report = multi.report();
+        multi.populate(&mut ctx, 0).unwrap();
+        let report = multi.topology_report().unwrap();
         assert!(
             report.total_exchange_bytes > 0,
             "cross-device rows must be charged"

@@ -1,5 +1,5 @@
 //! The hash-partitioned, worker-pool-parallel executor — the crate's one
-//! op loop, run by every backend at some shard count `S`.
+//! op loop, at some shard count `S`, merge policy, and observer.
 //!
 //! Every relation version involved in a join gets a *shard map* — `S` HISAs
 //! partitioned by [`gpulog_hisa::shard_of`] over the join-key hash — and
@@ -17,12 +17,13 @@
 //!   keys are produced mid-kernel) probe their whole index.
 //! * [`RaOp::AntiJoin`] / [`RaOp::Project`] — row-local, so each part is
 //!   filtered or projected where it is.
-//! * [`RaOp::Diff`] — the `new` buffer partitions by the full-tuple hash;
-//!   each shard deduplicates and subtracts `full` independently, and a
-//!   k-way merge of the per-shard (sorted, disjoint) results reassembles
-//!   the exact byte sequence one global difference produces. The sharded
-//!   full representations merge their delta slice shard-locally, so the
-//!   serial merge bottleneck disappears from the sharded read path.
+//! * delta population ([`ShardedBackend::populate`]) — the `new` buffer
+//!   partitions by the full-tuple hash; each shard deduplicates and
+//!   subtracts `full` independently, and a k-way merge of the per-shard
+//!   (sorted, disjoint) results reassembles the exact byte sequence one
+//!   global difference produces. The sharded full representations merge
+//!   their delta slice shard-locally, so the serial merge bottleneck
+//!   disappears from the sharded read path.
 //!
 //! The intermediate travels as a list of parts — one after a scan or a
 //! gather, one per shard after a keyed op — and a re-partition
@@ -39,22 +40,36 @@
 //!
 //! `S = 1` is the default engine's configuration and the paper's
 //! single-GPU evaluation loop: the intermediate is always one part, a
-//! re-partition passes it through, a diff subtracts `full` from the whole
-//! `new` buffer with no partition pass and no k-way merge, and a 1-way
-//! shard map *is* the version's own index
+//! re-partition passes it through, delta population subtracts `full` from
+//! the whole `new` buffer with no partition pass and no k-way merge, and a
+//! 1-way shard map *is* the version's own index
 //! ([`crate::relation::RelationVersion::sharded_index_on`]), so no shard
 //! copy is ever built. The observer hooks fire exactly as at any `S`.
 //!
+//! ## Merge policy
+//!
+//! Under [`MergePolicy::Eager`] delta population merges the new delta into
+//! `full` at once. Under [`MergePolicy::Deferred`] it deduplicates against
+//! the lagging full, subtracts the relation's pending runs, installs the
+//! delta, and hands the merge to relation storage
+//! ([`crate::relation::RelationStorage`] owns the deferral). The op loop
+//! settles a relation wherever it reads a full version — a full scan, the
+//! anti-join probe, and every full shard-map build — so no op ever sees a
+//! lagging or in-flight full.
+//!
 //! ## Observing the executor
 //!
-//! [`ShardedBackend::run`] reports to a [`ShardObserver`] wherever data is
-//! placed, moves between shards, or a per-part kernel finishes. Every hook
-//! defaults to a no-op and `ShardedBackend` itself passes [`Unobserved`];
-//! [`super::MultiGpuBackend`] passes its topology model, which pins shard
-//! `i` to modeled device `i` and prices those reports — so the multi-GPU
-//! simulation charges the kernels this loop actually ran.
+//! The loop reports to a [`ShardObserver`] wherever data is placed, moves
+//! between shards, or a per-part kernel finishes. Every hook defaults to a
+//! no-op; without a device topology the executor passes [`Unobserved`].
+//! With one it passes its [`TopologyModel`], which pins shard `i` to
+//! modeled device `i` and prices those reports, one bulk-synchronous step
+//! per pipeline or delta population — so the multi-GPU simulation charges
+//! the kernels this loop actually ran.
 
-use super::{Backend, EvalContext, PipelineOutcome};
+use super::multigpu::TopologyModel;
+use super::{EvalContext, PipelineOutcome, PopulateOutcome};
+use crate::engine::EngineConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::planner::{ColumnSource, FilterStep, JoinStep, RelId, ScanStep, VersionSel};
 use crate::ra::nway::{fused_rule_join_batch, FusedLevel};
@@ -66,6 +81,7 @@ use crate::ra::{
 };
 use crate::relation::RelationVersion;
 use crate::stats::Phase;
+use gpulog_device::topology::TopologyReport;
 use gpulog_device::Device;
 use gpulog_hisa::{Hisa, TupleBatch};
 use std::num::NonZeroUsize;
@@ -92,7 +108,7 @@ pub(super) enum PartOp {
     GatheredJoin,
     /// The grouped reduce over the gathered intermediate.
     Reduce,
-    /// Per-owner deduplication and difference of a `Diff`.
+    /// Per-owner deduplication and difference of delta population.
     Diff,
     /// Per-part deduplication of a join's re-partitioned outer.
     Dedup,
@@ -129,14 +145,14 @@ pub(super) trait ShardObserver {
         let _ = parts;
     }
 
-    /// A `Diff` is about to send `relation`'s `new` rows to the shards
-    /// owning them by full-row hash.
+    /// Delta population is about to send `relation`'s `new` rows to the
+    /// shards owning them by full-row hash.
     fn new_rows_sent_to_owners(&self, relation: RelId, new: &TupleBatch) {
         let _ = (relation, new);
     }
 
-    /// A `Diff` produced `delta`, which every cached shard map on `full`
-    /// must now receive.
+    /// Delta population produced `delta`, which every cached shard map on
+    /// `full` must now receive.
     fn delta_sent_to_shard_maps(&self, delta: &TupleBatch, full: &RelationVersion) {
         let _ = (delta, full);
     }
@@ -153,20 +169,34 @@ pub(super) struct Unobserved;
 
 impl ShardObserver for Unobserved {}
 
-/// The hash-partitioned backend: each relation's HISA is sharded by
+/// When delta population merges a new delta into `full`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum MergePolicy {
+    /// At once: the bulk-synchronous loop.
+    Eager,
+    /// Parked as a pending run in relation storage and drained in
+    /// coalesced background merges (iteration overlap).
+    Deferred,
+}
+
+/// The engine's one executor: each relation's HISA is sharded by
 /// `hash(join_key) % shards`, and every shardable op runs as one worker-pool
-/// epoch of per-shard tasks. Construct with [`ShardedBackend::new`] or let
-/// [`crate::EngineBuilder`] install it from
-/// [`crate::EngineConfig::with_shard_count`] (one shard by default).
-#[derive(Debug, Clone, Copy)]
+/// epoch of per-shard tasks. [`crate::EngineBuilder`] builds it from the
+/// configuration ([`ShardedBackend::from_config`]); one eager, unobserved
+/// shard by default.
+#[derive(Debug)]
 pub struct ShardedBackend {
     /// Non-zero by construction, so the data layer's partitioning calls
     /// are panic-free without re-validating.
     shards: NonZeroUsize,
+    merge: MergePolicy,
+    /// The multi-GPU cost model observing the loop, when a device topology
+    /// is configured.
+    pub(super) topology: Option<TopologyModel>,
 }
 
 impl ShardedBackend {
-    /// Creates a backend evaluating over `shards` hash partitions. One
+    /// An eager, unobserved executor over `shards` hash partitions. One
     /// shard is the single-device evaluation loop: the intermediate stays
     /// one part, no partition pass or k-way merge runs, and each relation
     /// version's own index is its 1-way shard map.
@@ -175,20 +205,131 @@ impl ShardedBackend {
     ///
     /// Returns [`EngineError::InvalidShardCount`] if `shards` is zero.
     pub fn new(shards: usize) -> EngineResult<Self> {
-        match NonZeroUsize::new(shards) {
-            Some(shards) => Ok(Self::with_shards(shards)),
-            None => Err(EngineError::InvalidShardCount { shards: 0 }),
+        Self::from_config(&EngineConfig::new().with_shard_count(shards))
+    }
+
+    /// The executor a configuration selects: deferred merging over
+    /// [`EngineConfig::pipelined`] shards when that is positive, a topology
+    /// observer with one shard per modeled device when
+    /// [`EngineConfig::device_topology`] is set, and otherwise eager
+    /// merging over [`EngineConfig::shard_count`] shards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::InvalidShardCount`] for a zero shard count,
+    /// and [`EngineError::Validation`] when a shard count above one
+    /// conflicts with the pipelined shard count or the topology's device
+    /// count (each shard pins to exactly one device), or when overlap is
+    /// combined with a topology.
+    pub fn from_config(config: &EngineConfig) -> EngineResult<Self> {
+        let shards = NonZeroUsize::new(config.shard_count)
+            .ok_or(EngineError::InvalidShardCount { shards: 0 })?;
+        let invalid = |message: String| Err(EngineError::Validation { message });
+        let conflicts = |other: usize| shards.get() > 1 && shards.get() != other;
+        if let Some(pipelined) = NonZeroUsize::new(config.pipelined) {
+            if config.device_topology.is_some() {
+                return invalid(
+                    "a device topology cannot be combined with pipelined overlap \
+                     (the exchange is bulk-synchronous by construction)"
+                        .into(),
+                );
+            }
+            if conflicts(pipelined.get()) {
+                return invalid(format!(
+                    "shard count {shards} conflicts with pipelined shard count {pipelined}"
+                ));
+            }
+            return Ok(ShardedBackend {
+                shards: pipelined,
+                merge: MergePolicy::Deferred,
+                topology: None,
+            });
+        }
+        if let Some(topology) = &config.device_topology {
+            let devices = topology.device_count();
+            if conflicts(devices.get()) {
+                return invalid(format!(
+                    "shard count {shards} conflicts with the {devices}-device topology \
+                     (each shard pins to exactly one device)"
+                ));
+            }
+            return Ok(ShardedBackend {
+                shards: devices,
+                merge: MergePolicy::Eager,
+                topology: Some(TopologyModel::new(topology.clone())),
+            });
+        }
+        Ok(ShardedBackend {
+            shards,
+            merge: MergePolicy::Eager,
+            topology: None,
+        })
+    }
+
+    /// The number of hash partitions this executor evaluates over.
+    pub fn shards(&self) -> usize {
+        self.shards.get()
+    }
+
+    /// A short configuration name for diagnostics: `"pipelined"` under
+    /// deferred merging, `"multigpu"` with a topology observer, and
+    /// `"sharded"` otherwise.
+    pub fn name(&self) -> &'static str {
+        match (self.merge, &self.topology) {
+            (MergePolicy::Deferred, _) => "pipelined",
+            (MergePolicy::Eager, Some(_)) => "multigpu",
+            (MergePolicy::Eager, None) => "sharded",
         }
     }
 
-    /// A backend over an already-validated shard count.
-    pub(super) fn with_shards(shards: NonZeroUsize) -> Self {
-        ShardedBackend { shards }
+    /// The cumulative multi-device modeling report — per-device modeled
+    /// compute, link traffic, critical path, and modeled speedup — when a
+    /// device topology is configured; `None` otherwise. The engine copies
+    /// each run's share into [`crate::RunStats::topology`].
+    pub fn topology_report(&self) -> Option<TopologyReport> {
+        self.topology.as_ref().map(TopologyModel::report)
     }
 
-    /// The number of hash partitions this backend evaluates over.
-    pub fn shards(&self) -> usize {
-        self.shards.get()
+    /// Executes one rule pipeline, appending its head tuples to the head
+    /// relation's `new` buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns device errors (including out-of-memory) raised while
+    /// settling, building indices, or materializing intermediates.
+    pub fn execute(
+        &self,
+        ctx: &mut EvalContext<'_>,
+        pipeline: &RaPipeline,
+    ) -> EngineResult<PipelineOutcome> {
+        self.observed(|obs| self.run(ctx, pipeline, obs))
+    }
+
+    /// Delta population for one relation: deduplicates its `new` buffer,
+    /// subtracts `full`, installs the result as the next delta, and merges
+    /// it into `full` — at once or deferred, per the merge policy.
+    ///
+    /// # Errors
+    ///
+    /// Returns device errors raised while installing or merging the delta.
+    pub fn populate(
+        &self,
+        ctx: &mut EvalContext<'_>,
+        relation: RelId,
+    ) -> EngineResult<PopulateOutcome> {
+        self.observed(|obs| self.run_populate(ctx, relation, obs))
+    }
+
+    /// Runs `body` against the executor's observer; with a topology model,
+    /// as one priced bulk-synchronous step.
+    fn observed<T>(&self, body: impl FnOnce(&dyn ShardObserver) -> T) -> T {
+        let Some(model) = &self.topology else {
+            return body(&Unobserved);
+        };
+        let start = model.open_step();
+        let result = body(model);
+        model.close_step(&start);
+        result
     }
 
     /// The op loop: runs `pipeline` over per-shard parts, reporting to
@@ -199,18 +340,16 @@ impl ShardedBackend {
         pipeline: &RaPipeline,
         obs: &dyn ShardObserver,
     ) -> EngineResult<PipelineOutcome> {
-        let mut outcome = PipelineOutcome::default();
         let mut parts = Vec::new();
         for op in &pipeline.ops {
-            let consumes_intermediate = !matches!(op, RaOp::Scan { .. } | RaOp::Diff { .. });
-            if consumes_intermediate && parts.iter().all(TupleBatch::is_empty) {
+            if !matches!(op, RaOp::Scan { .. }) && parts.iter().all(TupleBatch::is_empty) {
                 // No downstream op can derive anything from an empty
                 // intermediate.
-                return Ok(outcome);
+                return Ok(PipelineOutcome::default());
             }
             match op {
                 RaOp::Scan { step, filters } => {
-                    parts = obs.place_scan(scan(ctx, step, filters));
+                    parts = obs.place_scan(scan(ctx, step, filters)?);
                     obs.ran(PartOp::Scan, &parts, &parts);
                 }
                 RaOp::HashJoin {
@@ -226,7 +365,8 @@ impl ShardedBackend {
                 RaOp::AntiJoin { step } => {
                     // A probe against the negated relation's canonical full
                     // index, which every shard reads whole. Stratification
-                    // guarantees that version is complete.
+                    // guarantees that version is complete once settled.
+                    ctx.settle(step.relation)?;
                     let t = Instant::now();
                     let device = ctx.device;
                     let existing = ctx.relations[step.relation].full().canonical();
@@ -270,19 +410,15 @@ impl ShardedBackend {
                     );
                     parts = vec![reduced];
                 }
-                RaOp::Diff { relation } => {
-                    self.diff(ctx, *relation, &mut outcome, obs)?;
-                }
             }
         }
-        if !pipeline.ops.is_empty() && !matches!(pipeline.ops.last(), Some(RaOp::Diff { .. })) {
-            obs.installed(pipeline.head, &parts);
-            outcome.derived_rows = parts.iter().map(TupleBatch::len).sum();
-            for part in parts.iter().filter(|part| !part.is_empty()) {
-                ctx.relations[pipeline.head].push_new_batch(part);
-            }
+        obs.installed(pipeline.head, &parts);
+        for part in parts.iter().filter(|part| !part.is_empty()) {
+            ctx.relations[pipeline.head].push_new_batch(part);
         }
-        Ok(outcome)
+        Ok(PipelineOutcome {
+            derived_rows: parts.iter().map(TupleBatch::len).sum(),
+        })
     }
 
     /// Re-partitions the intermediate by `key_cols`: destination shard `d`
@@ -344,15 +480,22 @@ impl ShardedBackend {
     }
 
     /// Builds (or refreshes from cache) the `shards`-way map a join level
-    /// probes, reporting a fresh delta-version build of an `S`-way map.
+    /// probes, timed into `phase`, reporting a fresh delta-version build of
+    /// an `S`-way map. A full version is settled before the timer starts,
+    /// so waiting on a deferred merge counts as merge time only.
     fn build_shard_map(
         &self,
         ctx: &mut EvalContext<'_>,
         step: &JoinStep,
         shards: NonZeroUsize,
+        phase: Phase,
         obs: &dyn ShardObserver,
     ) -> EngineResult<()> {
         let (relation, version, key_cols) = (step.relation, step.version, &step.inner_key_cols);
+        if version == VersionSel::Full {
+            ctx.settle(relation)?;
+        }
+        let t = Instant::now();
         let fresh = shards == self.shards
             && version == VersionSel::Delta
             && ctx.shard_map(relation, version, key_cols, shards).is_none();
@@ -361,6 +504,7 @@ impl ShardedBackend {
             let storage = &ctx.relations[relation];
             obs.delta_shard_map_built(storage.delta.tuples_flat(), storage.arity, key_cols);
         }
+        ctx.stats.add_phase(phase, t.elapsed());
         Ok(())
     }
 
@@ -383,13 +527,11 @@ impl ShardedBackend {
         obs: &dyn ShardObserver,
     ) -> EngineResult<Vec<TupleBatch>> {
         let shards = self.map_shards(&step.outer_key_cols);
-        let t = Instant::now();
         let index_phase = match step.version {
             VersionSel::Full => Phase::IndexFull,
             VersionSel::Delta => Phase::IndexDelta,
         };
-        self.build_shard_map(ctx, step, shards, obs)?;
-        ctx.stats.add_phase(index_phase, t.elapsed());
+        self.build_shard_map(ctx, step, shards, index_phase, obs)?;
 
         let t = Instant::now();
         let (parts, op) = self.lay_out(parts, &step.outer_key_cols, PartOp::HashJoin, obs);
@@ -458,11 +600,9 @@ impl ShardedBackend {
                 NonZeroUsize::MIN
             }
         };
-        let t = Instant::now();
         for (depth, (step, _)) in levels.iter().enumerate() {
-            self.build_shard_map(ctx, step, level_shards(depth), obs)?;
+            self.build_shard_map(ctx, step, level_shards(depth), Phase::IndexFull, obs)?;
         }
-        ctx.stats.add_phase(Phase::IndexFull, t.elapsed());
 
         let t = Instant::now();
         let (parts, op) = self.lay_out(parts, key0, PartOp::FusedJoin, obs);
@@ -498,22 +638,30 @@ impl ShardedBackend {
         Ok(outs)
     }
 
-    /// [`RaOp::Diff`] sharded by the full-tuple hash: per-shard
+    /// Delta population sharded by the full-tuple hash: per-shard
     /// deduplication and set difference in one pool epoch, then a k-way
     /// merge of the (sorted, pairwise-disjoint) shard results into the
     /// globally sorted delta — byte-identical to one global difference.
-    fn diff(
+    /// Under deferred merging the stored full lags by the relation's
+    /// pending runs, which are subtracted too.
+    fn run_populate(
         &self,
         ctx: &mut EvalContext<'_>,
         relation: RelId,
-        outcome: &mut PipelineOutcome,
         obs: &dyn ShardObserver,
-    ) -> EngineResult<()> {
+    ) -> EngineResult<PopulateOutcome> {
+        // While a deferred merge is in flight the stored full is a
+        // placeholder: join it before deduplicating against full.
+        let t = Instant::now();
+        if ctx.relations[relation].join_merge()? {
+            ctx.stats.add_phase(Phase::Merge, t.elapsed());
+        }
         let device = ctx.device;
+        let ebm = ctx.ebm;
         let storage = &mut ctx.relations[relation];
         let arity = storage.arity;
-        let new = TupleBatch::new(arity, storage.take_new(&ctx.ebm));
-        outcome.new_rows = new.len();
+        let new = TupleBatch::new(arity, storage.take_new(&ebm));
+        let new_rows = new.len();
 
         let t = Instant::now();
         obs.new_rows_sent_to_owners(relation, &new);
@@ -529,10 +677,9 @@ impl ShardedBackend {
                 difference_batch(device, part, full)
             });
             obs.ran(PartOp::Diff, &parts, &outs);
-            TupleBatch::merge_sorted_unique(arity, outs)
+            storage.subtract_pending(TupleBatch::merge_sorted_unique(arity, outs))
         };
         ctx.stats.add_phase(Phase::Deduplication, t.elapsed());
-        outcome.delta_rows = delta.len();
         obs.delta_sent_to_shard_maps(&delta, storage.full());
 
         // `difference_batch` flags its output sorted-unique, so the delta
@@ -541,21 +688,38 @@ impl ShardedBackend {
         storage.set_delta_batch(&delta)?;
         ctx.stats.add_phase(Phase::IndexDelta, t.elapsed());
 
-        // The canonical full store merges serially (it is the authoritative
-        // unsharded tuple array); every cached shard map merges its own
-        // delta slice in a parallel epoch inside `merge_delta_into_full`.
-        let t = Instant::now();
-        let ebm = ctx.ebm;
-        storage.merge_delta_into_full(&ebm)?;
-        ctx.stats.add_phase(Phase::Merge, t.elapsed());
-        Ok(())
+        let outcome = PopulateOutcome {
+            new_rows,
+            delta_rows: delta.len(),
+        };
+        match self.merge {
+            // The canonical full store merges serially (it is the
+            // authoritative unsharded tuple array); every cached shard map
+            // merges its own delta slice in a parallel epoch inside
+            // `merge_delta_into_full`.
+            MergePolicy::Eager => {
+                let t = Instant::now();
+                storage.merge_delta_into_full(&ebm)?;
+                ctx.stats.add_phase(Phase::Merge, t.elapsed());
+            }
+            MergePolicy::Deferred => storage.defer_merge(delta, &ebm)?,
+        }
+        Ok(outcome)
     }
 }
 
-/// Executes a [`RaOp::Scan`]: select from the relation version, apply the
-/// atom-local filters, and keep the plan's columns. An empty source yields
-/// an empty batch without launching kernels.
-fn scan(ctx: &mut EvalContext<'_>, step: &ScanStep, filters: &[FilterStep]) -> TupleBatch {
+/// Executes a [`RaOp::Scan`]: select from the relation version (settling a
+/// full one first), apply the atom-local filters, and keep the plan's
+/// columns. An empty source yields an empty batch without launching
+/// kernels.
+fn scan(
+    ctx: &mut EvalContext<'_>,
+    step: &ScanStep,
+    filters: &[FilterStep],
+) -> EngineResult<TupleBatch> {
+    if step.version == VersionSel::Full {
+        ctx.settle(step.relation)?;
+    }
     let t = Instant::now();
     let storage = &ctx.relations[step.relation];
     let source = match step.version {
@@ -580,7 +744,7 @@ fn scan(ctx: &mut EvalContext<'_>, step: &ScanStep, filters: &[FilterStep]) -> T
         batch
     };
     ctx.stats.add_phase(Phase::Join, t.elapsed());
-    batch
+    Ok(batch)
 }
 
 /// The fewest outer rows (summed over parts) worth a dedup pass. Below
@@ -642,24 +806,9 @@ where
     outs.into_iter().flatten().collect()
 }
 
-impl Backend for ShardedBackend {
-    fn name(&self) -> &str {
-        "sharded"
-    }
-
-    fn execute(
-        &self,
-        ctx: &mut EvalContext<'_>,
-        pipeline: &RaPipeline,
-    ) -> EngineResult<PipelineOutcome> {
-        self.run(ctx, pipeline, &Unobserved)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MultiGpuBackend;
     use crate::ebm::EbmConfig;
     use crate::planner::EmitSource;
     use crate::relation::RelationStorage;
@@ -674,6 +823,24 @@ mod tests {
 
     fn one_shard() -> ShardedBackend {
         ShardedBackend::new(1).unwrap()
+    }
+
+    /// An executor over `shards` partitions with deferred merging.
+    fn deferred(shards: usize) -> ShardedBackend {
+        ShardedBackend::from_config(&EngineConfig::new().with_pipelined(shards)).unwrap()
+    }
+
+    fn context<'a>(
+        d: &'a Device,
+        relations: &'a mut [RelationStorage],
+        stats: &'a mut RunStats,
+    ) -> EvalContext<'a> {
+        EvalContext {
+            device: d,
+            relations,
+            stats,
+            ebm: EbmConfig::default(),
+        }
     }
 
     fn full_scan(relation: RelId) -> RaOp {
@@ -747,6 +914,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_shards_are_rejected() {
+        for config in [
+            EngineConfig::new().with_shard_count(0),
+            EngineConfig::new().with_shard_count(0).with_pipelined(2),
+            EngineConfig::new()
+                .with_shard_count(0)
+                .with_device_topology(DeviceTopology::nvlink_like(NonZeroUsize::MIN)),
+        ] {
+            match ShardedBackend::from_config(&config) {
+                Err(EngineError::InvalidShardCount { shards: 0 }) => {}
+                other => panic!("expected InvalidShardCount, got {other:?}"),
+            }
+        }
+        let pipelined = deferred(3);
+        assert_eq!((pipelined.name(), pipelined.shards()), ("pipelined", 3));
+    }
+
+    #[test]
     fn scan_project_pipeline_derives_into_the_head_buffer() {
         let d = device();
         let mut relations = vec![
@@ -792,7 +977,7 @@ mod tests {
             stats: &mut stats,
             ebm: EbmConfig::default(),
         };
-        let outcome = one_shard().execute(&mut ctx, &RaPipeline::diff(0)).unwrap();
+        let outcome = one_shard().populate(&mut ctx, 0).unwrap();
         assert_eq!(outcome.new_rows, 4);
         assert_eq!(outcome.delta_rows, 2, "dedup removes (3,4); (1,2) in full");
         assert_eq!(relations[0].len(), 3);
@@ -858,7 +1043,7 @@ mod tests {
     fn sharded_diff_is_byte_identical_to_serial() {
         let d = device();
         let new_rows: Vec<u32> = (0..300u32).flat_map(|i| [i % 37, i % 13]).collect();
-        let run = |backend: &dyn Backend| {
+        let run = |backend: &ShardedBackend| {
             let mut rels = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
             rels[0].load_full(&[1, 1, 5, 5, 36, 12]).unwrap();
             rels[0].push_new(&new_rows);
@@ -869,7 +1054,7 @@ mod tests {
                 stats: &mut stats,
                 ebm: EbmConfig::default(),
             };
-            let outcome = backend.execute(&mut ctx, &RaPipeline::diff(0)).unwrap();
+            let outcome = backend.populate(&mut ctx, 0).unwrap();
             (
                 outcome,
                 rels[0].delta.tuples_flat().to_vec(),
@@ -947,28 +1132,29 @@ mod tests {
     }
 
     /// At one shard no HISA copy is ever built: observed or not, and under
-    /// a 1-device topology model, a diff and joins against `B`'s full and
-    /// delta versions cache no shard map and leave every relation holding
-    /// exactly the device bytes the default backend leaves.
+    /// a 1-device topology model, a delta population and joins against
+    /// `B`'s full and delta versions cache no shard map and leave every
+    /// relation holding exactly the device bytes the default executor
+    /// leaves.
     #[test]
     fn one_shard_maps_are_the_versions_own_indices() {
         let d = device();
-        let exercise = |run: &dyn Fn(&mut EvalContext<'_>, &RaPipeline)| {
+        let exercise = |backend: &ShardedBackend, obs: Option<&dyn ShardObserver>| {
             let mut rels = storages(&d);
             rels[1].push_new(&[3, 100, 4, 101, 3, 102]);
             let mut stats = RunStats::default();
-            let mut ctx = EvalContext {
-                device: &d,
-                relations: &mut rels,
-                stats: &mut stats,
-                ebm: EbmConfig::default(),
-            };
-            for pipeline in [
-                RaPipeline::diff(1),
-                join_pipeline(),
-                join_pipeline_on(VersionSel::Delta),
-            ] {
-                run(&mut ctx, &pipeline);
+            let mut ctx = context(&d, &mut rels, &mut stats);
+            match obs {
+                Some(obs) => backend.run_populate(&mut ctx, 1, obs).map(|_| ()),
+                None => backend.populate(&mut ctx, 1).map(|_| ()),
+            }
+            .unwrap();
+            for pipeline in [join_pipeline(), join_pipeline_on(VersionSel::Delta)] {
+                match obs {
+                    Some(obs) => backend.run(&mut ctx, &pipeline, obs),
+                    None => backend.execute(&mut ctx, &pipeline),
+                }
+                .unwrap();
             }
             assert!(rels[2].take_new(&EbmConfig::default()).len() > 2);
             rels.iter()
@@ -979,17 +1165,14 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let default = exercise(&|ctx, pipeline| {
-            one_shard().execute(ctx, pipeline).unwrap();
-        });
+        let default = exercise(&one_shard(), None);
         let recorder = Recorder::default();
-        let observed = exercise(&|ctx, pipeline| {
-            one_shard().run(ctx, pipeline, &recorder).unwrap();
-        });
-        let multi = MultiGpuBackend::new(DeviceTopology::nvlink_like(NonZeroUsize::MIN));
-        let modeled = exercise(&|ctx, pipeline| {
-            multi.execute(ctx, pipeline).unwrap();
-        });
+        let observed = exercise(&one_shard(), Some(&recorder));
+        let topology = DeviceTopology::nvlink_like(NonZeroUsize::MIN);
+        let multi =
+            ShardedBackend::from_config(&EngineConfig::new().with_device_topology(topology))
+                .unwrap();
+        let modeled = exercise(&multi, None);
         assert_eq!(observed, default);
         assert_eq!(modeled, default);
         assert!(recorder
@@ -997,6 +1180,194 @@ mod tests {
             .borrow()
             .iter()
             .all(|&(_, parts)| parts == 1));
+    }
+
+    /// Runs the same `new` rounds through eager one-shard population and
+    /// deferred two-shard population, comparing the installed delta after
+    /// every round and the settled full at the end, byte for byte.
+    fn assert_rounds_byte_identical(rounds: &[&[u32]]) {
+        let d = device();
+        let mut eager_rels = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
+        let mut deferred_rels =
+            vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
+        // Maintain a secondary index so the deferred merge path covers it.
+        for rels in [&mut eager_rels, &mut deferred_rels] {
+            rels[0].full_mut().unwrap().index_on(&d, &[1]).unwrap();
+        }
+        let (eager, pipelined) = (one_shard(), deferred(2));
+        let mut eager_stats = RunStats::default();
+        let mut deferred_stats = RunStats::default();
+
+        for (round, new) in rounds.iter().enumerate() {
+            eager_rels[0].push_new(new);
+            deferred_rels[0].push_new(new);
+            let e = eager
+                .populate(&mut context(&d, &mut eager_rels, &mut eager_stats), 0)
+                .unwrap();
+            let p = pipelined
+                .populate(&mut context(&d, &mut deferred_rels, &mut deferred_stats), 0)
+                .unwrap();
+            assert_eq!(e, p, "outcome mismatch in round {round}");
+            assert_eq!(
+                eager_rels[0].delta.tuples_flat(),
+                deferred_rels[0].delta.tuples_flat(),
+                "delta mismatch in round {round}"
+            );
+        }
+
+        context(&d, &mut deferred_rels, &mut deferred_stats)
+            .settle_all()
+            .unwrap();
+        assert!(
+            deferred_rels[0].is_settled(),
+            "settling left deferred state"
+        );
+        let (eager_full, deferred_full) = (eager_rels[0].full(), deferred_rels[0].full());
+        assert_eq!(eager_full.tuples_flat(), deferred_full.tuples_flat());
+        assert_eq!(
+            eager_full.canonical().sorted_index(),
+            deferred_full.canonical().sorted_index()
+        );
+        let eager_secondary = eager_full.existing_index(&[1]).unwrap();
+        let deferred_secondary = deferred_full.existing_index(&[1]).unwrap();
+        assert_eq!(eager_secondary.data(), deferred_secondary.data());
+        assert_eq!(
+            eager_secondary.sorted_index(),
+            deferred_secondary.sorted_index()
+        );
+    }
+
+    #[test]
+    fn deferred_diffs_are_byte_identical_to_serial() {
+        assert_rounds_byte_identical(&[
+            &[1, 2, 3, 4],
+            // Duplicates against both the lagging full and the pending run.
+            &[3, 4, 5, 6, 1, 2],
+            &[5, 6, 7, 8],
+            &[9, 9, 7, 8],
+            // A fully-duplicate round: empty delta while a merge is deferred.
+            &[1, 2, 9, 9],
+        ]);
+    }
+
+    #[test]
+    fn empty_rounds_keep_state_settled() {
+        assert_rounds_byte_identical(&[&[], &[1, 1], &[]]);
+    }
+
+    #[test]
+    fn full_scan_settles_deferred_merges_first() {
+        let d = device();
+        let mut rels = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
+        let pipelined = deferred(2);
+        let mut stats = RunStats::default();
+        // Two rounds leave a merge in flight (full swapped for an empty
+        // placeholder until joined).
+        for new in [&[1u32, 2, 3, 4][..], &[5, 6][..]] {
+            rels[0].push_new(new);
+            pipelined
+                .populate(&mut context(&d, &mut rels, &mut stats), 0)
+                .unwrap();
+        }
+        assert!(!rels[0].is_settled());
+        let scan = RaPipeline {
+            head: 0,
+            ops: vec![full_scan(0)],
+            text: "scan".into(),
+        };
+        let outcome = pipelined
+            .execute(&mut context(&d, &mut rels, &mut stats), &scan)
+            .unwrap();
+        assert_eq!(outcome.derived_rows, 3, "scan must see the settled full");
+        assert!(rels[0].is_settled());
+        assert_eq!(rels[0].len(), 3);
+        assert!(d.metrics().snapshot().overlap_nanos > 0);
+        assert_eq!(d.metrics().snapshot().epochs_in_flight, 0);
+    }
+
+    /// Settling a relation with nothing pending must leave its full
+    /// version alone: a full scan after a snapshot publish neither detaches
+    /// (deep-copies) the shared version nor allocates device memory.
+    #[test]
+    fn settled_full_scan_keeps_a_published_version_shared() {
+        let d = device();
+        let mut rels = storages(&d);
+        let published = rels[0].share_full();
+        let scan = RaPipeline {
+            head: 2,
+            ops: vec![full_scan(0)],
+            text: "H(x, y) :- A(x, y).".into(),
+        };
+        let allocations = d.metrics().snapshot().allocations;
+        let in_use = d.tracker().in_use();
+        let mut stats = RunStats::default();
+        let outcome = deferred(2)
+            .execute(&mut context(&d, &mut rels, &mut stats), &scan)
+            .unwrap();
+        assert_eq!(outcome.derived_rows, published.len());
+        assert!(rels[0].full_is_shared(), "a settled scan must not detach");
+        assert_eq!(d.metrics().snapshot().allocations, allocations);
+        assert_eq!(d.tracker().in_use(), in_use);
+    }
+
+    /// A pipeline whose intermediate empties before its full-version join
+    /// never reaches that read: the deferred runs stay pending, and the
+    /// next full read — or settling every relation — still yields the
+    /// byte-identical full.
+    #[test]
+    fn early_exit_leaves_runs_pending_until_the_next_full_read() {
+        let d = device();
+        let base: Vec<u32> = (0..40u32).flat_map(|i| [i, i % 11]).collect();
+        let rounds: [&[u32]; 2] = [&[100, 1, 101, 2], &[102, 3]];
+        // A (the outer, empty delta) joins B's full version.
+        let prepare = |backend: &ShardedBackend| {
+            let mut rels = storages(&d);
+            rels[1].load_full(&base).unwrap();
+            let mut stats = RunStats::default();
+            for new in rounds {
+                rels[1].push_new(new);
+                backend
+                    .populate(&mut context(&d, &mut rels, &mut stats), 1)
+                    .unwrap();
+            }
+            let mut pipeline = join_pipeline();
+            if let RaOp::Scan { step, .. } = &mut pipeline.ops[0] {
+                step.version = VersionSel::Delta;
+            }
+            let outcome = backend
+                .execute(&mut context(&d, &mut rels, &mut stats), &pipeline)
+                .unwrap();
+            assert_eq!(outcome, PipelineOutcome::default());
+            (rels, stats)
+        };
+        let (eager_rels, _) = prepare(&one_shard());
+        let expected = eager_rels[1].full();
+
+        // Settled by the next full read.
+        let (mut rels, mut stats) = prepare(&deferred(2));
+        assert!(
+            !rels[1].is_settled(),
+            "tiny runs next to |full| stay pending"
+        );
+        let mut ctx = context(&d, &mut rels, &mut stats);
+        deferred(2).execute(&mut ctx, &join_pipeline()).unwrap();
+        assert!(rels[1].is_settled());
+        assert_eq!(rels[1].full().tuples_flat(), expected.tuples_flat());
+        assert_eq!(
+            rels[1].full().canonical().sorted_index(),
+            expected.canonical().sorted_index()
+        );
+
+        // Settled by settling every relation.
+        let (mut rels, mut stats) = prepare(&deferred(2));
+        assert!(!rels[1].is_settled());
+        context(&d, &mut rels, &mut stats).settle_all().unwrap();
+        assert!(rels.iter().all(RelationStorage::is_settled));
+        assert_eq!(rels[1].full().tuples_flat(), expected.tuples_flat());
+        assert_eq!(
+            rels[1].full().canonical().sorted_index(),
+            expected.canonical().sorted_index()
+        );
     }
 
     fn sort_rows(flat: &mut [u32], arity: usize) {

@@ -11,15 +11,14 @@
 //! The engine itself runs no relational-algebra kernels: at construction
 //! it lowers every rule plan into an [`RaPipeline`] (see
 //! [`crate::planner::lower_rule_plan`]) and dispatches each pipeline
-//! through its [`Backend`] — by default a one-shard [`ShardedBackend`]. See
-//! `docs/architecture.md` for the Batch → Op → Backend layering.
+//! through its one executor, a [`ShardedBackend`] configured from
+//! [`EngineConfig`] — by default one shard, eager merging, no observer.
+//! See `docs/architecture.md` for the Batch → Op → Executor layering.
 
 use crate::analysis::magic_rewrite;
 use crate::analysis::passes::{lint_program, optimize_program, LintLevel, ProgramDiagnostics};
 use crate::ast::{Atom, Program, Query, Term};
-use crate::backend::{
-    Backend, EvalContext, MultiGpuBackend, PipelineOutcome, PipelinedBackend, ShardedBackend,
-};
+use crate::backend::{EvalContext, PipelineOutcome, ShardedBackend};
 use crate::ebm::EbmConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::planner::{compile, lower_program, CompiledProgram, LoweredStratum};
@@ -62,25 +61,23 @@ pub struct EngineConfig {
     pub nway: NwayStrategy,
     /// Safety limit on fixpoint iterations per stratum.
     pub max_iterations: usize,
-    /// Number of hash partitions relations are sharded into. `1` (the
-    /// default) evaluates serially; larger counts make engine construction
-    /// install a [`ShardedBackend`] unless an explicit backend is supplied.
-    /// Zero is rejected with [`EngineError::InvalidShardCount`].
+    /// Number of hash partitions the [`ShardedBackend`] executor shards
+    /// relations into. `1` (the default) is the single-device loop: one
+    /// part, no partition pass, no k-way merge. Zero is rejected with
+    /// [`EngineError::InvalidShardCount`].
     pub shard_count: usize,
-    /// Simulated multi-device topology. When set, engine construction
-    /// installs a [`MultiGpuBackend`] pinning one hash shard per modeled
-    /// device (unless an explicit backend is supplied); the run's
-    /// [`RunStats::topology`] then carries per-device modeled time,
-    /// cross-device exchange bytes, and the modeled critical path. A
+    /// Simulated multi-device topology. When set, the executor pins one
+    /// hash shard per modeled device and reports to a topology cost model;
+    /// the run's [`RunStats::topology`] then carries per-device modeled
+    /// time, cross-device exchange bytes, and the modeled critical path. A
     /// `shard_count` above one must match the topology's device count.
     pub device_topology: Option<DeviceTopology>,
-    /// Shard count of the iteration-overlapping [`PipelinedBackend`]. Zero
-    /// (the default) keeps bulk-synchronous evaluation; a positive count
-    /// makes engine construction install a `PipelinedBackend` over that
-    /// many hash partitions (unless an explicit backend is supplied),
-    /// double-buffering delta merges behind the next iteration's joins. A
-    /// `shard_count` above one must match, and a device topology cannot be
-    /// combined with overlap.
+    /// Iteration overlap: zero (the default) merges every delta into full
+    /// as it is installed; a positive count makes the executor run over
+    /// that many hash partitions with deferred merging, draining delta
+    /// merges on the device's background lane behind the next iteration's
+    /// joins. A `shard_count` above one must match, and a device topology
+    /// cannot be combined with overlap.
     pub pipelined: usize,
     /// How lint findings are treated when the engine is built from source
     /// or an AST: [`LintLevel::Warn`] (the default) collects them into
@@ -154,8 +151,8 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the simulated multi-device topology; engine construction then
-    /// installs a [`MultiGpuBackend`] over it (validated there: a
+    /// Sets the simulated multi-device topology; the executor then pins one
+    /// shard per modeled device (validated at engine construction: a
     /// conflicting `shard_count` is rejected).
     #[must_use]
     pub fn with_device_topology(mut self, topology: DeviceTopology) -> Self {
@@ -163,8 +160,8 @@ impl EngineConfig {
         self
     }
 
-    /// Enables iteration overlap: engine construction installs a
-    /// [`PipelinedBackend`] over `shards` hash partitions (validated there;
+    /// Enables iteration overlap: the executor runs over `shards` hash
+    /// partitions with deferred merging (validated at engine construction;
     /// zero keeps bulk-synchronous evaluation).
     #[must_use]
     pub fn with_pipelined(mut self, shards: usize) -> Self {
@@ -267,7 +264,6 @@ pub struct EngineBuilder<'d> {
     device: &'d Device,
     program: Option<ProgramSpec>,
     config: EngineConfig,
-    backend: Option<Box<dyn Backend>>,
 }
 
 impl<'d> EngineBuilder<'d> {
@@ -276,7 +272,6 @@ impl<'d> EngineBuilder<'d> {
             device,
             program: None,
             config: EngineConfig::default(),
-            backend: None,
         }
     }
 
@@ -336,9 +331,7 @@ impl<'d> EngineBuilder<'d> {
         self
     }
 
-    /// Sets the number of hash partitions relations are sharded into.
-    /// Counts above one make [`EngineBuilder::build`] install a
-    /// [`ShardedBackend`] (unless an explicit backend was supplied); zero
+    /// Sets the number of hash partitions relations are sharded into; zero
     /// is rejected with [`EngineError::InvalidShardCount`].
     #[must_use]
     pub fn shard_count(mut self, shard_count: usize) -> Self {
@@ -346,18 +339,16 @@ impl<'d> EngineBuilder<'d> {
         self
     }
 
-    /// Sets a simulated multi-device topology. [`EngineBuilder::build`]
-    /// installs a [`MultiGpuBackend`] over it (unless an explicit backend
-    /// was supplied), pinning one hash shard per modeled device.
+    /// Sets a simulated multi-device topology: the executor pins one hash
+    /// shard per modeled device and reports to its cost model.
     #[must_use]
     pub fn device_topology(mut self, topology: DeviceTopology) -> Self {
         self.config.device_topology = Some(topology);
         self
     }
 
-    /// Enables iteration overlap over `shards` hash partitions.
-    /// [`EngineBuilder::build`] then installs a [`PipelinedBackend`]
-    /// (unless an explicit backend was supplied); zero keeps
+    /// Enables iteration overlap over `shards` hash partitions: the
+    /// executor defers delta merges to the background lane. Zero keeps
     /// bulk-synchronous evaluation.
     #[must_use]
     pub fn pipelined(mut self, shards: usize) -> Self {
@@ -380,23 +371,12 @@ impl<'d> EngineBuilder<'d> {
         self
     }
 
-    /// Installs a custom evaluation backend. Without one, `build` picks
-    /// from the configuration: [`PipelinedBackend`] when iteration overlap
-    /// is configured, [`MultiGpuBackend`] when a device topology is, and
-    /// otherwise [`ShardedBackend`] over the configured shard count (one by
-    /// default, the single-device loop). An explicitly-installed backend
-    /// always wins over those defaults.
-    #[must_use]
-    pub fn backend(mut self, backend: Box<dyn Backend>) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
     /// Compiles the program (if needed) and constructs the engine.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Validation`] if no program was supplied,
+    /// Returns [`EngineError::Validation`] if no program was supplied or the
+    /// executor knobs conflict (see [`ShardedBackend::from_config`]),
     /// [`EngineError::InvalidShardCount`] for a zero shard count,
     /// [`EngineError::LintDenied`] when the configured lint level is
     /// [`LintLevel::Deny`] and a finding fires, and parse, validation, or
@@ -423,13 +403,7 @@ impl<'d> EngineBuilder<'d> {
                 })
             }
         };
-        if self.config.shard_count == 0 {
-            return Err(EngineError::InvalidShardCount { shards: 0 });
-        }
-        let backend = match self.backend {
-            Some(backend) => backend,
-            None => default_backend(&self.config)?,
-        };
+        let backend = ShardedBackend::from_config(&self.config)?;
         let config = self.config;
         let mut relations = Vec::with_capacity(compiled.relation_names.len());
         for (name, &arity) in compiled.relation_names.iter().zip(compiled.arities.iter()) {
@@ -442,16 +416,12 @@ impl<'d> EngineBuilder<'d> {
         }
         let pending_facts = vec![Vec::new(); compiled.relation_names.len()];
         let pipelines = lower_program(&compiled, config.nway);
-        let diff_pipelines = (0..compiled.relation_names.len())
-            .map(RaPipeline::diff)
-            .collect();
         Ok(GpulogEngine {
             device: self.device.clone(),
             program: ast,
             diagnostics,
             compiled,
             pipelines,
-            diff_pipelines,
             backend,
             relations,
             pending_facts,
@@ -462,58 +432,12 @@ impl<'d> EngineBuilder<'d> {
     }
 }
 
-/// The backend an engine gets when none is installed explicitly:
-/// [`PipelinedBackend`] when iteration overlap is configured,
-/// [`MultiGpuBackend`] when a device topology is configured, and
-/// [`ShardedBackend`] over the configured shard count otherwise.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Validation`] when an explicit shard count
-/// conflicts with the topology's device count (each shard pins to exactly
-/// one device) or the pipelined shard count, or when overlap is combined
-/// with a topology.
-fn default_backend(config: &EngineConfig) -> EngineResult<Box<dyn Backend>> {
-    if config.pipelined > 0 {
-        if config.device_topology.is_some() {
-            return Err(EngineError::Validation {
-                message: "a device topology cannot be combined with pipelined overlap \
-                          (the exchange is bulk-synchronous by construction)"
-                    .into(),
-            });
-        }
-        if config.shard_count > 1 && config.shard_count != config.pipelined {
-            return Err(EngineError::Validation {
-                message: format!(
-                    "shard count {} conflicts with pipelined shard count {}",
-                    config.shard_count, config.pipelined
-                ),
-            });
-        }
-        return Ok(Box::new(PipelinedBackend::new(config.pipelined)?));
-    }
-    if let Some(topology) = &config.device_topology {
-        let devices = topology.device_count().get();
-        if config.shard_count > 1 && config.shard_count != devices {
-            return Err(EngineError::Validation {
-                message: format!(
-                    "shard count {} conflicts with the {devices}-device topology \
-                     (each shard pins to exactly one device)",
-                    config.shard_count
-                ),
-            });
-        }
-        return Ok(Box::new(MultiGpuBackend::new(topology.clone())));
-    }
-    Ok(Box::new(ShardedBackend::new(config.shard_count)?))
-}
-
 /// The result of a goal-directed run ([`GpulogEngine::run_query`]).
 ///
 /// `answers` holds only the tuples of the goal relation that match the
 /// goal's bound constants, canonically sorted and duplicate-free — exactly
 /// the rows a full fixpoint restricted to the goal would produce, whatever
-/// backend evaluated the rewritten program.
+/// executor configuration evaluated the rewritten program.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     /// Goal-matching tuples, lexicographically sorted and duplicate-free.
@@ -567,10 +491,7 @@ pub struct GpulogEngine {
     diagnostics: ProgramDiagnostics,
     compiled: CompiledProgram,
     pipelines: Vec<LoweredStratum>,
-    /// One pre-built [`RaOp::Diff`](crate::ra::op::RaOp) pipeline per
-    /// relation, so the fixpoint loop allocates nothing per iteration.
-    diff_pipelines: Vec<RaPipeline>,
-    backend: Box<dyn Backend>,
+    backend: ShardedBackend,
     relations: Vec<RelationStorage>,
     pending_facts: Vec<Vec<u32>>,
     config: EngineConfig,
@@ -622,9 +543,9 @@ impl GpulogEngine {
         &self.pipelines
     }
 
-    /// The evaluation backend in use.
-    pub fn backend(&self) -> &dyn Backend {
-        self.backend.as_ref()
+    /// The executor, as configured from [`GpulogEngine::config`].
+    pub fn backend(&self) -> &ShardedBackend {
+        &self.backend
     }
 
     /// The engine configuration.
@@ -855,8 +776,8 @@ impl GpulogEngine {
     pub fn run(&mut self) -> EngineResult<RunStats> {
         let wall_start = Instant::now();
         let counters_before = self.device.metrics().snapshot();
-        // Topology-aware backends accumulate across runs; snapshot so the
-        // stats report only this run's share, like every other field.
+        // The topology model accumulates across runs; snapshot so the stats
+        // report only this run's share, like every other field.
         let topology_before = self.backend.topology_report();
         let mut stats = RunStats::default();
 
@@ -913,8 +834,8 @@ impl GpulogEngine {
             let (nr_new, nr_delta) = self.populate_and_merge(stratum_rels, &mut stats)?;
             // The engine is about to read relation storage directly (delta
             // seeding below, or the next stratum's scans of this one's
-            // outputs): settle any merges the backend still has in flight.
-            self.fence_backend(&mut stats)?;
+            // outputs): settle any merge still deferred or in flight.
+            self.settle_all(&mut stats)?;
 
             if *is_recursive && !pipelines[stratum_idx].recursive.is_empty() {
                 // Seed the deltas with everything currently in full. The
@@ -952,6 +873,8 @@ impl GpulogEngine {
                 loop {
                     iteration += 1;
                     if iteration > self.config.max_iterations {
+                        // Leave storage readable: no merge stays deferred.
+                        self.settle_all(&mut stats)?;
                         return Err(EngineError::IterationLimit {
                             limit: self.config.max_iterations,
                         });
@@ -974,7 +897,7 @@ impl GpulogEngine {
                 }
                 // The fixpoint is reached; drain every merge still deferred
                 // or in flight before storage is read again.
-                self.fence_backend(&mut stats)?;
+                self.settle_all(&mut stats)?;
                 // Clear deltas so later strata see a clean state.
                 for &rel in stratum_rels {
                     self.relations[rel].clear_delta()?;
@@ -1011,7 +934,7 @@ impl GpulogEngine {
     /// Runs the program's `?-` goal through the magic-sets rewrite
     /// ([`magic_rewrite`]) instead of materializing the full fixpoint.
     ///
-    /// The rewritten program is lowered through the same planner/backend
+    /// The rewritten program is lowered through the same planner/executor
     /// seam as any other program (honouring this engine's configuration,
     /// including shard counts, topologies, and pipelining), the goal's
     /// constants are seeded into the magic relation, and only the
@@ -1171,19 +1094,19 @@ impl GpulogEngine {
             })
     }
 
-    /// Settles every deferred backend effect ([`Backend::fence`]) so the
-    /// engine can read relation storage directly.
-    fn fence_backend(&mut self, stats: &mut RunStats) -> EngineResult<()> {
+    /// Settles every relation ([`EvalContext::settle_all`]) so the engine
+    /// can read relation storage directly.
+    fn settle_all(&mut self, stats: &mut RunStats) -> EngineResult<()> {
         let mut ctx = EvalContext {
             device: &self.device,
             relations: &mut self.relations,
             stats,
             ebm: self.config.ebm,
         };
-        self.backend.fence(&mut ctx)
+        ctx.settle_all()
     }
 
-    /// Executes one lowered pipeline through the configured backend.
+    /// Executes one lowered pipeline through the executor.
     fn dispatch(
         &mut self,
         pipeline: &RaPipeline,
@@ -1198,7 +1121,7 @@ impl GpulogEngine {
         self.backend.execute(&mut ctx, pipeline)
     }
 
-    /// Dispatches one [`crate::ra::op::RaOp::Diff`] pipeline per relation:
+    /// Populates each relation's next delta ([`ShardedBackend::populate`]):
     /// deduplicate its `new` buffer against full, install the result as the
     /// next delta, and merge it into full. Returns `(total raw new tuples,
     /// total delta tuples)`.
@@ -1216,7 +1139,7 @@ impl GpulogEngine {
                 stats,
                 ebm: self.config.ebm,
             };
-            let outcome = self.backend.execute(&mut ctx, &self.diff_pipelines[rel])?;
+            let outcome = self.backend.populate(&mut ctx, rel)?;
             total_new += outcome.new_rows;
             total_delta += outcome.delta_rows;
         }
@@ -1488,11 +1411,12 @@ mod tests {
         let compiled = compile(&program).unwrap();
         let mut from_compiled = GpulogEngine::builder(&d)
             .compiled(compiled)
-            .backend(Box::new(ShardedBackend::new(1).unwrap()))
             .config(EngineConfig::new().with_load_factor(0.7))
+            .pipelined(1)
             .build()
             .unwrap();
         assert_eq!(from_compiled.config().load_factor, 0.7);
+        assert_eq!(from_compiled.backend().name(), "pipelined");
         from_compiled
             .add_facts("Edge", [[0u32, 1], [1, 2]])
             .unwrap();
@@ -1526,14 +1450,14 @@ mod tests {
             .unwrap();
         assert_eq!(e.backend().name(), "sharded");
         assert_eq!(e.config().shard_count, 4);
-        // An explicit backend wins over the shard-count default.
+        assert_eq!(e.backend().shards(), 4);
+        // Overlap at one shard changes the merge policy, not the count.
         let e = GpulogEngine::builder(&d)
             .program(REACH)
-            .shard_count(4)
-            .backend(Box::new(PipelinedBackend::new(1).unwrap()))
+            .pipelined(1)
             .build()
             .unwrap();
-        assert_eq!(e.backend().name(), "pipelined");
+        assert_eq!((e.backend().name(), e.backend().shards()), ("pipelined", 1));
     }
 
     #[test]
@@ -1645,17 +1569,9 @@ mod tests {
         let conflict = GpulogEngine::builder(&d)
             .program(REACH)
             .shard_count(3)
-            .device_topology(topology.clone())
+            .device_topology(topology)
             .build();
         assert!(matches!(conflict, Err(EngineError::Validation { .. })));
-        // An explicit backend still wins over the topology default.
-        let explicit = GpulogEngine::builder(&d)
-            .program(REACH)
-            .device_topology(topology)
-            .backend(Box::new(PipelinedBackend::new(1).unwrap()))
-            .build()
-            .unwrap();
-        assert_eq!(explicit.backend().name(), "pipelined");
     }
 
     #[test]

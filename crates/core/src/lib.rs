@@ -18,7 +18,7 @@
 //! * **Eager buffer management** — merge buffers are retained across
 //!   iterations and over-allocated by a tunable factor ([`ebm`]).
 //!
-//! ## Architecture: Batch → Op → Backend
+//! ## Architecture: Batch → Op → Executor
 //!
 //! Evaluation is layered (see `docs/architecture.md` in the repository for
 //! the full picture):
@@ -30,32 +30,32 @@
 //!    type-driven dispatch.
 //! 2. **Operators** — the planner compiles each rule into a [`planner::RulePlan`]
 //!    and lowers it to an [`ra::RaPipeline`] of [`ra::RaOp`]s
-//!    (`Scan`, `HashJoin`, `FusedJoin`, `AntiJoin`, `Project`, `Reduce`,
-//!    `Diff`).
-//! 3. **Backend** — a [`backend::Backend`] executes pipelines against an
-//!    [`backend::EvalContext`]. [`backend::ShardedBackend`] is the one
-//!    executor: it hash-partitions relations by join key and fans each
-//!    join / delta-population op across the persistent worker pool as one
-//!    epoch of per-shard tasks, and at its default of one shard it runs
-//!    operator-at-a-time on one simulated device with no partition pass.
-//!    [`backend::MultiGpuBackend`] is that executor
-//!    plus a cost model observing it: shard `i` is pinned to modeled
-//!    device `i` of a [`DeviceTopology`]
-//!    ([`EngineConfig::with_device_topology`]), the kernels the executor
-//!    ran are charged to per-device counters, and every row it moves
-//!    between shards — join re-partitions, gathers, the delta exchange —
-//!    is charged to the topology's link model ([`RunStats::topology`]).
-//!    [`backend::PipelinedBackend`] breaks the per-iteration barrier on
-//!    top of sharded execution: delta merges are double-buffered and run
-//!    on the device's background lane so iteration *k+1*'s joins overlap
-//!    iteration *k*'s merge ([`EngineConfig::with_pipelined`] or the
-//!    builder's `.pipelined(..)`; overlap is reported through
-//!    [`RunStats`]'s `overlap_nanos` / `pipeline_stall_nanos` /
-//!    `epochs_in_flight`, and the bench harness selects it with a
-//!    `pipelined:N` backend spec) — all with fixpoints byte-identical to
-//!    the one-shard loop's. Select sharding with
-//!    [`EngineConfig::with_shard_count`] or the builder's
-//!    `.shard_count(..)` knob:
+//!    (`Scan`, `HashJoin`, `FusedJoin`, `AntiJoin`, `Project`, `Reduce`).
+//! 3. **Executor** — [`backend::ShardedBackend`] runs pipelines, and
+//!    populates each relation's next delta, against an
+//!    [`backend::EvalContext`]. It is one op loop with three knobs, all
+//!    keeping fixpoints byte-identical to the default's:
+//!    * *shards* ([`EngineConfig::with_shard_count`] or the builder's
+//!      `.shard_count(..)`): relations hash-partition by join key and each
+//!      join / delta-population op fans out across the persistent worker
+//!      pool as one epoch of per-shard tasks; the default of one shard
+//!      runs operator-at-a-time on one simulated device with no partition
+//!      pass;
+//!    * *merge policy* ([`EngineConfig::with_pipelined`] or the builder's
+//!      `.pipelined(..)`): deferred merging breaks the per-iteration
+//!      barrier — delta merges coalesce in relation storage and drain on
+//!      the device's background lane, so iteration *k+1*'s joins overlap
+//!      iteration *k*'s merge (reported through [`RunStats`]'s
+//!      `overlap_nanos` / `pipeline_stall_nanos` / `epochs_in_flight`);
+//!    * *observer* ([`EngineConfig::with_device_topology`]): a cost model
+//!      pins shard `i` to modeled device `i` of a [`DeviceTopology`],
+//!      charges the kernels the loop ran to per-device counters, and
+//!      charges every row moved between shards — join re-partitions,
+//!      gathers, the delta exchange — to the topology's link model
+//!      ([`RunStats::topology`]).
+//!
+//!    The bench harness and the test matrix name configurations with
+//!    `sharded:N` / `pipelined:N` / `multigpu:N` specs. From code:
 //!
 //! ```
 //! use gpulog::{EngineConfig, GpulogEngine};
@@ -336,9 +336,7 @@ pub use ast::{
     Aggregate, AggregateOp, Atom, CmpOp, Constraint, Literal, Program, ProgramBuilder, Query,
     RelationDecl, Rule, RuleBuilder, Span, Term,
 };
-pub use backend::{
-    Backend, EvalContext, MultiGpuBackend, PipelineOutcome, PipelinedBackend, ShardedBackend,
-};
+pub use backend::{EvalContext, PipelineOutcome, PopulateOutcome, ShardedBackend};
 pub use ebm::EbmConfig;
 pub use engine::{EngineBuilder, EngineConfig, GpulogEngine, QueryResult};
 pub use error::{EngineError, EngineResult};
@@ -366,7 +364,6 @@ mod tests {
         assert_send::<TupleBatch>();
         assert_send::<RaPipeline>();
         assert_send::<ShardedBackend>();
-        assert_send::<PipelinedBackend>();
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<FixpointSnapshot>();
     }

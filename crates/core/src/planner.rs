@@ -247,8 +247,8 @@ pub struct LoweredStratum {
 /// produces head tuples directly). Rules with negated literals always take
 /// the materialized lowering — the anti-join probes pre-projection
 /// intermediate columns, which the fused kernel never materializes. A
-/// trivially-empty plan lowers to an empty pipeline, which every backend
-/// must treat as deriving nothing.
+/// trivially-empty plan lowers to an empty pipeline, which the executor
+/// treats as deriving nothing.
 pub fn lower_rule_plan(plan: &RulePlan, strategy: NwayStrategy) -> RaPipeline {
     let strategy = if plan.anti_joins.is_empty() {
         strategy

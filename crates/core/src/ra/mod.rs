@@ -10,8 +10,8 @@
 //! ([`mod@reduce`]).
 //!
 //! Rule evaluation does not call these kernels directly: the planner lowers
-//! each rule into an [`op::RaPipeline`] of [`op::RaOp`]s, and a
-//! [`crate::backend::Backend`] executes the pipeline, moving
+//! each rule into an [`op::RaPipeline`] of [`op::RaOp`]s, and the
+//! executor ([`crate::backend::ShardedBackend`]) runs the pipeline, moving
 //! [`gpulog_hisa::TupleBatch`] intermediates between operators. The
 //! flat-slice kernel forms remain public as the reference implementations
 //! the property tests pin the operator pipeline against.

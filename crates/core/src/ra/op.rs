@@ -3,11 +3,11 @@
 //! The planner compiles every rule into a [`crate::planner::RulePlan`];
 //! lowering (see
 //! [`crate::planner::lower_rule_plan`]) turns that plan into a flat
-//! [`RaPipeline`] — a `Vec<RaOp>` — that a [`crate::backend::Backend`]
-//! executes over [`gpulog_hisa::TupleBatch`] intermediates. Keeping the IR
-//! explicit (rather than hard-coding the kernel sequence inside the engine)
-//! is what lets alternative backends — sharded, async-pipelined,
-//! multi-device — slot in behind the same interface.
+//! [`RaPipeline`] — a `Vec<RaOp>` — that the executor
+//! ([`crate::backend::ShardedBackend`]) runs over
+//! [`gpulog_hisa::TupleBatch`] intermediates. Keeping the IR explicit
+//! (rather than hard-coding the kernel sequence inside the engine) is what
+//! lets one op loop serve every shard count, merge policy, and observer.
 //!
 //! An op consumes the current intermediate batch and produces the next one:
 //!
@@ -22,9 +22,10 @@
 //! distinct variables and nothing else is live (see
 //! [`crate::planner::RulePlan::head_proj_is_identity`]).
 //!
-//! [`RaOp::Diff`] is the odd one out: it implements the delta-population
-//! phase (dedup `new`, subtract `full`, install the delta), consuming the
-//! relation's `new` buffer rather than a pipeline intermediate.
+//! Delta population (dedup `new`, subtract `full`, install the delta) is
+//! not an op: it consumes a relation's `new` buffer rather than a pipeline
+//! intermediate, so the executor runs it directly
+//! ([`crate::backend::ShardedBackend::populate`]).
 
 use crate::ast::AggregateOp;
 use crate::planner::{AntiJoinStep, ColumnSource, FilterStep, JoinStep, RelId, ScanStep};
@@ -87,17 +88,9 @@ pub enum RaOp {
         /// The aggregated column; all others form the group key.
         agg_column: usize,
     },
-    /// Delta population for one relation: deduplicate its accumulated `new`
-    /// buffer, subtract `full`, install the result as the next delta, and
-    /// merge it into `full`.
-    Diff {
-        /// The relation whose `new` buffer is consumed.
-        relation: RelId,
-    },
 }
 
-/// An executable operator pipeline, the lowered form of one rule version
-/// (or of one delta-population step).
+/// An executable operator pipeline, the lowered form of one rule version.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RaPipeline {
     /// Relation receiving this pipeline's output tuples.
@@ -109,32 +102,8 @@ pub struct RaPipeline {
 }
 
 impl RaPipeline {
-    /// The delta-population pipeline for one relation: a single
-    /// [`RaOp::Diff`].
-    pub fn diff(relation: RelId) -> Self {
-        RaPipeline {
-            head: relation,
-            ops: vec![RaOp::Diff { relation }],
-            text: format!("diff(relation {relation})"),
-        }
-    }
-
     /// Whether this pipeline contains no operators (a trivially-empty rule).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn diff_pipeline_targets_its_relation() {
-        let p = RaPipeline::diff(3);
-        assert_eq!(p.head, 3);
-        assert_eq!(p.ops, vec![RaOp::Diff { relation: 3 }]);
-        assert!(!p.is_empty());
-        assert!(p.text.contains('3'));
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::ebm::EbmConfig;
 use crate::error::EngineResult;
-use gpulog_device::Device;
+use gpulog_device::{Device, JobHandle};
 use gpulog_hisa::{
     partition_flat_by_key_hash, rows_are_sorted_unique, Hisa, IndexSpec, TupleBatch,
 };
@@ -12,6 +12,24 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::slice;
 use std::sync::Arc;
+use std::time::Instant;
+
+/// How many deferred delta runs trigger a background merge. Two runs per
+/// drain halves the number of O(|full|) merge passes while keeping at most
+/// one iteration's delta un-probed-against-full at any time.
+const MERGE_BATCH: usize = 2;
+
+/// Upper bound on deferred runs when the adaptive policy keeps batching.
+/// Delta population subtracts every pending run on the foreground path, so
+/// unbounded deferral would trade O(|full|) merge passes for
+/// O(runs · |delta|) subtractions.
+const MAX_MERGE_BATCH: usize = 8;
+
+/// The adaptive threshold: keep deferring while the pending rows are more
+/// than this factor smaller than |full|. Each drain streams the whole full
+/// version, so a drain is only worth its cost once the pending payload is a
+/// meaningful fraction of it.
+const ADAPTIVE_RATIO: usize = 8;
 
 /// One version (full or delta) of a relation, with its indices.
 #[derive(Debug)]
@@ -561,9 +579,24 @@ fn is_canonical_key(key_cols: &[usize], arity: usize) -> bool {
 /// be *published* — shared with concurrent readers at zero copy cost via
 /// [`RelationStorage::share_full`] — while the writer keeps evaluating.
 /// Every mutating path goes through [`RelationStorage::full_mut`] (or the
-/// crate-internal `take_full`), which detach (deep-copy) the version
+/// deferred merge's private swap), which detach (deep-copy) the version
 /// first if a published snapshot still holds a reference, so readers never
 /// observe a torn merge.
+///
+/// ## Deferred merging
+///
+/// Under the executor's deferred merge policy a delta is not merged into
+/// `full` when it is installed: storage parks it as a sorted-unique
+/// *pending run*, and once enough runs accumulate the full version moves
+/// onto the device's background lane ([`Device::submit_background`]) and
+/// every pending run merges there in one coalesced pass, while the
+/// foreground evaluates the next iteration. The stored full then lags
+/// (pending runs) or is an empty placeholder (a merge in flight). The one
+/// readiness rule: **settle before reading `full`** — settling
+/// ([`crate::backend::EvalContext::settle`]) joins the in-flight merge and
+/// folds the pending runs in, after which storage holds exactly what eager
+/// merging would. A settled relation is left untouched, so settling costs
+/// one emptiness check on the eager path.
 #[derive(Debug)]
 pub struct RelationStorage {
     /// Relation name (for reporting).
@@ -577,6 +610,12 @@ pub struct RelationStorage {
     /// Raw tuples derived in the current iteration (`new`), accumulated
     /// across rule plans before deduplication.
     pub new_tuples: Vec<u32>,
+    /// Sorted-unique delta runs whose merge into `full` is deferred:
+    /// pairwise disjoint, disjoint from the stored full, in iteration order.
+    pending: Vec<TupleBatch>,
+    /// The full version, moved onto the background lane mid-merge. While
+    /// this is `Some`, `full` is an empty placeholder and must not be read.
+    inflight: Option<JobHandle<EngineResult<RelationVersion>>>,
     device: Device,
     load_factor: f64,
 }
@@ -594,21 +633,33 @@ impl RelationStorage {
             full: Arc::new(RelationVersion::empty(device, arity, load_factor)?),
             delta: RelationVersion::empty(device, arity, load_factor)?,
             new_tuples: Vec::new(),
+            pending: Vec::new(),
+            inflight: None,
             device: device.clone(),
             load_factor,
         })
     }
 
-    /// Read access to the full version.
+    /// Read access to the full version. With merges deferred it may lag by
+    /// the pending runs; settle first for the complete version.
     pub fn full(&self) -> &RelationVersion {
+        debug_assert!(
+            self.inflight.is_none(),
+            "{}: full read mid-merge",
+            self.name
+        );
         &self.full
     }
 
     /// A shared handle on the full version — the snapshot publish
     /// primitive. Cloning the [`Arc`] is O(1); the engine bundles one per
-    /// relation into a `FixpointSnapshot` after [`crate::backend::Backend::fence`]
-    /// has settled every deferred merge.
+    /// relation into a `FixpointSnapshot` after settling every relation.
     pub fn share_full(&self) -> Arc<RelationVersion> {
+        debug_assert!(
+            self.inflight.is_none(),
+            "{}: full shared mid-merge",
+            self.name
+        );
         Arc::clone(&self.full)
     }
 
@@ -641,32 +692,127 @@ impl RelationStorage {
         Ok(())
     }
 
-    /// Replaces the full version wholesale (the pipelined backend installs
-    /// a background-merged version through this).
-    pub(crate) fn install_full(&mut self, version: RelationVersion) {
-        self.full = Arc::new(version);
-    }
-
-    /// Moves the full version out, leaving an empty placeholder — the
-    /// pipelined backend's swap for background merges. A version still
-    /// shared with a snapshot is deep-copied instead of moved, so the
-    /// snapshot keeps its data.
+    /// Moves the full version out, leaving an empty placeholder — the swap
+    /// behind a background merge. A version still shared with a snapshot
+    /// is deep-copied instead of moved, so the snapshot keeps its data. The
+    /// copy and the placeholder are allocated before the swap, so a failed
+    /// allocation leaves the stored full untouched.
     ///
     /// # Errors
     ///
     /// Returns a device error if the placeholder (or a detach copy) cannot
     /// be allocated.
-    pub(crate) fn take_full(&mut self) -> EngineResult<RelationVersion> {
-        let placeholder = Arc::new(RelationVersion::empty(
-            &self.device,
-            self.arity,
-            self.load_factor,
-        )?);
-        let taken = std::mem::replace(&mut self.full, placeholder);
-        match Arc::try_unwrap(taken) {
-            Ok(version) => Ok(version),
-            Err(shared) => shared.try_clone(),
+    fn take_full(&mut self) -> EngineResult<RelationVersion> {
+        let copy = match Arc::get_mut(&mut self.full) {
+            Some(_) => None,
+            None => Some(self.full.try_clone()?),
+        };
+        let placeholder = RelationVersion::empty(&self.device, self.arity, self.load_factor)?;
+        let taken = std::mem::replace(&mut self.full, Arc::new(placeholder));
+        Ok(copy.unwrap_or_else(|| Arc::try_unwrap(taken).expect("full version is unique")))
+    }
+
+    /// Whether no merge is pending or in flight: the stored full is
+    /// exactly what eager merging would hold.
+    pub fn is_settled(&self) -> bool {
+        self.pending.is_empty() && self.inflight.is_none()
+    }
+
+    /// Joins the in-flight background merge, if any, and installs the
+    /// merged full version. Runs deferred since its submission stay
+    /// pending. Charges the job's outstanding window (submission to this
+    /// call) to the device's overlap counter and the blocking remainder to
+    /// its stall counter. Returns whether a merge was joined.
+    ///
+    /// # Errors
+    ///
+    /// Returns the background merge's device error.
+    pub(crate) fn join_merge(&mut self) -> EngineResult<bool> {
+        let Some(handle) = self.inflight.take() else {
+            return Ok(false);
+        };
+        let metrics = self.device.metrics();
+        let drain_begin = Instant::now();
+        metrics
+            .add_overlap_nanos(drain_begin.duration_since(handle.submitted_at()).as_nanos() as u64);
+        let full = handle.wait()?;
+        metrics.add_pipeline_stall_nanos(drain_begin.elapsed().as_nanos() as u64);
+        self.full = Arc::new(full);
+        Ok(true)
+    }
+
+    /// Brings the stored full up to date: joins the in-flight merge and
+    /// folds the pending runs in with one coalesced merge. A relation with
+    /// nothing pending never touches `full`, so a version shared with a
+    /// snapshot is not copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns a device error if the merge does not fit.
+    pub(crate) fn settle(&mut self, ebm: &EbmConfig) -> EngineResult<()> {
+        self.join_merge()?;
+        if !self.pending.is_empty() {
+            let runs = std::mem::take(&mut self.pending);
+            self.detach_full()?;
+            let full = Arc::get_mut(&mut self.full).expect("full version is unique after detach");
+            full.merge_sorted_unique_runs(&self.device, &runs, ebm)?;
         }
+        Ok(())
+    }
+
+    /// `delta` minus every pending run. For a delta already deduplicated
+    /// against the stored (lagging) full this is exactly `delta` minus the
+    /// full eager merging would hold; both operands being sorted-unique,
+    /// the result is byte-equal too.
+    pub(crate) fn subtract_pending(&self, mut delta: TupleBatch) -> TupleBatch {
+        for run in &self.pending {
+            if delta.is_empty() {
+                break;
+            }
+            delta = delta.subtract_sorted_unique(run);
+        }
+        delta
+    }
+
+    /// Defers merging `delta` — the sorted-unique delta just installed —
+    /// into full: parks it as a pending run, and once [`MERGE_BATCH`] runs
+    /// are parked moves full onto the background lane and merges them all
+    /// there in one pass. While the pending rows are still tiny next to
+    /// |full| ([`ADAPTIVE_RATIO`]) a drain would stream the whole version to
+    /// fold in almost nothing, so deferral continues up to
+    /// [`MAX_MERGE_BATCH`] runs. The in-flight merge must have been joined.
+    ///
+    /// # Errors
+    ///
+    /// Returns a device error if the placeholder (or a detach copy) cannot
+    /// be allocated.
+    pub(crate) fn defer_merge(&mut self, delta: TupleBatch, ebm: &EbmConfig) -> EngineResult<()> {
+        debug_assert!(
+            self.inflight.is_none(),
+            "{}: merge already in flight",
+            self.name
+        );
+        if !delta.is_empty() {
+            self.pending.push(delta);
+        }
+        if self.pending.len() < MERGE_BATCH {
+            return Ok(());
+        }
+        let pending_rows: usize = self.pending.iter().map(TupleBatch::len).sum();
+        if self.pending.len() < MAX_MERGE_BATCH
+            && pending_rows.saturating_mul(ADAPTIVE_RATIO) < self.full.len()
+        {
+            self.device.metrics().add_adaptive_merge_batch();
+            return Ok(());
+        }
+        let mut full = self.take_full()?;
+        let runs = std::mem::take(&mut self.pending);
+        let (device, ebm) = (self.device.clone(), *ebm);
+        self.inflight = Some(self.device.submit_background(move || {
+            full.merge_sorted_unique_runs(&device, &runs, &ebm)
+                .map(|()| full)
+        }));
+        Ok(())
     }
 
     /// Number of tuples in the full relation.
@@ -857,7 +1003,9 @@ impl RelationStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use gpulog_device::profile::DeviceProfile;
+    use gpulog_device::DeviceError;
     use gpulog_hisa::DEFAULT_LOAD_FACTOR;
 
     fn device() -> Device {
@@ -1144,6 +1292,34 @@ mod tests {
         let taken = s.take_full().unwrap();
         assert_eq!(taken.tuples_flat(), republished.tuples_flat());
         assert!(s.full().is_empty(), "take_full leaves a placeholder");
+    }
+
+    /// The background-merge swap on a version shared with a snapshot must
+    /// copy before it swaps: when the copy does not fit, the stored full
+    /// stays in place instead of being lost to the placeholder.
+    #[test]
+    fn take_full_keeps_the_relation_when_the_copy_does_not_fit() {
+        let rows: Vec<u32> = (0..20_000u32).flat_map(|i| [i, i / 7]).collect();
+        // Size a device for one loaded copy plus a placeholder (and a few
+        // KiB of slack, far short of a second copy).
+        let probe = device();
+        let mut s = storage(&probe);
+        s.load_full(&rows).unwrap();
+        let _placeholder = RelationVersion::empty(&probe, 2, DEFAULT_LOAD_FACTOR).unwrap();
+        let mut profile = DeviceProfile::nvidia_h100();
+        profile.memory_capacity_bytes = probe.metrics().peak_bytes_in_use() + 4096;
+        let d = Device::with_workers(profile, 4);
+
+        let mut s = storage(&d);
+        s.load_full(&rows).unwrap();
+        let snapshot = s.share_full();
+        assert!(matches!(
+            s.take_full(),
+            Err(EngineError::Device(DeviceError::OutOfMemory { .. }))
+        ));
+        assert_eq!(s.len(), 20_000, "the failed swap must keep the relation");
+        assert_eq!(snapshot.len(), 20_000);
+        assert!(s.full_is_shared());
     }
 
     #[test]

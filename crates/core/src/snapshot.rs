@@ -3,8 +3,8 @@
 //! A [`FixpointSnapshot`] is a cheaply-clonable, immutable view of every
 //! relation's full version as it stood when a fixpoint settled. The engine
 //! publishes one through [`crate::GpulogEngine::snapshot`] after a run (the
-//! publish point is the end of [`crate::GpulogEngine::run`], which fences
-//! the backend first, so every deferred merge is folded in); the relation
+//! publish point is the end of [`crate::GpulogEngine::run`], which settles
+//! every relation first, so every deferred merge is folded in); the relation
 //! versions inside are shared via `Arc` with the engine's storage, and the
 //! writer's next merge copy-on-writes its own full version instead of
 //! mutating the shared one (see [`crate::relation::RelationStorage`]).
@@ -123,7 +123,7 @@ impl FixpointSnapshot {
 
     /// All tuples of a relation in canonical (lexicographic) order,
     /// flattened row-major. Identical fixpoints produce identical buffers
-    /// regardless of the backend or merge schedule that computed them, so
+    /// regardless of the shard count or merge schedule that computed them, so
     /// this is the byte-comparable form of a relation.
     pub fn sorted_tuples_flat(&self, relation: &str) -> Option<Vec<u32>> {
         let canonical = self.relation(relation)?.canonical();

@@ -88,25 +88,24 @@ pub struct RunStats {
     pub relation_sizes: HashMap<String, usize>,
     /// Multi-device modeling report — per-device modeled compute,
     /// cross-device exchange traffic, and the modeled critical path — when
-    /// the run executed on a topology-aware backend
-    /// ([`crate::backend::MultiGpuBackend`]); `None` on single-device
-    /// backends.
+    /// a device topology is configured
+    /// ([`crate::EngineConfig::device_topology`]); `None` otherwise.
     pub topology: Option<TopologyReport>,
     /// Peak number of background merge jobs outstanding at once during the
-    /// run. Zero on bulk-synchronous backends; at most one per relation on
-    /// [`crate::backend::PipelinedBackend`].
+    /// run. Zero under eager merging; at most one per relation under
+    /// deferred merging ([`crate::EngineConfig::pipelined`]).
     pub epochs_in_flight: u64,
     /// Nanoseconds of background-merge outstanding windows (submission to
     /// drain start): the time deferred merges spent overlapped behind
-    /// foreground evaluation. Zero on bulk-synchronous backends.
+    /// foreground evaluation. Zero under eager merging.
     pub overlap_nanos: u64,
     /// Nanoseconds the foreground spent blocked waiting for an in-flight
     /// background merge to finish. The pipeline hid its merges completely
     /// when this is small relative to [`RunStats::overlap_nanos`].
     pub pipeline_stall_nanos: u64,
-    /// Times the pipelined backend's adaptive merge policy deferred a drain
-    /// past its base batch size because the pending delta rows were small
-    /// relative to |full|. Zero on every other backend.
+    /// Times deferred merging's adaptive batching postponed a drain past
+    /// its base batch size because the pending delta rows were small
+    /// relative to |full|. Zero under eager merging.
     pub adaptive_merge_batches: u64,
 }
 

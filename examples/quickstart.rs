@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Build the engine: `GpulogEngine::builder` takes the program as
     //    Soufflé-style source and exposes every tuning knob (EBM policy,
-    //    join strategy, load factor, iteration cap, evaluation backend)
+    //    join strategy, load factor, iteration cap, executor knobs)
     //    as a builder setter. The defaults reproduce the paper's setup.
     let mut engine = GpulogEngine::builder(&device)
         .program(gpulog_examples::QUICKSTART_PROGRAM)
@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Run to fixpoint. Every rule is lowered to an operator pipeline
     //    (Scan → HashJoin* [→ Project]) and dispatched through the engine's
-    //    backend — `ShardedBackend` at one shard (the single-device loop)
-    //    unless one was installed on the builder. Adding `.shard_count(4)`
+    //    one executor — `ShardedBackend`, by default at one shard (the
+    //    single-device loop) with eager merging. Adding `.shard_count(4)`
     //    to the builder (or `EngineConfig::with_shard_count`) runs the same
     //    loop hash-partitioned: relations shard by join-key hash and each
     //    join/dedup op fans across the worker pool, with results

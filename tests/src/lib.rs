@@ -3,25 +3,26 @@
 //! All test content lives in the `tests/` directory and exercises the
 //! public APIs of the workspace crates together (end-to-end Datalog
 //! queries, cross-engine agreement, paper figure traces). This library
-//! exports the one piece of shared harness code: the CI backend matrix's
+//! exports the one piece of shared harness code: the CI test matrix's
 //! `GPULOG_TEST_BACKEND` override.
 
 use gpulog::EngineConfig;
 use gpulog_bench::BackendSpec;
 
-/// The backend selected by the `GPULOG_TEST_BACKEND` environment variable:
-/// `serial` (or unset), `sharded` / `sharded:N`, `multigpu:N` (an
-/// `N`-device simulated NVLink-like topology), or `pipelined:N`
-/// (iteration overlap over `N` shards) — the same spec grammar the
-/// bench bins' `--backend` flag accepts, parsed by the same
+/// The executor configuration selected by the `GPULOG_TEST_BACKEND`
+/// environment variable: `serial` (or unset; one shard, eager merging),
+/// `sharded` / `sharded:N` (`N` shards), `multigpu:N` (one shard per
+/// device of an `N`-device simulated NVLink-like topology), or
+/// `pipelined:N` (`N` shards with deferred merging) — the same spec
+/// grammar the bench bins' `--backend` flag accepts, parsed by the same
 /// [`gpulog_bench::parse_backend_spec`] so the two cannot drift apart.
 /// CI runs the workspace test suite once per matrix leg so every
-/// engine-level test exercises every backend.
+/// engine-level test exercises every configuration of the one executor.
 ///
 /// # Panics
 ///
 /// Panics on an unrecognized value — a typo in the CI matrix must fail
-/// loudly, not silently fall back to the serial backend.
+/// loudly, not silently fall back to the default configuration.
 pub fn backend_from_env() -> BackendSpec {
     match std::env::var("GPULOG_TEST_BACKEND") {
         Err(_) => BackendSpec::Serial,

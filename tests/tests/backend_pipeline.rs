@@ -4,10 +4,10 @@
 //! / `difference`) on random inputs, plus `TupleBatch` container
 //! round-trips. These are the refactoring guardrails: the operator IR must
 //! derive byte-identical results to composing the free functions by hand —
-//! and any backend's fixpoints must be byte-identical to the one-shard
-//! loop's on random programs and inputs.
+//! and every executor configuration's fixpoints must be byte-identical to
+//! the one-shard eager loop's on random programs and inputs.
 
-use gpulog::backend::{Backend, EvalContext, ShardedBackend};
+use gpulog::backend::{EvalContext, ShardedBackend};
 use gpulog::planner::{ColumnSource, EmitSource, JoinStep, ScanStep, VersionSel};
 use gpulog::ra::project::{filter_rows, project_rows, scan_select};
 use gpulog::ra::{difference, hash_join, RaOp, RaPipeline};
@@ -228,8 +228,8 @@ proptest! {
         prop_assert_eq!(got2, expected2);
     }
 
-    // The `Diff` op must install exactly `difference(new, full)` as the
-    // delta and merge it into full.
+    // Delta population must install exactly `difference(new, full)` as
+    // the delta and merge it into full.
     #[test]
     fn diff_op_matches_legacy_difference(
         base in pairs_strategy(15, 120),
@@ -252,9 +252,7 @@ proptest! {
             stats: &mut stats,
             ebm: EbmConfig::default(),
         };
-        let outcome = one_shard()
-            .execute(&mut ctx, &RaPipeline::diff(0))
-            .unwrap();
+        let outcome = one_shard().populate(&mut ctx, 0).unwrap();
 
         prop_assert_eq!(outcome.new_rows, derived.len());
         prop_assert_eq!(outcome.delta_rows, expected_delta.len() / 2);
@@ -265,8 +263,8 @@ proptest! {
         prop_assert_eq!(relations[0].len(), union.len());
     }
 
-    // Any shard count must reach a fixpoint byte-identical to the serial
-    // backend's, on random programs (REACH / SG), random inputs, and both
+    // Any shard count must reach a fixpoint byte-identical to the one-shard
+    // executor's, on random programs (REACH / SG), random inputs, and both
     // n-way strategies (covering `HashJoin` and `FusedJoin` sharding).
     #[test]
     fn sharded_fixpoints_match_serial_on_random_programs(
@@ -319,9 +317,9 @@ proptest! {
         }
     }
 
-    // Deferring and batching full-merges must never change results: the
-    // pipelined backend's fixpoints are byte-identical to the serial
-    // backend's for S ∈ {1, 2, 7} shards, on random programs (REACH / SG),
+    // Deferring and batching full-merges must never change results:
+    // fixpoints under deferred merging are byte-identical to the one-shard
+    // eager executor's for S ∈ {1, 2, 7} shards, on random programs (REACH / SG),
     // random inputs, and both n-way strategies. This is the property that
     // licenses breaking the per-iteration barrier at all.
     #[test]
@@ -390,7 +388,7 @@ proptest! {
         key_on_first_col in prop::bool::ANY,
     ) {
         use std::num::NonZeroUsize;
-        // Build a sorted-unique "delta" the way the diff op would.
+        // Build a sorted-unique "delta" the way delta population would.
         let mut rows: Vec<(u32, u32)> = pairs;
         rows.sort();
         rows.dedup();
@@ -408,7 +406,7 @@ proptest! {
     }
 
     // The multi-GPU simulation must reach fixpoints byte-identical to the
-    // serial backend on random programs and inputs — pinning shards to
+    // one-shard executor on random programs and inputs — pinning shards to
     // modeled devices changes attribution and scheduling, never results.
     // Topologies of 1, 2, and 7 devices mirror the sharded S ∈ {1, 2, 7}
     // pinning.
@@ -561,8 +559,8 @@ fn sharded_ops_dispatch_one_epoch_per_op_not_one_per_shard() {
         let before = d.metrics().snapshot();
         let outcome = backend.execute(&mut ctx, &join_pipeline).unwrap();
         assert!(outcome.derived_rows > 0, "the join must derive rows");
-        let diff_outcome = backend.execute(&mut ctx, &RaPipeline::diff(2)).unwrap();
-        assert!(diff_outcome.delta_rows > 0, "the diff must install a delta");
+        let populated = backend.populate(&mut ctx, 2).unwrap();
+        assert!(populated.delta_rows > 0, "population must install a delta");
         d.metrics().snapshot().since(&before).pool_dispatches
     };
 
@@ -796,7 +794,7 @@ fn default_engine_counters_match_the_recorded_run() {
 }
 
 /// On a merge-heavy chain-REACH workload (one iteration per node, tiny
-/// deltas) the pipelined backend must actually overlap: background merges
+/// deltas) deferred merging must actually overlap: background merges
 /// stay outstanding across iterations (`overlap_nanos`, `epochs_in_flight`)
 /// while the fixpoint stays exactly the serial one.
 #[test]
