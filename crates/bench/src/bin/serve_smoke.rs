@@ -22,7 +22,7 @@
 //! with-writer throughput must stay at or above
 //! `GPULOG_SERVE_MIN_RATIO` (default 0.5) of the no-writer throughput —
 //! readers clone an `Arc` under a read lock and then run lock-free, so the
-//! writer's long re-run must never starve them.
+//! writer's re-runs must never starve them.
 
 use gpulog::EngineConfig;
 use gpulog_bench::{banner, gpulog_device, scale_from_env, TextTable};
@@ -223,10 +223,10 @@ fn main() {
     );
     println!("(leg window {leg_ms} ms, host workers {workers}, gate ratio {min_ratio})");
 
-    // A bidirectional chain keeps the closure quadratic-but-bounded and the
-    // re-run convergent in a couple of iterations, so writer refreshes are
-    // substantial (they re-seed and re-join the whole fixpoint) without
-    // dominating the whole leg.
+    // A bidirectional chain keeps the closure quadratic-but-bounded. Each
+    // refresh seeds the closure from the writer's fresh edges alone and
+    // derives only their consequences, but still copies-on-write the
+    // relations it grows while readers pin the previous snapshot.
     let chain_nodes = ((400.0 * scale).round() as u32).max(48);
     let graph = road_network(chain_nodes, 0, 23);
     let id_bound = graph.id_bound();

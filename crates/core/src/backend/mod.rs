@@ -101,7 +101,9 @@ impl EvalContext<'_> {
     /// pays the full build once and per-shard merges afterwards. A 1-way
     /// map is the version's own index on `key_cols`.
     ///
-    /// A full version is settled first.
+    /// A full version is settled first. A cached map returns at once, so a
+    /// full version shared with a published snapshot is copy-on-write
+    /// detached only to build a map it lacks.
     ///
     /// # Errors
     ///
@@ -116,6 +118,12 @@ impl EvalContext<'_> {
     ) -> EngineResult<()> {
         if version == VersionSel::Full {
             self.settle(relation)?;
+        }
+        if self
+            .shard_map(relation, version, key_cols, shards)
+            .is_some()
+        {
+            return Ok(());
         }
         let storage = &mut self.relations[relation];
         let version = match version {

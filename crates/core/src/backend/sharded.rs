@@ -1310,6 +1310,34 @@ mod tests {
         assert_eq!(d.tracker().in_use(), in_use);
     }
 
+    /// A join against an index its full version already caches reads the
+    /// version in place: after a snapshot publish it neither detaches
+    /// (deep-copies) the shared version nor allocates more than the same
+    /// join on an unshared version.
+    #[test]
+    fn cached_full_join_keeps_a_published_version_shared() {
+        for backend in [one_shard(), ShardedBackend::new(4).unwrap()] {
+            let d = device();
+            let mut rels = storages(&d);
+            let mut stats = RunStats::default();
+            let mut join = |rels: &mut [RelationStorage]| {
+                let before = d.metrics().snapshot().allocations;
+                backend
+                    .execute(&mut context(&d, rels, &mut stats), &join_pipeline())
+                    .unwrap();
+                rels[2].new_tuples.clear();
+                d.metrics().snapshot().allocations - before
+            };
+            join(&mut rels);
+            let unshared = join(&mut rels);
+            let published = rels[1].share_full();
+            let shared = join(&mut rels);
+            assert!(rels[1].full_is_shared(), "a cached join must not detach");
+            assert_eq!(shared, unshared, "{} shards", backend.shards());
+            assert_eq!(published.len(), rels[1].len());
+        }
+    }
+
     /// A pipeline whose intermediate empties before its full-version join
     /// never reaches that read: the deferred runs stay pending, and the
     /// next full read — or settling every relation — still yields the

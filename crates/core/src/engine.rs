@@ -21,13 +21,16 @@ use crate::ast::{Atom, Program, Query, Term};
 use crate::backend::{EvalContext, PipelineOutcome, ShardedBackend};
 use crate::ebm::EbmConfig;
 use crate::error::{EngineError, EngineResult};
-use crate::planner::{compile, lower_program, CompiledProgram, LoweredStratum};
+use crate::planner::{
+    compile, full_probe_keys, lower_program, lower_rule_plan, plan_seed_versions, CompiledProgram,
+    CompiledStratum, LoweredStratum, RelId,
+};
 use crate::ra::difference_batch;
 use crate::ra::nway::NwayStrategy;
 use crate::ra::op::RaPipeline;
 use crate::relation::RelationStorage;
 use crate::snapshot::FixpointSnapshot;
-use crate::stats::{IterationRecord, Phase, RunStats};
+use crate::stats::{IterationRecord, Phase, RunStats, StratumMode};
 use gpulog_device::topology::DeviceTopology;
 use gpulog_device::Device;
 use gpulog_hisa::TupleBatch;
@@ -414,8 +417,19 @@ impl<'d> EngineBuilder<'d> {
                 config.load_factor,
             )?);
         }
-        let pending_facts = vec![Vec::new(); compiled.relation_names.len()];
+        let relation_count = compiled.relation_names.len();
+        let pending_facts = vec![Vec::new(); relation_count];
         let pipelines = lower_program(&compiled, config.nway);
+        let reads = compiled.strata.iter().map(StratumReads::of).collect();
+        let mut derived_facts = vec![None; relation_count];
+        for stratum in &compiled.strata {
+            if !stratum.rule_indices.is_empty() {
+                for &rel in &stratum.relations {
+                    derived_facts[rel] = Some(Vec::new());
+                }
+            }
+        }
+        let seeds = vec![None; compiled.strata.len()];
         Ok(GpulogEngine {
             device: self.device.clone(),
             program: ast,
@@ -426,8 +440,13 @@ impl<'d> EngineBuilder<'d> {
             relations,
             pending_facts,
             config,
+            loaded: false,
             has_run: false,
             generation: 0,
+            marks: vec![0; relation_count],
+            derived_facts,
+            reads,
+            seeds,
         })
     }
 }
@@ -495,9 +514,72 @@ pub struct GpulogEngine {
     relations: Vec<RelationStorage>,
     pending_facts: Vec<Vec<u32>>,
     config: EngineConfig,
+    /// Whether the extensional database has been loaded into storage (the
+    /// first run's load, even when that run then failed).
+    loaded: bool,
     has_run: bool,
     /// Completed fixpoints so far (the generation stamped on snapshots).
     generation: u64,
+    /// Each relation's full length at the last completed fixpoint (zero
+    /// before one): the rows past its mark are what the relation grew
+    /// since. A failed run leaves the marks alone, so the next run redoes
+    /// its work.
+    marks: Vec<usize>,
+    /// The facts loaded or staged into each relation a rule derives,
+    /// program facts included (`None` for relations no rule derives): a
+    /// re-derived stratum restarts its relations from these.
+    derived_facts: Vec<Option<Vec<u32>>>,
+    /// What each stratum's rules read from lower strata.
+    reads: Vec<StratumReads>,
+    /// Each stratum's seed versions with the lower relation each reads as
+    /// its delta, lowered at the first re-run that seeds the stratum.
+    seeds: Vec<Option<Vec<(RelId, RaPipeline)>>>,
+}
+
+/// The lower-stratum relations one stratum's rules read, by how they read
+/// them: a re-run may seed the stratum from growth in the `positive` ones,
+/// but growth in a `nonmonotone` one can retract conclusions.
+#[derive(Debug, Clone, Default)]
+struct StratumReads {
+    /// Read by a positive body atom of a rule without an aggregate.
+    positive: Vec<RelId>,
+    /// Read under negation or in an aggregate rule's body.
+    nonmonotone: Vec<RelId>,
+}
+
+impl StratumReads {
+    fn of(stratum: &CompiledStratum) -> Self {
+        let mut reads = StratumReads::default();
+        for plan in stratum.non_recursive.iter().chain(&stratum.recursive) {
+            let positive = std::iter::once(plan.scan.relation)
+                .chain(plan.joins.iter().map(|join| join.relation))
+                .filter(|rel| !stratum.relations.contains(rel));
+            if plan.reduce.is_some() {
+                reads.nonmonotone.extend(positive);
+            } else {
+                reads.positive.extend(positive);
+            }
+            reads
+                .nonmonotone
+                .extend(plan.anti_joins.iter().map(|anti| anti.relation));
+        }
+        for rels in [&mut reads.positive, &mut reads.nonmonotone] {
+            rels.sort_unstable();
+            rels.dedup();
+        }
+        reads
+    }
+}
+
+/// What a relation's stratum did to it in the current run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Change {
+    /// Its full version equals the last completed fixpoint's.
+    Unchanged,
+    /// Rows were appended past its mark.
+    Grown,
+    /// It was rebuilt from its facts and may have lost rows.
+    Rederived,
 }
 
 impl GpulogEngine {
@@ -658,14 +740,20 @@ impl GpulogEngine {
         Ok(())
     }
 
-    /// Stages extensional facts for the *next* run. Unlike
+    /// Stages facts for the *next* run. Unlike
     /// [`GpulogEngine::add_facts_batch`] this is allowed after the engine
-    /// has run: it is the serving writer's path for growing the extensional
-    /// database between fixpoints. The facts take effect on the next
+    /// has run: it is the serving writer's path for growing the database
+    /// between fixpoints. The facts take effect on the next
     /// [`GpulogEngine::run`], which merges them into the existing full
-    /// versions (deduplicated) and re-evaluates to the enlarged fixpoint —
-    /// the program being monotone, re-running from the previous fixpoint
-    /// converges to exactly the from-scratch result.
+    /// versions (deduplicated) and re-evaluates only what they imply,
+    /// stratum by stratum (see [`StratumMode`]): a stratum that reads
+    /// nothing changed is skipped, one whose inputs only grew where it
+    /// reads them positively is seeded from the grown rows, and one that
+    /// reads a grown relation under negation or through an aggregate (or
+    /// reads a re-derived one) is re-derived from its facts. The result is
+    /// exactly the from-scratch fixpoint over every fact loaded or staged
+    /// so far, for any stratified program — facts staged into a derived
+    /// relation included.
     ///
     /// # Errors
     ///
@@ -781,21 +869,43 @@ impl GpulogEngine {
         let topology_before = self.backend.topology_report();
         let mut stats = RunStats::default();
 
-        // Load the extensional database. First run: program facts + added
-        // facts replace the (empty) full versions wholesale. Re-runs keep
-        // every relation's previous fixpoint and merge the newly staged
-        // facts in (deduplicated against full) — the monotone re-evaluation
-        // below then grows the derived relations to the enlarged fixpoint.
+        // Load the extensional database. The first load replaces the
+        // (empty) full versions wholesale with program facts + added facts.
+        // Later runs merge the newly staged facts into full (deduplicated
+        // against it); each stratum below then evaluates only what the
+        // change implies.
         let t = Instant::now();
-        let mut fact_buffers: Vec<Vec<u32>> = std::mem::take(&mut self.pending_facts);
-        if self.has_run {
-            for (rel, buffer) in fact_buffers.iter().enumerate() {
+        let fact_buffers = std::mem::replace(
+            &mut self.pending_facts,
+            vec![Vec::new(); self.relations.len()],
+        );
+        let first_load = !self.loaded;
+        if first_load {
+            let mut fact_buffers = fact_buffers;
+            for (rel, tuple) in &self.compiled.facts {
+                fact_buffers[*rel].extend_from_slice(tuple);
+            }
+            for (rel, buffer) in fact_buffers.into_iter().enumerate() {
+                if !buffer.is_empty() || self.compiled.inputs[rel] {
+                    self.relations[rel].load_full(&buffer)?;
+                }
+                if let Some(kept) = &mut self.derived_facts[rel] {
+                    *kept = buffer;
+                }
+            }
+            self.loaded = true;
+        } else {
+            self.settle_all(&mut stats)?;
+            for (rel, buffer) in fact_buffers.into_iter().enumerate() {
                 if buffer.is_empty() {
                     continue;
                 }
-                let batch = TupleBatch::new(self.compiled.arities[rel], buffer.clone());
+                let batch = TupleBatch::new(self.compiled.arities[rel], buffer);
                 let delta =
                     difference_batch(&self.device, &batch, self.relations[rel].full().canonical());
+                if let Some(kept) = &mut self.derived_facts[rel] {
+                    kept.extend_from_slice(batch.as_flat());
+                }
                 if delta.is_empty() {
                     continue;
                 }
@@ -803,105 +913,87 @@ impl GpulogEngine {
                 self.relations[rel].merge_delta_into_full(&self.config.ebm)?;
                 self.relations[rel].clear_delta()?;
             }
-        } else {
-            for (rel, tuple) in &self.compiled.facts {
-                fact_buffers[*rel].extend_from_slice(tuple);
-            }
-            for (rel, buffer) in fact_buffers.iter().enumerate() {
-                if !buffer.is_empty() || self.compiled.inputs[rel] {
-                    self.relations[rel].load_full(buffer)?;
-                }
-            }
         }
-        self.pending_facts = vec![Vec::new(); self.relations.len()];
         stats.add_phase(Phase::Other, t.elapsed());
 
-        // Per-stratum metadata and the lowered pipelines, cloned out of
-        // `self` so dispatch can borrow the relations mutably.
+        // Per-stratum metadata, cloned out of `self` so dispatch can borrow
+        // the relations mutably.
         let strata_meta: Vec<(Vec<usize>, bool)> = self
             .compiled
             .strata
             .iter()
-            .map(|s| (s.relations.clone(), s.is_recursive))
+            .map(|s| {
+                let iterates = s.is_recursive && !s.recursive.is_empty();
+                (s.relations.clone(), iterates)
+            })
             .collect();
-        let pipelines = self.pipelines.clone();
 
-        for (stratum_idx, (stratum_rels, is_recursive)) in strata_meta.iter().enumerate() {
-            // Non-recursive rules: evaluate once over full versions.
-            for pipeline in &pipelines[stratum_idx].non_recursive {
-                self.dispatch(pipeline, &mut stats)?;
-            }
-            let (nr_new, nr_delta) = self.populate_and_merge(stratum_rels, &mut stats)?;
+        let mut changes = vec![Change::Unchanged; self.relations.len()];
+        for (stratum_idx, (stratum_rels, iterates)) in strata_meta.iter().enumerate() {
+            let mode = if first_load {
+                StratumMode::Rederived
+            } else {
+                self.stratum_mode(stratum_idx, &changes)
+            };
+            stats.stratum_modes.push(mode);
+            let (nr_new, nr_delta) = match mode {
+                StratumMode::Skipped => continue,
+                StratumMode::Rederived => {
+                    if !first_load {
+                        // Restart from the loaded facts in fresh versions;
+                        // a published snapshot keeps the old ones.
+                        let t = Instant::now();
+                        for &rel in stratum_rels {
+                            let facts = self.derived_facts[rel].as_deref().unwrap_or_default();
+                            self.relations[rel].load_full(facts)?;
+                        }
+                        stats.add_phase(Phase::Other, t.elapsed());
+                    }
+                    // Non-recursive rules: evaluate once over full versions.
+                    for pipeline in &self.pipelines[stratum_idx].non_recursive.clone() {
+                        self.dispatch(pipeline, &mut stats)?;
+                    }
+                    self.populate_and_merge(stratum_rels, &mut stats)?
+                }
+                StratumMode::Seeded => self.seed(stratum_idx, &changes, &mut stats)?,
+            };
             // The engine is about to read relation storage directly (delta
             // seeding below, or the next stratum's scans of this one's
             // outputs): settle any merge still deferred or in flight.
             self.settle_all(&mut stats)?;
 
-            if *is_recursive && !pipelines[stratum_idx].recursive.is_empty() {
-                // Seed the deltas with everything currently in full. The
-                // seed batch is unordered (full's data array is in storage
-                // order after merges), so set_delta_batch takes the general
-                // sort+dedup build here — only difference() outputs earn
-                // the sorted-unique fast path.
+            if *iterates {
+                // A re-derived stratum iterates from everything in full, a
+                // seeded one from what it grew since the last fixpoint. The
+                // rows are in storage order, so set_delta_batch takes the
+                // general sort+dedup build here — only difference() outputs
+                // earn the sorted-unique fast path.
                 let t = Instant::now();
                 let mut seeded = 0usize;
                 for &rel in stratum_rels {
-                    let batch = self.relations[rel].tuples_batch();
+                    let mark = match mode {
+                        StratumMode::Seeded => self.marks[rel],
+                        _ => 0,
+                    };
+                    let batch = self.relations[rel].rows_since(mark);
                     seeded += batch.len();
                     self.relations[rel].set_delta_batch(&batch)?;
                 }
                 stats.add_phase(Phase::IndexDelta, t.elapsed());
-                if seeded == 0 {
-                    // Nothing to iterate over; the stratum is already at
-                    // fixpoint.
-                    for &rel in stratum_rels {
-                        self.relations[rel].clear_delta()?;
-                    }
-                    continue;
+                if seeded > 0 {
+                    self.iterate(stratum_idx, nr_new, nr_delta.max(seeded), &mut stats)?;
                 }
-                // The paper counts the initial (non-recursive) evaluation as
-                // iteration 1 (see Figure 1), so record it that way.
-                stats.iteration_records.push(IterationRecord {
-                    stratum: stratum_idx,
-                    iteration: 1,
-                    new_tuples: nr_new,
-                    delta_tuples: nr_delta.max(seeded),
-                });
-                stats.iterations += 1;
-
-                let mut iteration = 1usize;
-                loop {
-                    iteration += 1;
-                    if iteration > self.config.max_iterations {
-                        // Leave storage readable: no merge stays deferred.
-                        self.settle_all(&mut stats)?;
-                        return Err(EngineError::IterationLimit {
-                            limit: self.config.max_iterations,
-                        });
-                    }
-                    for pipeline in &pipelines[stratum_idx].recursive {
-                        self.dispatch(pipeline, &mut stats)?;
-                    }
-                    let (new_count, delta_count) =
-                        self.populate_and_merge(stratum_rels, &mut stats)?;
-                    stats.iteration_records.push(IterationRecord {
-                        stratum: stratum_idx,
-                        iteration,
-                        new_tuples: new_count,
-                        delta_tuples: delta_count,
-                    });
-                    stats.iterations += 1;
-                    if delta_count == 0 {
-                        break;
-                    }
-                }
-                // The fixpoint is reached; drain every merge still deferred
-                // or in flight before storage is read again.
-                self.settle_all(&mut stats)?;
                 // Clear deltas so later strata see a clean state.
                 for &rel in stratum_rels {
                     self.relations[rel].clear_delta()?;
                 }
+            }
+            for &rel in stratum_rels {
+                changes[rel] = match mode {
+                    StratumMode::Rederived => Change::Rederived,
+                    _ if self.relations[rel].len() > self.marks[rel] => Change::Grown,
+                    _ => Change::Unchanged,
+                };
             }
         }
 
@@ -925,6 +1017,7 @@ impl GpulogEngine {
             stats
                 .relation_sizes
                 .insert(self.compiled.relation_names[rel].clone(), storage.len());
+            self.marks[rel] = storage.len();
         }
         self.has_run = true;
         self.generation += 1;
@@ -1022,7 +1115,7 @@ impl GpulogEngine {
                 .compiled
                 .relation_id(name)
                 .expect("compiled and AST declarations agree");
-            if self.has_run {
+            if self.loaded {
                 let batch = self.relations[id].tuples_batch();
                 if !batch.is_empty() {
                     sub.add_facts_batch(name, &batch)?;
@@ -1092,6 +1185,138 @@ impl GpulogEngine {
                       program"
                     .into(),
             })
+    }
+
+    /// How a re-run evaluates a stratum, given what the strata below it
+    /// did (see [`StratumMode`]). Growth read positively only adds
+    /// conclusions, so seeding from it is exact; growth read under negation
+    /// or through an aggregate, and any re-derived input, can retract
+    /// conclusions, which only a re-derivation gets right.
+    fn stratum_mode(&self, stratum: usize, changes: &[Change]) -> StratumMode {
+        let reads = &self.reads[stratum];
+        let any = |rels: &[RelId], change: Change| rels.iter().any(|&rel| changes[rel] == change);
+        if any(&reads.positive, Change::Rederived)
+            || any(&reads.nonmonotone, Change::Rederived)
+            || any(&reads.nonmonotone, Change::Grown)
+        {
+            StratumMode::Rederived
+        } else if any(&reads.positive, Change::Grown)
+            || self.compiled.strata[stratum]
+                .relations
+                .iter()
+                .any(|&rel| self.relations[rel].len() > self.marks[rel])
+        {
+            StratumMode::Seeded
+        } else {
+            StratumMode::Skipped
+        }
+    }
+
+    /// Evaluates a seeded stratum's consequences of its grown inputs: each
+    /// grown lower relation's rows past its mark become its delta, the
+    /// seed versions reading one of them run once, the deltas are cleared
+    /// again, and the stratum's relations are populated. Returns `(raw new
+    /// tuples, delta tuples)` like [`GpulogEngine::populate_and_merge`].
+    fn seed(
+        &mut self,
+        stratum: usize,
+        changes: &[Change],
+        stats: &mut RunStats,
+    ) -> EngineResult<(usize, usize)> {
+        let grown: Vec<RelId> = self.reads[stratum]
+            .positive
+            .iter()
+            .copied()
+            .filter(|&rel| changes[rel] == Change::Grown)
+            .collect();
+        if grown.is_empty() {
+            return Ok((0, 0));
+        }
+        let seeds = self.seed_pipelines(stratum)?;
+        let t = Instant::now();
+        for &rel in &grown {
+            let batch = self.relations[rel].rows_since(self.marks[rel]);
+            self.relations[rel].set_delta_batch(&batch)?;
+        }
+        stats.add_phase(Phase::IndexDelta, t.elapsed());
+        for (delta, pipeline) in &seeds {
+            if grown.contains(delta) {
+                self.dispatch(pipeline, stats)?;
+            }
+        }
+        for &rel in &grown {
+            self.relations[rel].clear_delta()?;
+        }
+        let stratum_rels = self.compiled.strata[stratum].relations.clone();
+        self.populate_and_merge(&stratum_rels, stats)
+    }
+
+    /// A stratum's lowered seed versions, planned at the first call.
+    fn seed_pipelines(&mut self, stratum: usize) -> EngineResult<Vec<(RelId, RaPipeline)>> {
+        if self.seeds[stratum].is_none() {
+            let probed = full_probe_keys(&self.pipelines);
+            let seeds = plan_seed_versions(&self.compiled, stratum, &probed)?
+                .into_iter()
+                .map(|seed| (seed.delta, lower_rule_plan(&seed.plan, self.config.nway)))
+                .collect();
+            self.seeds[stratum] = Some(seeds);
+        }
+        Ok(self.seeds[stratum].clone().unwrap_or_default())
+    }
+
+    /// The semi-naive loop of a recursive stratum whose deltas are
+    /// installed: records the first evaluation as iteration 1 (the paper
+    /// counts it that way, see Figure 1), then runs the delta versions
+    /// until every delta is empty, and settles every relation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::IterationLimit`] past the configured bound,
+    /// with storage settled.
+    fn iterate(
+        &mut self,
+        stratum: usize,
+        first_new: usize,
+        first_delta: usize,
+        stats: &mut RunStats,
+    ) -> EngineResult<()> {
+        stats.iteration_records.push(IterationRecord {
+            stratum,
+            iteration: 1,
+            new_tuples: first_new,
+            delta_tuples: first_delta,
+        });
+        stats.iterations += 1;
+        let pipelines = self.pipelines[stratum].recursive.clone();
+        let stratum_rels = self.compiled.strata[stratum].relations.clone();
+        let mut iteration = 1usize;
+        loop {
+            iteration += 1;
+            if iteration > self.config.max_iterations {
+                // Leave storage readable: no merge stays deferred.
+                self.settle_all(stats)?;
+                return Err(EngineError::IterationLimit {
+                    limit: self.config.max_iterations,
+                });
+            }
+            for pipeline in &pipelines {
+                self.dispatch(pipeline, stats)?;
+            }
+            let (new_count, delta_count) = self.populate_and_merge(&stratum_rels, stats)?;
+            stats.iteration_records.push(IterationRecord {
+                stratum,
+                iteration,
+                new_tuples: new_count,
+                delta_tuples: delta_count,
+            });
+            stats.iterations += 1;
+            if delta_count == 0 {
+                break;
+            }
+        }
+        // The fixpoint is reached; drain every merge still deferred or in
+        // flight before storage is read again.
+        self.settle_all(stats)
     }
 
     /// Settles every relation ([`EvalContext::settle_all`]) so the engine

@@ -348,7 +348,7 @@ pub use snapshot::FixpointSnapshot;
 
 pub use gpulog_device::topology::{DeviceTopology, LinkProfile, TopologyReport};
 pub use gpulog_hisa::TupleBatch;
-pub use stats::{IterationRecord, Phase, RunStats};
+pub use stats::{IterationRecord, Phase, RunStats, StratumMode};
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,7 @@ use crate::ast::{AggregateOp, Atom, CmpOp, Program, Rule, Term};
 use crate::error::{EngineError, EngineResult};
 use crate::ra::nway::NwayStrategy;
 use crate::ra::op::{RaOp, RaPipeline};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Relation identifier: an index into [`CompiledProgram::relation_names`].
 pub type RelId = usize;
@@ -194,6 +194,11 @@ pub struct CompiledStratum {
     pub recursive: Vec<RulePlan>,
     /// Whether the stratum needs a fixpoint loop at all.
     pub is_recursive: bool,
+    /// Indices into [`CompiledProgram::rules`] of the stratum's rules with
+    /// a body (ground facts are collected into [`CompiledProgram::facts`]).
+    /// A re-run plans their seed versions from these
+    /// ([`plan_seed_versions`]).
+    pub rule_indices: Vec<usize>,
 }
 
 /// A fully compiled program.
@@ -211,6 +216,8 @@ pub struct CompiledProgram {
     pub facts: Vec<(RelId, Vec<u32>)>,
     /// Strata in evaluation order.
     pub strata: Vec<CompiledStratum>,
+    /// The rules the plans were compiled from, in program order.
+    pub rules: Vec<Rule>,
 }
 
 impl CompiledProgram {
@@ -328,6 +335,100 @@ pub fn lower_program(compiled: &CompiledProgram, strategy: NwayStrategy) -> Vec<
         .collect()
 }
 
+/// The `(relation, key columns)` of every full-version index the lowered
+/// pipelines probe: the indices a from-scratch run builds and every later
+/// merge keeps up to date.
+pub fn full_probe_keys(lowered: &[LoweredStratum]) -> HashSet<(RelId, Vec<usize>)> {
+    lowered
+        .iter()
+        .flat_map(|stratum| stratum.non_recursive.iter().chain(&stratum.recursive))
+        .flat_map(|pipeline| &pipeline.ops)
+        .flat_map(|op| match op {
+            RaOp::HashJoin { step, .. } => vec![step],
+            RaOp::FusedJoin { levels, .. } => levels.iter().map(|(step, _)| step).collect(),
+            _ => Vec::new(),
+        })
+        .filter(|step| step.version == VersionSel::Full)
+        .map(|step| (step.relation, step.inner_key_cols.clone()))
+        .collect()
+}
+
+/// One seed version of a rule: the rule with a single positive occurrence
+/// of a lower-stratum relation reading that relation's delta (its rows
+/// grown since the last completed fixpoint) and every other atom reading
+/// full.
+#[derive(Debug, Clone)]
+pub struct SeedPlan {
+    /// The lower-stratum relation whose occurrence reads its delta.
+    pub delta: RelId,
+    /// The rule version.
+    pub plan: RulePlan,
+}
+
+/// Plans the seed versions of a stratum's rules: one per rule and positive
+/// occurrence of a lower-stratum relation. Run once over the grown lower
+/// relations' deltas, they derive exactly the head tuples whose
+/// derivation reads at least one grown lower tuple.
+///
+/// A seed leads with its delta atom when every full index that order
+/// probes is in `probed` (see [`full_probe_keys`]), so it reuses indices
+/// the fixpoint maintains anyway. Otherwise it scans a full atom sharing a
+/// variable with the delta atom and joins the delta right after it: the
+/// delta's index is built on the small delta and dropped with it, rather
+/// than a new full-version index that every later copy-on-write detach
+/// would copy and every merge rewrite.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Validation`] for rules the planner rejects.
+pub fn plan_seed_versions(
+    compiled: &CompiledProgram,
+    stratum: usize,
+    probed: &HashSet<(RelId, Vec<usize>)>,
+) -> EngineResult<Vec<SeedPlan>> {
+    let id_of: HashMap<&str, RelId> = compiled
+        .relation_names
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (n.as_str(), i))
+        .collect();
+    let own = &compiled.strata[stratum].relations;
+    let mut seeds = Vec::new();
+    for &rule_index in &compiled.strata[stratum].rule_indices {
+        let rule = &compiled.rules[rule_index];
+        let positives: Vec<&Atom> = rule.positive_atoms().collect();
+        for (occ, atom) in positives.iter().enumerate() {
+            let delta = id_of[atom.relation.as_str()];
+            if own.contains(&delta) {
+                continue;
+            }
+            let delta_first = plan_rule(rule, rule_index, Some(occ), &[occ], &id_of)?;
+            let covered = delta_first.joins.iter().all(|join| {
+                join.inner_key_cols.is_empty()
+                    || probed.contains(&(join.relation, join.inner_key_cols.clone()))
+            });
+            let mut plan = if covered {
+                delta_first
+            } else {
+                let shares_var = |i: &usize| {
+                    positives[*i]
+                        .variables()
+                        .any(|v| atom.variables().any(|w| w == v))
+                };
+                let others = || (0..positives.len()).filter(|&i| i != occ);
+                let partner = others()
+                    .find(shares_var)
+                    .or_else(|| others().next())
+                    .expect("a delta-first plan with a join has another atom");
+                plan_rule(rule, rule_index, Some(occ), &[partner, occ], &id_of)?
+            };
+            plan.text = format!("{rule}   [seed: delta at body atom {occ}]");
+            seeds.push(SeedPlan { delta, plan });
+        }
+    }
+    Ok(seeds)
+}
+
 /// Compiles a program: validates, stratifies, and plans every rule.
 ///
 /// # Errors
@@ -350,6 +451,7 @@ pub fn compile(program: &Program) -> EngineResult<CompiledProgram> {
         let stratum_rels: Vec<RelId> = stratum.relations.clone();
         let mut non_recursive = Vec::new();
         let mut recursive = Vec::new();
+        let mut rule_indices = Vec::new();
         for &rule_index in &stratum.rule_indices {
             let rule = &program.rules[rule_index];
             if rule.body.is_empty() {
@@ -368,6 +470,7 @@ pub fn compile(program: &Program) -> EngineResult<CompiledProgram> {
                 facts.push((id_of[rule.head.relation.as_str()], tuple));
                 continue;
             }
+            rule_indices.push(rule_index);
             // Delta versions are generated per *positive* same-stratum
             // occurrence; stratification already guarantees negated and
             // aggregated bodies live in strictly lower strata.
@@ -378,10 +481,10 @@ pub fn compile(program: &Program) -> EngineResult<CompiledProgram> {
                 .map(|(i, _)| i)
                 .collect();
             if recursive_occurrences.is_empty() {
-                non_recursive.push(plan_rule(rule, rule_index, None, &id_of)?);
+                non_recursive.push(plan_rule(rule, rule_index, None, &[0], &id_of)?);
             } else {
                 for &occ in &recursive_occurrences {
-                    recursive.push(plan_rule(rule, rule_index, Some(occ), &id_of)?);
+                    recursive.push(plan_rule(rule, rule_index, Some(occ), &[occ], &id_of)?);
                 }
             }
         }
@@ -390,6 +493,7 @@ pub fn compile(program: &Program) -> EngineResult<CompiledProgram> {
             non_recursive,
             recursive,
             is_recursive: stratum.recursive,
+            rule_indices,
         });
     }
 
@@ -400,16 +504,19 @@ pub fn compile(program: &Program) -> EngineResult<CompiledProgram> {
         outputs: stratified.outputs,
         facts,
         strata,
+        rules: program.rules.clone(),
     })
 }
 
 /// Plans one rule version. `delta_occurrence` names the index (into the
 /// rule's *positive* body atoms) that reads the delta relation (or `None`
-/// for the all-full version).
+/// for the all-full version); `lead` names the positive atoms evaluated
+/// first, in order (a fixpoint version leads with its delta atom).
 fn plan_rule(
     rule: &Rule,
     rule_index: usize,
     delta_occurrence: Option<usize>,
+    lead: &[usize],
     id_of: &HashMap<&str, RelId>,
 ) -> EngineResult<RulePlan> {
     // Positive literals drive the scan/join pipeline; negated literals
@@ -420,18 +527,12 @@ fn plan_rule(
             message: format!("rule `{rule}` has no positive body literal to ground it"),
         });
     }
-    // Decide atom evaluation order: the delta atom (if any) first, then a
-    // greedy order preferring atoms that share a variable with what is
-    // already bound.
+    // Decide atom evaluation order: the lead atoms first, then a greedy
+    // order preferring atoms that share a variable with what is already
+    // bound.
     let n_atoms = positives.len();
     let mut order: Vec<usize> = Vec::with_capacity(n_atoms);
     let mut remaining: Vec<usize> = (0..n_atoms).collect();
-    if let Some(d) = delta_occurrence {
-        order.push(d);
-        remaining.retain(|&i| i != d);
-    } else {
-        order.push(remaining.remove(0));
-    }
     let mut bound_vars: Vec<String> = Vec::new();
     let collect_vars = |atom: &Atom, bound: &mut Vec<String>| {
         for v in atom.variables() {
@@ -440,7 +541,11 @@ fn plan_rule(
             }
         }
     };
-    collect_vars(positives[order[0]], &mut bound_vars);
+    for &atom_idx in lead {
+        remaining.retain(|&i| i != atom_idx);
+        collect_vars(positives[atom_idx], &mut bound_vars);
+        order.push(atom_idx);
+    }
     while !remaining.is_empty() {
         let pick = remaining
             .iter()
@@ -1342,6 +1447,58 @@ mod tests {
             .unwrap();
         let err = compile(&p).unwrap_err();
         assert!(err.to_string().contains("no positive body literal"));
+    }
+
+    /// SG's first rule can lead with the delta edge: its partner `Edge`
+    /// probe on column 0 is one the fixpoint maintains. The recursive
+    /// rules' delta-first orders would probe `SG` / `Reach` full on keys
+    /// no fixpoint pipeline builds, so they scan that full and join the
+    /// delta right after.
+    #[test]
+    fn seed_versions_lead_with_the_delta_only_over_maintained_indices() {
+        let c = compile_src(
+            r"
+            .decl Edge(x: number, y: number)
+            .decl SG(x: number, y: number)
+            .input Edge
+            .output SG
+            SG(x, y) :- Edge(p, x), Edge(p, y), x != y.
+            SG(x, y) :- Edge(a, x), SG(a, b), Edge(b, y), x != y.
+        ",
+        );
+        let (edge, sg) = (c.relation_id("Edge").unwrap(), c.relation_id("SG").unwrap());
+        let stratum = c.strata.iter().position(|s| s.relations == [sg]).unwrap();
+        let probed = full_probe_keys(&lower_program(&c, NwayStrategy::TemporarilyMaterialized));
+        assert!(probed.contains(&(edge, vec![0])));
+        assert!(!probed.iter().any(|(rel, _)| *rel == sg));
+        let seeds = plan_seed_versions(&c, stratum, &probed).unwrap();
+        // One seed per positive Edge occurrence: two per rule.
+        assert_eq!(seeds.len(), 4);
+        assert!(seeds.iter().all(|seed| seed.delta == edge));
+        for seed in &seeds[..2] {
+            assert_eq!(seed.plan.scan.version, VersionSel::Delta);
+            assert_eq!(seed.plan.joins[0].version, VersionSel::Full);
+        }
+        for seed in &seeds[2..] {
+            let plan = &seed.plan;
+            assert_eq!(
+                (plan.scan.relation, plan.scan.version),
+                (sg, VersionSel::Full)
+            );
+            assert_eq!(
+                (plan.joins[0].relation, plan.joins[0].version),
+                (edge, VersionSel::Delta)
+            );
+            assert_eq!(
+                (plan.joins[1].relation, plan.joins[1].version),
+                (edge, VersionSel::Full)
+            );
+            assert!(plan
+                .joins
+                .iter()
+                .filter(|join| join.version == VersionSel::Full)
+                .all(|join| probed.contains(&(join.relation, join.inner_key_cols.clone()))));
+        }
     }
 
     #[test]

@@ -69,16 +69,6 @@ pub fn hash_join(
                 .all(|&(a, b)| row[orig_to_reordered[a]] == row[orig_to_reordered[b]])
     };
 
-    let matches_of = |outer_row: &[u32]| -> Vec<u32> {
-        if outer_key_cols.is_empty() {
-            // Cross product: every inner row is a candidate.
-            (0..inner.len() as u32).collect()
-        } else {
-            let key: Vec<u32> = outer_key_cols.iter().map(|&c| outer_row[c]).collect();
-            inner.range_query(&key).collect()
-        }
-    };
-
     // Pass 1: count matches per outer tuple.
     let metrics = device.metrics();
     metrics.add_kernel_launch();
@@ -86,10 +76,13 @@ pub fn hash_join(
     let mut counts = vec![0usize; outer_rows];
     device.executor().fill(&mut counts, |i| {
         let outer_row = &outer[i * outer_arity..(i + 1) * outer_arity];
-        matches_of(outer_row)
-            .into_iter()
-            .filter(|&r| passes_inner_filters(inner.row_reordered(r as usize)))
-            .count()
+        let mut count = 0usize;
+        for_each_match(inner, outer_row, outer_key_cols, |r| {
+            if passes_inner_filters(inner.row_reordered(r as usize)) {
+                count += 1;
+            }
+        });
+        count
     });
 
     // Exclusive scan over per-row output value counts (rows * emit arity).
@@ -108,10 +101,10 @@ pub fn hash_join(
         .scatter_by_offsets(&mut output, &offsets, |i, out_slice| {
             let outer_row = &outer[i * outer_arity..(i + 1) * outer_arity];
             let mut cursor = 0usize;
-            for inner_row_id in matches_of(outer_row) {
+            for_each_match(inner, outer_row, outer_key_cols, |inner_row_id| {
                 let inner_row = inner.row_reordered(inner_row_id as usize);
                 if !passes_inner_filters(inner_row) {
-                    continue;
+                    return;
                 }
                 for src in emit {
                     out_slice[cursor] = match *src {
@@ -120,10 +113,41 @@ pub fn hash_join(
                     };
                     cursor += 1;
                 }
-            }
+            });
             debug_assert_eq!(cursor, out_slice.len());
         });
     output
+}
+
+/// Join keys up to this many columns are gathered on the stack.
+const STACK_KEY_COLS: usize = 8;
+
+/// Calls `visit` with the data-array row id of every inner row whose key
+/// equals `outer_row`'s `outer_key_cols` — every inner row for an empty key
+/// (a cross product). Allocates nothing for keys of up to
+/// [`STACK_KEY_COLS`] columns, so a probe that misses costs one hash lookup.
+fn for_each_match(
+    inner: &Hisa,
+    outer_row: &[u32],
+    outer_key_cols: &[usize],
+    visit: impl FnMut(u32),
+) {
+    if outer_key_cols.is_empty() {
+        (0..inner.len() as u32).for_each(visit);
+        return;
+    }
+    let mut stack = [0u32; STACK_KEY_COLS];
+    let mut heap = Vec::new();
+    let key = if outer_key_cols.len() <= STACK_KEY_COLS {
+        &mut stack[..outer_key_cols.len()]
+    } else {
+        heap.resize(outer_key_cols.len(), 0);
+        &mut heap[..]
+    };
+    for (slot, &col) in key.iter_mut().zip(outer_key_cols) {
+        *slot = outer_row[col];
+    }
+    inner.range_query(key).for_each(visit);
 }
 
 /// [`hash_join`] with the outer relation carried as a [`TupleBatch`]; the

@@ -274,6 +274,20 @@ impl RelationVersion {
         self.sharded.keys().cloned().collect()
     }
 
+    /// The `(key columns, shard count)` of every index this version carries
+    /// beside its canonical one, sorted: secondary indices count as one
+    /// shard.
+    pub fn index_keys(&self) -> Vec<(Vec<usize>, usize)> {
+        let mut keys: Vec<(Vec<usize>, usize)> = self
+            .by_key
+            .keys()
+            .map(|key| (key.clone(), 1))
+            .chain(self.sharded_index_specs())
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// Device bytes attributable to this version (canonical plus secondary
     /// and sharded indices).
     pub fn device_bytes(&self) -> usize {
@@ -841,7 +855,18 @@ impl RelationStorage {
     /// concatenate data arrays and keep sortedness in the sorted index — so
     /// the batch does not carry the sorted-unique flag.
     pub fn tuples_batch(&self) -> TupleBatch {
-        TupleBatch::new(self.arity, self.full().tuples_flat().to_vec())
+        self.rows_since(0)
+    }
+
+    /// The full relation's rows past its first `mark` ones, as an owned
+    /// [`TupleBatch`] in storage order: everything merged in since the full
+    /// version held `mark` rows, because merges only append data rows
+    /// ([`Hisa::merge_from`]). Settle first, or rows still deferred are
+    /// missing. A mark past the end yields no rows.
+    pub fn rows_since(&self, mark: usize) -> TupleBatch {
+        let flat = self.full().tuples_flat();
+        let start = (mark * self.arity).min(flat.len());
+        TupleBatch::new(self.arity, flat[start..].to_vec())
     }
 
     /// Appends raw derived tuples to the `new` buffer.
@@ -1292,6 +1317,50 @@ mod tests {
         let taken = s.take_full().unwrap();
         assert_eq!(taken.tuples_flat(), republished.tuples_flat());
         assert!(s.full().is_empty(), "take_full leaves a placeholder");
+    }
+
+    /// Re-runs read a relation's growth as its rows past a mark, which
+    /// holds only because merges append data rows — eager merges, and
+    /// deferred ones once settled.
+    #[test]
+    fn rows_since_a_mark_are_exactly_the_rows_merged_after_it() {
+        let d = device();
+        let ebm = EbmConfig::default();
+        let mut eager = storage(&d);
+        eager.load_full(&[9, 9, 1, 2, 5, 5]).unwrap();
+        let _ = eager.full_mut().unwrap().index_on(&d, &[1]).unwrap();
+        let before = eager.full().tuples_flat().to_vec();
+        let mark = eager.len();
+        eager.set_delta_sorted_unique(&[0, 7, 3, 3]).unwrap();
+        eager.merge_delta_into_full(&ebm).unwrap();
+        assert_eq!(
+            &eager.full().tuples_flat()[..before.len()],
+            before.as_slice()
+        );
+        assert_eq!(eager.rows_since(mark).as_flat(), &[0, 7, 3, 3]);
+        assert_eq!(
+            eager.rows_since(0).as_flat(),
+            eager.tuples_batch().as_flat()
+        );
+        assert!(eager.rows_since(mark + 5).is_empty());
+
+        let mut deferred = storage(&d);
+        deferred.load_full(&[9, 9, 1, 2, 5, 5]).unwrap();
+        for run in [[0u32, 7], [4, 4], [2, 8]] {
+            deferred.join_merge().unwrap();
+            deferred
+                .defer_merge(TupleBatch::from_sorted_unique_flat(2, run.to_vec()), &ebm)
+                .unwrap();
+        }
+        deferred.settle(&ebm).unwrap();
+        assert_eq!(
+            &deferred.full().tuples_flat()[..before.len()],
+            before.as_slice()
+        );
+        let grown = deferred.rows_since(mark);
+        let mut grown: Vec<&[u32]> = grown.rows().collect();
+        grown.sort_unstable();
+        assert_eq!(grown, vec![&[0u32, 7][..], &[2, 8], &[4, 4]]);
     }
 
     /// The background-merge swap on a version shared with a snapshot must

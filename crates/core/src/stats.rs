@@ -65,6 +65,24 @@ pub struct IterationRecord {
     pub delta_tuples: usize,
 }
 
+/// How a run evaluated one stratum. The first run re-derives every
+/// stratum; a re-run picks per stratum from what changed below it since
+/// the last completed fixpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StratumMode {
+    /// Nothing the stratum reads changed and nothing was staged into its
+    /// relations: it kept its previous fixpoint untouched.
+    Skipped,
+    /// Its inputs only grew and it reads the grown ones positively: the
+    /// stratum was seeded from the grown rows and iterated on from its
+    /// previous fixpoint.
+    Seeded,
+    /// It reads a grown relation under negation or in an aggregate body,
+    /// or reads a re-derived relation: its relations restarted from their
+    /// loaded facts and were evaluated from scratch.
+    Rederived,
+}
+
 /// Statistics for one engine run.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
@@ -72,6 +90,8 @@ pub struct RunStats {
     pub iterations: usize,
     /// Per-iteration records.
     pub iteration_records: Vec<IterationRecord>,
+    /// How each stratum was evaluated, in evaluation order.
+    pub stratum_modes: Vec<StratumMode>,
     /// Wall-clock seconds per phase.
     pub phase_seconds: HashMap<Phase, f64>,
     /// Total wall-clock seconds for the run.

@@ -436,11 +436,11 @@ impl Hisa {
     /// # Panics
     ///
     /// Panics if `key.len()` differs from the spec's key arity.
-    pub fn range_query<'a>(&'a self, key: &[Value]) -> RangeQuery<'a> {
+    pub fn range_query<'a>(&'a self, key: &'a [Value]) -> RangeQuery<'a> {
         assert_eq!(key.len(), self.spec.key_arity(), "key arity mismatch");
         RangeQuery {
             hisa: self,
-            key: key.to_vec(),
+            key,
             position: self
                 .key_start_position(key)
                 .map_or(usize::MAX, |p| p as usize),
@@ -765,7 +765,7 @@ fn build_hash_layer(
 #[derive(Debug)]
 pub struct RangeQuery<'a> {
     hisa: &'a Hisa,
-    key: Vec<Value>,
+    key: &'a [Value],
     position: usize,
 }
 
@@ -781,7 +781,7 @@ impl<'a> Iterator for RangeQuery<'a> {
             let row = sorted[self.position] as usize;
             let prefix = &data[row * arity..row * arity + key_arity];
             self.position += 1;
-            match prefix.cmp(self.key.as_slice()) {
+            match prefix.cmp(self.key) {
                 std::cmp::Ordering::Equal => return Some(row as u32),
                 std::cmp::Ordering::Greater => {
                     // Sorted order: once past the key, no more matches.

@@ -178,9 +178,13 @@ impl ServeWriter {
     }
 
     /// Materializes the next fixpoint from the staged facts and publishes
-    /// it. The engine runs outside any lock — readers keep serving the
-    /// previous snapshot throughout — and the publish itself is one short
-    /// write-locked swap.
+    /// it. The engine derives only what the staged facts imply (see
+    /// [`GpulogEngine::insert_facts_batch`]): a positive change costs its
+    /// consequences plus a copy-on-write copy of each relation it grows,
+    /// while a change read under negation or through an aggregate
+    /// re-derives the strata it reaches. The engine runs outside any lock —
+    /// readers keep serving the previous snapshot throughout — and the
+    /// publish itself is one short write-locked swap.
     ///
     /// # Errors
     ///

@@ -3,8 +3,8 @@
 //! All test content lives in the `tests/` directory and exercises the
 //! public APIs of the workspace crates together (end-to-end Datalog
 //! queries, cross-engine agreement, paper figure traces). This library
-//! exports the one piece of shared harness code: the CI test matrix's
-//! `GPULOG_TEST_BACKEND` override.
+//! exports the shared harness code: the CI test matrix's
+//! `GPULOG_TEST_BACKEND` override and the property tests' program shapes.
 
 use gpulog::EngineConfig;
 use gpulog_bench::BackendSpec;
@@ -40,6 +40,51 @@ pub fn backend_from_env() -> BackendSpec {
 pub fn config_from_env() -> EngineConfig {
     backend_from_env().configure(EngineConfig::default())
 }
+
+/// Three program shapes the property tests sweep: each hits several
+/// optimizer rewrites at once (dead rules, duplicates, subsumption,
+/// constant propagation, always-false elimination) across negation and
+/// aggregation. `passes.rs` checks the rewrites preserve every output's
+/// fixpoint; `incremental.rs` checks re-runs match from-scratch runs.
+pub const PROPERTY_PROGRAMS: [&str; 3] = [
+    // Closure with a dead derived chain, a duplicate literal, a subsumed
+    // rule, and a constant selection.
+    ".decl Edge(x: number, y: number)\n\
+     .input Edge\n\
+     .decl Reach(x: number, y: number)\n\
+     .output Reach\n\
+     .decl Near(x: number, y: number)\n\
+     .output Near\n\
+     .decl Scratch(x: number, y: number)\n\
+     Reach(x, y) :- Edge(x, y).\n\
+     Reach(x, y) :- Edge(x, z), Reach(z, y).\n\
+     Reach(x, y) :- Edge(x, y), Edge(x, y), Reach(x, y).\n\
+     Near(x, y) :- Edge(x, y), x = 1.\n\
+     Scratch(y, x) :- Reach(x, y), Edge(y, x).\n",
+    // Stratified negation plus an always-false rule and a pinned-variable
+    // contradiction.
+    ".decl Edge(x: number, y: number)\n\
+     .input Edge\n\
+     .decl Blocked(x: number)\n\
+     .decl Reach(x: number, y: number)\n\
+     .output Reach\n\
+     Blocked(x) :- Edge(x, x).\n\
+     Reach(x, y) :- Edge(x, y), !Blocked(y).\n\
+     Reach(x, y) :- Edge(x, z), Reach(z, y), !Blocked(y).\n\
+     Reach(x, y) :- Edge(x, y), 3 < 2.\n\
+     Reach(x, y) :- Edge(x, y), x = 0, x = 2.\n",
+    // A head aggregate over a relation that also feeds a dead rule.
+    ".decl Edge(x: number, y: number)\n\
+     .input Edge\n\
+     .decl PathLen(x: number, y: number, d: number)\n\
+     .decl SP(x: number, y: number, d: number)\n\
+     .output SP\n\
+     .decl Unused(x: number)\n\
+     PathLen(x, y, 1) :- Edge(x, y).\n\
+     PathLen(x, y, 2) :- Edge(x, z), Edge(z, y).\n\
+     SP(x, y, min(d)) :- PathLen(x, y, d).\n\
+     Unused(x) :- PathLen(x, _, _).\n",
+];
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 
 use gpulog::{parse_program, EngineError, Gpulog, GpulogEngine, LintCode, LintLevel, Program};
 use gpulog_device::{profile::DeviceProfile, Device};
-use gpulog_tests::config_from_env;
+use gpulog_tests::{config_from_env, PROPERTY_PROGRAMS};
 use proptest::prelude::*;
 
 fn device() -> Device {
@@ -296,50 +296,6 @@ fn goal_directed_runs_still_reach_relations_the_optimizer_pruned() {
     let answers: Vec<&[u32]> = result.answers.rows().collect();
     assert_eq!(answers, vec![&[1u32, 0][..], &[2, 0], &[3, 0]]);
 }
-
-/// The three program shapes the semantics-preservation property sweeps:
-/// each hits several rewrites at once (dead rules, duplicates,
-/// subsumption, constant propagation, always-false elimination) across
-/// negation and aggregation.
-const PROPERTY_PROGRAMS: [&str; 3] = [
-    // Closure with a dead derived chain, a duplicate literal, a subsumed
-    // rule, and a constant selection.
-    ".decl Edge(x: number, y: number)\n\
-     .input Edge\n\
-     .decl Reach(x: number, y: number)\n\
-     .output Reach\n\
-     .decl Near(x: number, y: number)\n\
-     .output Near\n\
-     .decl Scratch(x: number, y: number)\n\
-     Reach(x, y) :- Edge(x, y).\n\
-     Reach(x, y) :- Edge(x, z), Reach(z, y).\n\
-     Reach(x, y) :- Edge(x, y), Edge(x, y), Reach(x, y).\n\
-     Near(x, y) :- Edge(x, y), x = 1.\n\
-     Scratch(y, x) :- Reach(x, y), Edge(y, x).\n",
-    // Stratified negation plus an always-false rule and a pinned-variable
-    // contradiction.
-    ".decl Edge(x: number, y: number)\n\
-     .input Edge\n\
-     .decl Blocked(x: number)\n\
-     .decl Reach(x: number, y: number)\n\
-     .output Reach\n\
-     Blocked(x) :- Edge(x, x).\n\
-     Reach(x, y) :- Edge(x, y), !Blocked(y).\n\
-     Reach(x, y) :- Edge(x, z), Reach(z, y), !Blocked(y).\n\
-     Reach(x, y) :- Edge(x, y), 3 < 2.\n\
-     Reach(x, y) :- Edge(x, y), x = 0, x = 2.\n",
-    // A head aggregate over a relation that also feeds a dead rule.
-    ".decl Edge(x: number, y: number)\n\
-     .input Edge\n\
-     .decl PathLen(x: number, y: number, d: number)\n\
-     .decl SP(x: number, y: number, d: number)\n\
-     .output SP\n\
-     .decl Unused(x: number)\n\
-     PathLen(x, y, 1) :- Edge(x, y).\n\
-     PathLen(x, y, 2) :- Edge(x, z), Edge(z, y).\n\
-     SP(x, y, min(d)) :- PathLen(x, y, d).\n\
-     Unused(x) :- PathLen(x, _, _).\n",
-];
 
 /// Sorted tuples of every declared output relation.
 fn output_fixpoint(engine: &GpulogEngine, program: &Program) -> Vec<(String, Vec<Vec<u32>>)> {
