@@ -20,7 +20,10 @@ fn bench_ebm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &ebm, |b, ebm| {
             b.iter(|| {
                 let device = Device::new(DeviceProfile::nvidia_h100());
-                let cfg = EngineConfig::new().with_ebm(*ebm);
+                let cfg = EngineConfig {
+                    ebm: *ebm,
+                    ..EngineConfig::default()
+                };
                 reach::run(&device, &graph, cfg).unwrap().reach_size
             })
         });

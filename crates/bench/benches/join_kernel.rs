@@ -4,11 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpulog::planner::EmitSource;
-use gpulog::ra::hash_join;
+use gpulog::ra::hash_join_batch;
 use gpulog_baselines::gpujoin_like;
 use gpulog_datasets::generators::power_law_graph;
 use gpulog_device::{profile::DeviceProfile, Device};
-use gpulog_hisa::{Hisa, IndexSpec};
+use gpulog_hisa::{Hisa, IndexSpec, TupleBatch};
 use std::time::Duration;
 
 fn bench_join(c: &mut Criterion) {
@@ -16,13 +16,14 @@ fn bench_join(c: &mut Criterion) {
     let graph = power_law_graph(4_000, 4, 7);
     let flat = graph.to_flat();
     let inner = Hisa::build(&device, IndexSpec::new(2, vec![0]), &flat).unwrap();
+    let outer = TupleBatch::new(2, flat);
     let emit = [
         EmitSource::Outer(0),
         EmitSource::Outer(1),
         EmitSource::Inner(1),
     ];
     c.bench_function("hisa_hash_join_powerlaw", |b| {
-        b.iter(|| hash_join(&device, &flat, 2, &[1], &inner, &[], &[], &emit).len())
+        b.iter(|| hash_join_batch(&device, &outer, &[1], &inner, &[], &[], &emit).len())
     });
 }
 

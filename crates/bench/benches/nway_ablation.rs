@@ -20,7 +20,10 @@ fn bench_nway(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &strategy, |b, s| {
             b.iter(|| {
                 let device = Device::new(DeviceProfile::nvidia_h100());
-                let cfg = EngineConfig::new().with_nway(*s);
+                let cfg = EngineConfig {
+                    nway: *s,
+                    ..EngineConfig::default()
+                };
                 sg::run(&device, &graph, cfg).unwrap().sg_size
             })
         });

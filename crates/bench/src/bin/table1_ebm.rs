@@ -29,11 +29,17 @@ fn main() {
     for dataset in PaperDataset::table1() {
         let graph = dataset.generate(scale);
 
-        let normal_cfg = EngineConfig::new().with_ebm(EbmConfig::disabled());
+        let normal_cfg = EngineConfig {
+            ebm: EbmConfig::disabled(),
+            ..EngineConfig::default()
+        };
         let normal_device = gpulog_device(scale);
         let normal = reach::run(&normal_device, &graph, normal_cfg).expect("normal run");
 
-        let eager_cfg = EngineConfig::new().with_ebm(EbmConfig::with_growth_factor(8.0));
+        let eager_cfg = EngineConfig {
+            ebm: EbmConfig::with_growth_factor(8.0),
+            ..EngineConfig::default()
+        };
         let eager_device = gpulog_device(scale);
         let eager = reach::run(&eager_device, &graph, eager_cfg).expect("eager run");
 

@@ -73,7 +73,10 @@ fn main() {
         let mut hip_profile = DeviceProfile::amd_mi250();
         hip_profile.memory_capacity_bytes = budget;
         let hip_device = Device::new(hip_profile);
-        let hip_cfg = backend.configure(EngineConfig::new().with_ebm(EbmConfig::disabled()));
+        let hip_cfg = backend.configure(EngineConfig {
+            ebm: EbmConfig::disabled(),
+            ..EngineConfig::default()
+        });
         let hip_cell = match sg::run(&hip_device, &graph, hip_cfg) {
             Ok(r) => format!("{:.3}", r.stats.modeled_seconds()),
             Err(_) => "OOM".to_string(),

@@ -91,18 +91,18 @@ impl BackendSpec {
     /// count, for `multigpu:N` installs an `N`-device NVLink-like
     /// [`DeviceTopology`], and for `pipelined:N` enables iteration overlap
     /// over `N` shards.
-    pub fn configure(&self, config: EngineConfig) -> EngineConfig {
+    pub fn configure(&self, mut config: EngineConfig) -> EngineConfig {
+        config.shard_count = 1;
         match self {
-            BackendSpec::Serial => config.with_shard_count(1),
-            BackendSpec::Sharded(n) => config.with_shard_count(*n),
+            BackendSpec::Serial => {}
+            BackendSpec::Sharded(n) => config.shard_count = *n,
             BackendSpec::MultiGpu(n) => {
                 let devices = NonZeroUsize::new(*n).expect("parse rejects zero devices");
-                config
-                    .with_shard_count(1)
-                    .with_device_topology(DeviceTopology::nvlink_like(devices))
+                config.device_topology = Some(DeviceTopology::nvlink_like(devices));
             }
-            BackendSpec::Pipelined(n) => config.with_shard_count(1).with_pipelined(*n),
+            BackendSpec::Pipelined(n) => config.pipelined = *n,
         }
+        config
     }
 }
 

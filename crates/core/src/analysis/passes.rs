@@ -19,8 +19,8 @@
 //!   [`super::stratify_program`] before it is returned.
 //!
 //! The engine runs both halves at build time, gated by
-//! [`LintLevel`] ([`crate::engine::EngineConfig::with_lint`]) and
-//! [`crate::engine::EngineConfig::with_optimize`]. The `gpulog-lint` CLI
+//! [`LintLevel`] ([`crate::engine::EngineConfig::lint`]) and
+//! [`crate::engine::EngineConfig::optimize`]. The `gpulog-lint` CLI
 //! (in the bench crate) exposes [`lint_program`] over `.dl` files.
 
 use crate::ast::{Literal, Program, Rule, Span, Term};

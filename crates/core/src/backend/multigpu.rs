@@ -419,7 +419,11 @@ mod tests {
 
     fn backend(devices: usize) -> ShardedBackend {
         let topology = DeviceTopology::nvlink_like(nz(devices));
-        ShardedBackend::from_config(&EngineConfig::new().with_device_topology(topology)).unwrap()
+        ShardedBackend::from_config(&EngineConfig {
+            device_topology: Some(topology),
+            ..EngineConfig::default()
+        })
+        .unwrap()
     }
 
     fn model(backend: &ShardedBackend) -> &TopologyModel {
@@ -432,7 +436,9 @@ mod tests {
         let new_rows: Vec<u32> = (0..300u32).flat_map(|i| [i % 37, i % 13]).collect();
         let run = |backend: &ShardedBackend| {
             let mut rels = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
-            rels[0].load_full(&[1, 1, 5, 5, 36, 12]).unwrap();
+            rels[0]
+                .load_full_batch(&TupleBatch::new(2, vec![1, 1, 5, 5, 36, 12]))
+                .unwrap();
             rels[0].push_new(&new_rows);
             let mut stats = RunStats::default();
             let mut ctx = EvalContext {

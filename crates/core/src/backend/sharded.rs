@@ -74,7 +74,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::planner::{ColumnSource, FilterStep, JoinStep, RelId, ScanStep, VersionSel};
 use crate::ra::nway::{fused_rule_join_batch, FusedLevel};
 use crate::ra::op::{RaOp, RaPipeline};
-use crate::ra::project::{batch_from_flat, filter_batch, scan_select};
+use crate::ra::project::{filter_batch, scan_select_rows};
 use crate::ra::{
     anti_join_batch, deduplicate_rows, difference_batch, group_reduce_batch, hash_join_batch,
     project_batch,
@@ -205,7 +205,10 @@ impl ShardedBackend {
     ///
     /// Returns [`EngineError::InvalidShardCount`] if `shards` is zero.
     pub fn new(shards: usize) -> EngineResult<Self> {
-        Self::from_config(&EngineConfig::new().with_shard_count(shards))
+        Self::from_config(&EngineConfig {
+            shard_count: shards,
+            ..EngineConfig::default()
+        })
     }
 
     /// The executor a configuration selects: deferred merging over
@@ -542,10 +545,7 @@ impl ShardedBackend {
         let mut dedup_spent = None;
         let parts = if dedup_outer && dedup_pays(&parts, inners) {
             let t = Instant::now();
-            let deduped = fan_out_shards(device, &parts, |_, part| {
-                let rows = deduplicate_rows(device, part.as_flat(), part.arity());
-                TupleBatch::from_sorted_unique_flat(part.arity(), rows)
-            });
+            let deduped = fan_out_shards(device, &parts, |_, part| deduplicate_rows(device, part));
             obs.ran(PartOp::Dedup, &parts, &deduped);
             dedup_spent = Some(t.elapsed());
             deduped
@@ -729,7 +729,7 @@ fn scan(
     let batch = if source.is_empty() {
         TupleBatch::empty(1)
     } else {
-        let scanned = scan_select(
+        let mut batch = scan_select_rows(
             ctx.device,
             source.tuples_flat(),
             storage.arity,
@@ -737,7 +737,6 @@ fn scan(
             &step.eq_filters,
             &step.keep_cols,
         );
-        let mut batch = batch_from_flat(step.keep_cols.len(), scanned);
         if !filters.is_empty() {
             batch = filter_batch(ctx.device, &batch, filters);
         }
@@ -827,7 +826,11 @@ mod tests {
 
     /// An executor over `shards` partitions with deferred merging.
     fn deferred(shards: usize) -> ShardedBackend {
-        ShardedBackend::from_config(&EngineConfig::new().with_pipelined(shards)).unwrap()
+        ShardedBackend::from_config(&EngineConfig {
+            pipelined: shards,
+            ..EngineConfig::default()
+        })
+        .unwrap()
     }
 
     fn context<'a>(
@@ -899,8 +902,12 @@ mod tests {
         ];
         let a: Vec<u32> = (0..60u32).flat_map(|i| [i, i % 11]).collect();
         let b: Vec<u32> = (0..40u32).flat_map(|i| [i % 11, i * 3]).collect();
-        relations[0].load_full(&a).unwrap();
-        relations[1].load_full(&b).unwrap();
+        relations[0]
+            .load_full_batch(&TupleBatch::new(2, a.to_vec()))
+            .unwrap();
+        relations[1]
+            .load_full_batch(&TupleBatch::new(2, b.to_vec()))
+            .unwrap();
         relations
     }
 
@@ -916,11 +923,20 @@ mod tests {
     #[test]
     fn zero_shards_are_rejected() {
         for config in [
-            EngineConfig::new().with_shard_count(0),
-            EngineConfig::new().with_shard_count(0).with_pipelined(2),
-            EngineConfig::new()
-                .with_shard_count(0)
-                .with_device_topology(DeviceTopology::nvlink_like(NonZeroUsize::MIN)),
+            EngineConfig {
+                shard_count: 0,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                shard_count: 0,
+                pipelined: 2,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                shard_count: 0,
+                device_topology: Some(DeviceTopology::nvlink_like(NonZeroUsize::MIN)),
+                ..EngineConfig::default()
+            },
         ] {
             match ShardedBackend::from_config(&config) {
                 Err(EngineError::InvalidShardCount { shards: 0 }) => {}
@@ -938,7 +954,9 @@ mod tests {
             RelationStorage::new(&d, "E", 2, DEFAULT_LOAD_FACTOR).unwrap(),
             RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap(),
         ];
-        relations[0].load_full(&[1, 2, 3, 4]).unwrap();
+        relations[0]
+            .load_full_batch(&TupleBatch::new(2, vec![1, 2, 3, 4]))
+            .unwrap();
         let pipeline = RaPipeline {
             head: 1,
             ops: vec![
@@ -968,7 +986,9 @@ mod tests {
     fn diff_pipeline_populates_and_merges_the_delta() {
         let d = device();
         let mut relations = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
-        relations[0].load_full(&[1, 2]).unwrap();
+        relations[0]
+            .load_full_batch(&TupleBatch::new(2, vec![1, 2]))
+            .unwrap();
         relations[0].push_new(&[1, 2, 3, 4, 3, 4, 5, 6]);
         let mut stats = RunStats::default();
         let mut ctx = EvalContext {
@@ -1045,7 +1065,9 @@ mod tests {
         let new_rows: Vec<u32> = (0..300u32).flat_map(|i| [i % 37, i % 13]).collect();
         let run = |backend: &ShardedBackend| {
             let mut rels = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
-            rels[0].load_full(&[1, 1, 5, 5, 36, 12]).unwrap();
+            rels[0]
+                .load_full_batch(&TupleBatch::new(2, vec![1, 1, 5, 5, 36, 12]))
+                .unwrap();
             rels[0].push_new(&new_rows);
             let mut stats = RunStats::default();
             let mut ctx = EvalContext {
@@ -1169,9 +1191,11 @@ mod tests {
         let recorder = Recorder::default();
         let observed = exercise(&one_shard(), Some(&recorder));
         let topology = DeviceTopology::nvlink_like(NonZeroUsize::MIN);
-        let multi =
-            ShardedBackend::from_config(&EngineConfig::new().with_device_topology(topology))
-                .unwrap();
+        let multi = ShardedBackend::from_config(&EngineConfig {
+            device_topology: Some(topology),
+            ..EngineConfig::default()
+        })
+        .unwrap();
         let modeled = exercise(&multi, None);
         assert_eq!(observed, default);
         assert_eq!(modeled, default);
@@ -1350,7 +1374,9 @@ mod tests {
         // A (the outer, empty delta) joins B's full version.
         let prepare = |backend: &ShardedBackend| {
             let mut rels = storages(&d);
-            rels[1].load_full(&base).unwrap();
+            rels[1]
+                .load_full_batch(&TupleBatch::new(2, base.to_vec()))
+                .unwrap();
             let mut stats = RunStats::default();
             for new in rounds {
                 rels[1].push_new(new);

@@ -17,7 +17,7 @@
 
 use crate::analysis::magic_rewrite;
 use crate::analysis::passes::{lint_program, optimize_program, LintLevel, ProgramDiagnostics};
-use crate::ast::{Atom, Program, Query, Term};
+use crate::ast::{Atom, Program, Query, Rule, Term};
 use crate::backend::{EvalContext, PipelineOutcome, ShardedBackend};
 use crate::ebm::EbmConfig;
 use crate::error::{EngineError, EngineResult};
@@ -33,31 +33,29 @@ use crate::snapshot::FixpointSnapshot;
 use crate::stats::{IterationRecord, Phase, RunStats, StratumMode};
 use gpulog_device::topology::DeviceTopology;
 use gpulog_device::Device;
-use gpulog_hisa::TupleBatch;
+use gpulog_hisa::{TupleBatch, DEFAULT_LOAD_FACTOR};
 use std::time::Instant;
 
-/// Engine configuration.
+/// Engine configuration: plain data, read by [`EngineBuilder::build`].
 ///
-/// The struct is `#[non_exhaustive]`: construct it with
-/// [`EngineConfig::default`] (or [`EngineConfig::new`]) and refine it with
-/// the `with_*` setters, so new knobs can be added without breaking
-/// callers.
+/// Set it through the builder's setters, or pass a whole value with
+/// [`EngineBuilder::config`] — struct-update syntax keeps the defaults for
+/// every field not named.
 ///
 /// # Examples
 ///
 /// ```
 /// use gpulog::{EngineConfig, NwayStrategy};
 ///
-/// let config = EngineConfig::new()
-///     .with_nway(NwayStrategy::FusedNestedLoop)
-///     .with_max_iterations(10_000);
-/// assert_eq!(config.nway, NwayStrategy::FusedNestedLoop);
+/// let config = EngineConfig {
+///     nway: NwayStrategy::FusedNestedLoop,
+///     max_iterations: 10_000,
+///     ..EngineConfig::default()
+/// };
+/// assert_eq!(config.shard_count, 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub struct EngineConfig {
-    /// HISA hash-table load factor (the paper runs 0.8).
-    pub load_factor: f64,
     /// Eager buffer management policy.
     pub ebm: EbmConfig,
     /// n-way join strategy.
@@ -99,7 +97,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            load_factor: gpulog_hisa::DEFAULT_LOAD_FACTOR,
             ebm: EbmConfig::default(),
             nway: NwayStrategy::TemporarilyMaterialized,
             max_iterations: 1_000_000,
@@ -109,82 +106,6 @@ impl Default for EngineConfig {
             lint: LintLevel::Warn,
             optimize: true,
         }
-    }
-}
-
-impl EngineConfig {
-    /// The default configuration (alias of [`EngineConfig::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the HISA hash-table load factor.
-    #[must_use]
-    pub fn with_load_factor(mut self, load_factor: f64) -> Self {
-        self.load_factor = load_factor;
-        self
-    }
-
-    /// Sets the eager-buffer-management policy.
-    #[must_use]
-    pub fn with_ebm(mut self, ebm: EbmConfig) -> Self {
-        self.ebm = ebm;
-        self
-    }
-
-    /// Sets the n-way join strategy.
-    #[must_use]
-    pub fn with_nway(mut self, nway: NwayStrategy) -> Self {
-        self.nway = nway;
-        self
-    }
-
-    /// Sets the per-stratum fixpoint iteration limit.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Sets the number of hash partitions relations are sharded into
-    /// (validated at engine construction; zero is rejected there).
-    #[must_use]
-    pub fn with_shard_count(mut self, shard_count: usize) -> Self {
-        self.shard_count = shard_count;
-        self
-    }
-
-    /// Sets the simulated multi-device topology; the executor then pins one
-    /// shard per modeled device (validated at engine construction: a
-    /// conflicting `shard_count` is rejected).
-    #[must_use]
-    pub fn with_device_topology(mut self, topology: DeviceTopology) -> Self {
-        self.device_topology = Some(topology);
-        self
-    }
-
-    /// Enables iteration overlap: the executor runs over `shards` hash
-    /// partitions with deferred merging (validated at engine construction;
-    /// zero keeps bulk-synchronous evaluation).
-    #[must_use]
-    pub fn with_pipelined(mut self, shards: usize) -> Self {
-        self.pipelined = shards;
-        self
-    }
-
-    /// Sets how lint findings are treated at engine build time.
-    #[must_use]
-    pub fn with_lint(mut self, lint: LintLevel) -> Self {
-        self.lint = lint;
-        self
-    }
-
-    /// Enables or disables the semantics-preserving rewrite passes run
-    /// before planning (on by default).
-    #[must_use]
-    pub fn with_optimize(mut self, optimize: bool) -> Self {
-        self.optimize = optimize;
-        self
     }
 }
 
@@ -306,13 +227,6 @@ impl<'d> EngineBuilder<'d> {
         self
     }
 
-    /// Sets the HISA hash-table load factor.
-    #[must_use]
-    pub fn load_factor(mut self, load_factor: f64) -> Self {
-        self.config.load_factor = load_factor;
-        self
-    }
-
     /// Sets the eager-buffer-management policy.
     #[must_use]
     pub fn ebm(mut self, ebm: EbmConfig) -> Self {
@@ -414,7 +328,7 @@ impl<'d> EngineBuilder<'d> {
                 self.device,
                 name,
                 arity,
-                config.load_factor,
+                DEFAULT_LOAD_FACTOR,
             )?);
         }
         let relation_count = compiled.relation_names.len();
@@ -588,17 +502,6 @@ impl GpulogEngine {
         EngineBuilder::new(device)
     }
 
-    /// Builds an engine from Soufflé-style source text with an explicit
-    /// configuration — shorthand for
-    /// `builder(device).program(source).config(config).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse, validation, lint-denial, or device errors.
-    pub fn from_source(device: &Device, source: &str, config: EngineConfig) -> EngineResult<Self> {
-        Self::builder(device).program(source).config(config).build()
-    }
-
     /// The device this engine runs on.
     pub fn device(&self) -> &Device {
         &self.device
@@ -635,8 +538,8 @@ impl GpulogEngine {
         &self.config
     }
 
-    /// Adds extensional facts to an input relation. Must be called before
-    /// [`GpulogEngine::run`].
+    /// Adds extensional facts to a relation. Must be called before
+    /// [`GpulogEngine::run`]; a rejected call stages nothing.
     ///
     /// # Errors
     ///
@@ -647,24 +550,12 @@ impl GpulogEngine {
         I: IntoIterator<Item = T>,
         T: AsRef<[u32]>,
     {
-        if self.has_run {
-            return Err(EngineError::BadFacts {
-                relation: relation.to_string(),
-                message: "facts cannot be added after the engine has run".into(),
-            });
-        }
-        let id = self
-            .compiled
-            .relation_id(relation)
-            .ok_or_else(|| EngineError::BadFacts {
-                relation: relation.to_string(),
-                message: "unknown relation".into(),
-            })?;
-        let arity = self.compiled.arities[id];
-        let buffer = &mut self.pending_facts[id];
+        let (buffer, arity) = self.staging_buffer(relation, false)?;
+        let staged = buffer.len();
         for tuple in tuples {
             let tuple = tuple.as_ref();
             if tuple.len() != arity {
+                buffer.truncate(staged);
                 return Err(EngineError::BadFacts {
                     relation: relation.to_string(),
                     message: format!("expected arity {arity}, got {}", tuple.len()),
@@ -684,14 +575,7 @@ impl GpulogEngine {
     /// buffers whose length is not a multiple of the relation's arity (a
     /// ragged tail must never slip into the extensional database).
     pub fn add_facts_flat(&mut self, relation: &str, flat: &[u32]) -> EngineResult<()> {
-        let id = self
-            .compiled
-            .relation_id(relation)
-            .ok_or_else(|| EngineError::BadFacts {
-                relation: relation.to_string(),
-                message: "unknown relation".into(),
-            })?;
-        let arity = self.compiled.arities[id];
+        let (buffer, arity) = self.staging_buffer(relation, false)?;
         if !flat.len().is_multiple_of(arity) {
             return Err(EngineError::RaggedFacts {
                 relation: relation.to_string(),
@@ -699,50 +583,12 @@ impl GpulogEngine {
                 arity,
             });
         }
-        if self.has_run {
-            return Err(EngineError::BadFacts {
-                relation: relation.to_string(),
-                message: "facts cannot be added after the engine has run".into(),
-            });
-        }
-        self.pending_facts[id].extend_from_slice(flat);
+        buffer.extend_from_slice(flat);
         Ok(())
     }
 
-    /// Adds extensional facts from a [`TupleBatch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::BadFacts`] for unknown relations, arity
-    /// mismatches, or facts added after the engine has run.
-    pub fn add_facts_batch(&mut self, relation: &str, batch: &TupleBatch) -> EngineResult<()> {
-        let id = self
-            .compiled
-            .relation_id(relation)
-            .ok_or_else(|| EngineError::BadFacts {
-                relation: relation.to_string(),
-                message: "unknown relation".into(),
-            })?;
-        let arity = self.compiled.arities[id];
-        if batch.arity() != arity {
-            return Err(EngineError::BadFacts {
-                relation: relation.to_string(),
-                message: format!("expected arity {arity}, got {}", batch.arity()),
-            });
-        }
-        if self.has_run {
-            return Err(EngineError::BadFacts {
-                relation: relation.to_string(),
-                message: "facts cannot be added after the engine has run".into(),
-            });
-        }
-        self.pending_facts[id].extend_from_slice(batch.as_flat());
-        Ok(())
-    }
-
-    /// Stages facts for the *next* run. Unlike
-    /// [`GpulogEngine::add_facts_batch`] this is allowed after the engine
-    /// has run: it is the serving writer's path for growing the database
+    /// Stages facts for the *next* run. Unlike [`GpulogEngine::add_facts`]
+    /// this is allowed after the engine has run: it is the serving writer's path for growing the database
     /// between fixpoints. The facts take effect on the next
     /// [`GpulogEngine::run`], which merges them into the existing full
     /// versions (deduplicated) and re-evaluates only what they imply,
@@ -760,22 +606,37 @@ impl GpulogEngine {
     /// Returns [`EngineError::BadFacts`] for unknown relations or arity
     /// mismatches.
     pub fn insert_facts_batch(&mut self, relation: &str, batch: &TupleBatch) -> EngineResult<()> {
-        let id = self
-            .compiled
-            .relation_id(relation)
-            .ok_or_else(|| EngineError::BadFacts {
-                relation: relation.to_string(),
-                message: "unknown relation".into(),
-            })?;
-        let arity = self.compiled.arities[id];
+        let (buffer, arity) = self.staging_buffer(relation, true)?;
         if batch.arity() != arity {
             return Err(EngineError::BadFacts {
                 relation: relation.to_string(),
                 message: format!("expected arity {arity}, got {}", batch.arity()),
             });
         }
-        self.pending_facts[id].extend_from_slice(batch.as_flat());
+        buffer.extend_from_slice(batch.as_flat());
         Ok(())
+    }
+
+    /// The validation every staging method shares: the named relation's
+    /// buffer of staged facts and its arity. `after_run` says whether the
+    /// caller may stage once the engine has run.
+    fn staging_buffer(
+        &mut self,
+        relation: &str,
+        after_run: bool,
+    ) -> EngineResult<(&mut Vec<u32>, usize)> {
+        let bad = |message: &str| EngineError::BadFacts {
+            relation: relation.to_string(),
+            message: message.into(),
+        };
+        let id = self
+            .compiled
+            .relation_id(relation)
+            .ok_or_else(|| bad("unknown relation"))?;
+        if self.has_run && !after_run {
+            return Err(bad("facts cannot be added after the engine has run"));
+        }
+        Ok((&mut self.pending_facts[id], self.compiled.arities[id]))
     }
 
     /// Whether at least one fixpoint has been materialized.
@@ -832,12 +693,6 @@ impl GpulogEngine {
             .map(|id| self.relations[id].tuples_iter())
     }
 
-    /// All tuples of a relation, in declared column order.
-    pub fn relation_tuples(&self, relation: &str) -> Option<Vec<Vec<u32>>> {
-        self.relation_tuples_iter(relation)
-            .map(|rows| rows.map(<[u32]>::to_vec).collect())
-    }
-
     /// A relation's tuples as an owned [`TupleBatch`] (duplicate-free, in
     /// storage order).
     pub fn relation_batch(&self, relation: &str) -> Option<TupleBatch> {
@@ -886,11 +741,12 @@ impl GpulogEngine {
                 fact_buffers[*rel].extend_from_slice(tuple);
             }
             for (rel, buffer) in fact_buffers.into_iter().enumerate() {
-                if !buffer.is_empty() || self.compiled.inputs[rel] {
-                    self.relations[rel].load_full(&buffer)?;
+                let batch = TupleBatch::new(self.compiled.arities[rel], buffer);
+                if !batch.is_empty() || self.compiled.inputs[rel] {
+                    self.relations[rel].load_full_batch(&batch)?;
                 }
                 if let Some(kept) = &mut self.derived_facts[rel] {
-                    *kept = buffer;
+                    *kept = batch.into_flat();
                 }
             }
             self.loaded = true;
@@ -944,8 +800,9 @@ impl GpulogEngine {
                         // a published snapshot keeps the old ones.
                         let t = Instant::now();
                         for &rel in stratum_rels {
-                            let facts = self.derived_facts[rel].as_deref().unwrap_or_default();
-                            self.relations[rel].load_full(facts)?;
+                            let facts = self.derived_facts[rel].clone().unwrap_or_default();
+                            let batch = TupleBatch::new(self.compiled.arities[rel], facts);
+                            self.relations[rel].load_full_batch(&batch)?;
                         }
                         stats.add_phase(Phase::Other, t.elapsed());
                     }
@@ -1035,7 +892,9 @@ impl GpulogEngine {
     /// fixpoint and filtering it to the goal. The engine itself is not
     /// mutated: the rewritten program evaluates in a private sub-engine
     /// seeded with this engine's extensional database (staged facts, plus
-    /// the current contents of input relations after a run).
+    /// the current contents of input relations after a run); facts loaded
+    /// or staged into rule-derived relations join the rewritten program
+    /// as body-less rules.
     ///
     /// # Errors
     ///
@@ -1078,51 +937,69 @@ impl GpulogEngine {
 
     /// Shared goal-directed path: rewrite, seed, evaluate, filter.
     fn run_query_goal(&self, query: &Query) -> EngineResult<QueryResult> {
-        let program = self.program_for_query()?;
-        let magic = magic_rewrite(program, query)?;
+        let mut program = self.program_for_query()?.clone();
+        // Declared inputs and relations no rule derives are the extensional
+        // database, copied into the sub-engine below. Facts loaded or
+        // staged into any other relation travel as body-less rules, so the
+        // rewrite adorns them like the rest of their relation.
+        let ruled: std::collections::HashSet<String> = program
+            .rules
+            .iter()
+            .map(|r| r.head.relation.clone())
+            .collect();
+        let mut edb = Vec::new();
+        for decl in &program.relations {
+            let id = self
+                .compiled
+                .relation_id(&decl.name)
+                .expect("compiled and AST declarations agree");
+            if decl.is_input || !ruled.contains(&decl.name) {
+                edb.push((decl.name.clone(), id));
+                continue;
+            }
+            let stored;
+            let loaded: &[u32] = match &self.derived_facts[id] {
+                _ if !self.loaded => &[],
+                Some(facts) => facts,
+                // No compiled rule derives it: full holds just its facts.
+                None => {
+                    stored = self.relations[id].tuples_batch();
+                    stored.as_flat()
+                }
+            };
+            let mut rows: Vec<&[u32]> = loaded
+                .chunks_exact(decl.arity)
+                .chain(self.pending_facts[id].chunks_exact(decl.arity))
+                .collect();
+            rows.sort_unstable();
+            rows.dedup();
+            for row in rows {
+                let terms = row.iter().map(|&v| Term::Const(v)).collect();
+                program
+                    .rules
+                    .push(Rule::new(Atom::new(decl.name.clone(), terms)));
+            }
+        }
+        let magic = magic_rewrite(&program, query)?;
         // The sub-engine must evaluate the rewritten program verbatim: the
         // adorned answer relation is not `.output`, so dead-rule
         // elimination would prune its rules; and re-linting machine-made
         // rules would only echo findings about generated names.
-        let sub_config = self
-            .config
-            .clone()
-            .with_lint(LintLevel::Allow)
-            .with_optimize(false);
         let mut sub = GpulogEngine::builder(&self.device)
             .program_ast(&magic.program)
-            .config(sub_config)
+            .config(self.config.clone())
+            .lint(LintLevel::Allow)
+            .optimize(false)
             .build()?;
-
-        // Copy the extensional database across: declared inputs plus
-        // relations no rule derives. Rule-derived relations re-derive
-        // inside the sub-engine (facts staged onto such a relation after a
-        // run are indistinguishable from derived tuples, so they are the
-        // one thing this path does not carry over).
-        let ruled: std::collections::HashSet<&str> = program
-            .rules
-            .iter()
-            .map(|r| r.head.relation.as_str())
-            .collect();
-        let edb: Vec<&str> = program
-            .relations
-            .iter()
-            .filter(|d| d.is_input || !ruled.contains(d.name.as_str()))
-            .map(|d| d.name.as_str())
-            .collect();
-        for &name in &edb {
-            let id = self
-                .compiled
-                .relation_id(name)
-                .expect("compiled and AST declarations agree");
+        for (name, id) in &edb {
             if self.loaded {
-                let batch = self.relations[id].tuples_batch();
+                let batch = self.relations[*id].tuples_batch();
                 if !batch.is_empty() {
-                    sub.add_facts_batch(name, &batch)?;
+                    sub.insert_facts_batch(name, &batch)?;
                 }
             }
-            if !self.pending_facts[id].is_empty() {
-                sub.add_facts_flat(name, &self.pending_facts[id])?;
+            if !self.pending_facts[*id].is_empty() {
+                sub.add_facts_flat(name, &self.pending_facts[*id])?;
             }
         }
         if let Some(magic_name) = &magic.magic_relation {
@@ -1131,7 +1008,8 @@ impl GpulogEngine {
 
         let stats = sub.run()?;
 
-        let edb_set: std::collections::HashSet<&str> = edb.iter().copied().collect();
+        let edb_set: std::collections::HashSet<&str> =
+            edb.iter().map(|(name, _)| name.as_str()).collect();
         let tuples_materialized = sub
             .compiled
             .relation_names
@@ -1418,7 +1296,7 @@ mod tests {
     #[test]
     fn reach_on_a_chain_computes_transitive_closure() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         e.add_facts("Edge", [[0u32, 1], [1, 2], [2, 3], [3, 4]])
             .unwrap();
         let stats = e.run().unwrap();
@@ -1433,7 +1311,7 @@ mod tests {
     #[test]
     fn reach_handles_cycles_without_diverging() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         e.add_facts("Edge", [[0u32, 1], [1, 2], [2, 0]]).unwrap();
         e.run().unwrap();
         // Every node reaches every node (including itself through the cycle).
@@ -1443,7 +1321,7 @@ mod tests {
     #[test]
     fn sg_on_figure1_graph_matches_the_paper() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, SG, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(SG).build().unwrap();
         e.add_facts("Edge", figure1_edges()).unwrap();
         let stats = e.run().unwrap();
         // Figure 1's final SG (full) relation has 14 tuples.
@@ -1479,15 +1357,22 @@ mod tests {
     #[test]
     fn fused_and_materialized_strategies_agree() {
         let d = device();
-        let mut mat = GpulogEngine::from_source(&d, SG, EngineConfig::default()).unwrap();
+        let mut mat = GpulogEngine::builder(&d).program(SG).build().unwrap();
         mat.add_facts("Edge", figure1_edges()).unwrap();
         mat.run().unwrap();
-        let cfg = EngineConfig::new().with_nway(NwayStrategy::FusedNestedLoop);
-        let mut fused = GpulogEngine::from_source(&d, SG, cfg).unwrap();
+        let cfg = EngineConfig {
+            nway: NwayStrategy::FusedNestedLoop,
+            ..EngineConfig::default()
+        };
+        let mut fused = GpulogEngine::builder(&d)
+            .program(SG)
+            .config(cfg)
+            .build()
+            .unwrap();
         fused.add_facts("Edge", figure1_edges()).unwrap();
         fused.run().unwrap();
-        let mut a = mat.relation_tuples("SG").unwrap();
-        let mut b = fused.relation_tuples("SG").unwrap();
+        let mut a = mat.relation_batch("SG").unwrap().to_rows();
+        let mut b = fused.relation_batch("SG").unwrap().to_rows();
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -1496,11 +1381,18 @@ mod tests {
     #[test]
     fn ebm_on_and_off_produce_identical_results() {
         let d = device();
-        let mut on = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut on = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         on.add_facts("Edge", figure1_edges()).unwrap();
         on.run().unwrap();
-        let cfg = EngineConfig::new().with_ebm(EbmConfig::disabled());
-        let mut off = GpulogEngine::from_source(&d, REACH, cfg).unwrap();
+        let cfg = EngineConfig {
+            ebm: EbmConfig::disabled(),
+            ..EngineConfig::default()
+        };
+        let mut off = GpulogEngine::builder(&d)
+            .program(REACH)
+            .config(cfg)
+            .build()
+            .unwrap();
         off.add_facts("Edge", figure1_edges()).unwrap();
         off.run().unwrap();
         assert_eq!(on.relation_size("Reach"), off.relation_size("Reach"));
@@ -1518,9 +1410,9 @@ mod tests {
             E(3, 3).
             R(x) :- E(x, 3).
         ";
-        let mut e = GpulogEngine::from_source(&d, src, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(src).build().unwrap();
         e.run().unwrap();
-        let mut tuples = e.relation_tuples("R").unwrap();
+        let mut tuples = e.relation_batch("R").unwrap().to_rows();
         tuples.sort();
         assert_eq!(tuples, vec![vec![2], vec![3]]);
     }
@@ -1545,10 +1437,17 @@ mod tests {
             NwayStrategy::FusedNestedLoop,
         ] {
             let d = device();
-            let cfg = EngineConfig::new().with_nway(nway);
-            let mut e = GpulogEngine::from_source(&d, src, cfg).unwrap();
+            let cfg = EngineConfig {
+                nway,
+                ..EngineConfig::default()
+            };
+            let mut e = GpulogEngine::builder(&d)
+                .program(src)
+                .config(cfg)
+                .build()
+                .unwrap();
             e.run().unwrap();
-            let mut tuples = e.relation_tuples("R").unwrap();
+            let mut tuples = e.relation_batch("R").unwrap().to_rows();
             tuples.sort();
             assert_eq!(tuples, vec![vec![1], vec![9]], "strategy {nway:?}");
         }
@@ -1557,22 +1456,26 @@ mod tests {
     #[test]
     fn bad_facts_are_rejected_with_helpful_errors() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         assert!(matches!(
             e.add_facts("Nope", [[1u32, 2]]),
             Err(EngineError::BadFacts { .. })
         ));
         assert!(e.add_facts("Edge", [[1u32, 2, 3]]).is_err());
+        // A bad tuple after good ones stages none of the call's tuples.
+        let mixed: [&[u32]; 2] = [&[7, 8], &[9]];
+        assert!(e.add_facts("Edge", mixed).is_err());
         assert!(e.add_facts_flat("Edge", &[1, 2, 3]).is_err());
         e.add_facts_flat("Edge", &[1, 2]).unwrap();
         e.run().unwrap();
+        assert_eq!(e.relation_size("Edge"), Some(1));
         assert!(e.add_facts("Edge", [[5u32, 6]]).is_err());
     }
 
     #[test]
     fn ragged_flat_facts_get_the_dedicated_error() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         match e.add_facts_flat("Edge", &[1, 2, 3]) {
             Err(EngineError::RaggedFacts {
                 relation,
@@ -1636,11 +1539,14 @@ mod tests {
         let compiled = compile(&program).unwrap();
         let mut from_compiled = GpulogEngine::builder(&d)
             .compiled(compiled)
-            .config(EngineConfig::new().with_load_factor(0.7))
+            .config(EngineConfig {
+                max_iterations: 77,
+                ..EngineConfig::default()
+            })
             .pipelined(1)
             .build()
             .unwrap();
-        assert_eq!(from_compiled.config().load_factor, 0.7);
+        assert_eq!(from_compiled.config().max_iterations, 77);
         assert_eq!(from_compiled.backend().name(), "pipelined");
         from_compiled
             .add_facts("Edge", [[0u32, 1], [1, 2]])
@@ -1652,15 +1558,15 @@ mod tests {
     #[test]
     fn relation_accessors_expose_batches_and_borrowed_rows() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
-        e.add_facts_batch("Edge", &TupleBatch::from_rows(2, [[0u32, 1], [1, 2]]))
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
+        e.insert_facts_batch("Edge", &TupleBatch::from_rows(2, [[0u32, 1], [1, 2]]))
             .unwrap();
         e.run().unwrap();
         let batch = e.relation_batch("Reach").unwrap();
         assert_eq!(batch.len(), 3);
         let rows: Vec<&[u32]> = e.relation_tuples_iter("Reach").unwrap().collect();
         assert_eq!(rows.len(), 3);
-        assert_eq!(e.relation_tuples("Reach").unwrap().len(), 3);
+        assert_eq!(e.relation_batch("Reach").unwrap().to_rows().len(), 3);
         assert!(e.relation_batch("Nope").is_none());
         assert!(e.relation_tuples_iter("Nope").is_none());
     }
@@ -1695,9 +1601,12 @@ mod tests {
                 .build(),
             Err(EngineError::InvalidShardCount { shards: 0 })
         ));
-        let cfg = EngineConfig::new().with_shard_count(0);
+        let cfg = EngineConfig {
+            shard_count: 0,
+            ..EngineConfig::default()
+        };
         assert!(matches!(
-            GpulogEngine::from_source(&d, REACH, cfg),
+            GpulogEngine::builder(&d).program(REACH).config(cfg).build(),
             Err(EngineError::InvalidShardCount { shards: 0 })
         ));
     }
@@ -1746,13 +1655,20 @@ mod tests {
     #[test]
     fn pipelined_fixpoints_match_serial_and_report_overlap() {
         let d = device();
-        let mut serial = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut serial = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         serial
             .add_facts("Edge", [[0u32, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
             .unwrap();
         let serial_stats = serial.run().unwrap();
-        let cfg = EngineConfig::new().with_pipelined(2);
-        let mut pipelined = GpulogEngine::from_source(&d, REACH, cfg).unwrap();
+        let cfg = EngineConfig {
+            pipelined: 2,
+            ..EngineConfig::default()
+        };
+        let mut pipelined = GpulogEngine::builder(&d)
+            .program(REACH)
+            .config(cfg)
+            .build()
+            .unwrap();
         pipelined
             .add_facts("Edge", [[0u32, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
             .unwrap();
@@ -1804,9 +1720,15 @@ mod tests {
         use gpulog_device::topology::DeviceTopology;
         use std::num::NonZeroUsize;
         let d = device();
-        let cfg = EngineConfig::new()
-            .with_device_topology(DeviceTopology::nvlink_like(NonZeroUsize::new(4).unwrap()));
-        let mut e = GpulogEngine::from_source(&d, REACH, cfg).unwrap();
+        let cfg = EngineConfig {
+            device_topology: Some(DeviceTopology::nvlink_like(NonZeroUsize::new(4).unwrap())),
+            ..EngineConfig::default()
+        };
+        let mut e = GpulogEngine::builder(&d)
+            .program(REACH)
+            .config(cfg)
+            .build()
+            .unwrap();
         e.add_facts("Edge", figure1_edges()).unwrap();
         let stats = e.run().unwrap();
         let report = stats.topology.expect("multigpu runs report a topology");
@@ -1818,17 +1740,18 @@ mod tests {
             "the delta exchange moves bytes"
         );
         // Serial runs report none.
-        let mut serial = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut serial = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         serial.add_facts("Edge", figure1_edges()).unwrap();
         assert!(serial.run().unwrap().topology.is_none());
     }
 
     #[test]
     fn degenerate_load_factor_is_a_typed_engine_error() {
+        // The engine builds every relation's storage at the paper's 0.8;
+        // storage built at a degenerate factor fails with a typed error.
         let d = device();
         for bad in [0.0, -1.0, f64::NAN, 2.0] {
-            let cfg = EngineConfig::new().with_load_factor(bad);
-            match GpulogEngine::from_source(&d, REACH, cfg) {
+            match RelationStorage::new(&d, "Edge", 2, bad) {
                 Err(EngineError::Device(gpulog_device::DeviceError::InvalidLoadFactor {
                     ..
                 })) => {}
@@ -1843,13 +1766,20 @@ mod tests {
         use std::num::NonZeroUsize;
         for (name, src) in [("reach", REACH), ("sg", SG)] {
             let d = device();
-            let mut serial = GpulogEngine::from_source(&d, src, EngineConfig::default()).unwrap();
+            let mut serial = GpulogEngine::builder(&d).program(src).build().unwrap();
             serial.add_facts("Edge", figure1_edges()).unwrap();
             let serial_stats = serial.run().unwrap();
             for devices in [1usize, 2, 7] {
                 let topology = DeviceTopology::nvlink_like(NonZeroUsize::new(devices).unwrap());
-                let cfg = EngineConfig::new().with_device_topology(topology);
-                let mut multi = GpulogEngine::from_source(&d, src, cfg).unwrap();
+                let cfg = EngineConfig {
+                    device_topology: Some(topology),
+                    ..EngineConfig::default()
+                };
+                let mut multi = GpulogEngine::builder(&d)
+                    .program(src)
+                    .config(cfg)
+                    .build()
+                    .unwrap();
                 multi.add_facts("Edge", figure1_edges()).unwrap();
                 let stats = multi.run().unwrap();
                 let out = if src.contains("SG(") { "SG" } else { "Reach" };
@@ -1870,12 +1800,19 @@ mod tests {
     fn sharded_fixpoints_are_byte_identical_to_serial() {
         for (name, src) in [("reach", REACH), ("sg", SG)] {
             let d = device();
-            let mut serial = GpulogEngine::from_source(&d, src, EngineConfig::default()).unwrap();
+            let mut serial = GpulogEngine::builder(&d).program(src).build().unwrap();
             serial.add_facts("Edge", figure1_edges()).unwrap();
             let serial_stats = serial.run().unwrap();
             for shards in [2usize, 4, 7] {
-                let cfg = EngineConfig::new().with_shard_count(shards);
-                let mut sharded = GpulogEngine::from_source(&d, src, cfg).unwrap();
+                let cfg = EngineConfig {
+                    shard_count: shards,
+                    ..EngineConfig::default()
+                };
+                let mut sharded = GpulogEngine::builder(&d)
+                    .program(src)
+                    .config(cfg)
+                    .build()
+                    .unwrap();
                 sharded.add_facts("Edge", figure1_edges()).unwrap();
                 let stats = sharded.run().unwrap();
                 let out = if src.contains("SG(") { "SG" } else { "Reach" };
@@ -1892,7 +1829,7 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_output_and_converges_immediately() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         let stats = e.run().unwrap();
         assert_eq!(e.relation_size("Reach"), Some(0));
         assert!(stats.iterations <= 1);
@@ -1901,7 +1838,7 @@ mod tests {
     #[test]
     fn oom_on_a_tiny_device_is_reported_not_panicked() {
         let d = Device::with_workers(DeviceProfile::tiny_test_device(48 * 1024), 2);
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         // A complete graph on 40 nodes explodes well past 48 KiB of VRAM.
         let mut edges = Vec::new();
         for a in 0..40u32 {
@@ -1926,7 +1863,7 @@ mod tests {
     #[test]
     fn snapshot_before_any_run_is_a_typed_error() {
         let d = device();
-        let e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         assert!(!e.has_run());
         assert_eq!(e.generation(), 0);
         assert!(matches!(e.snapshot(), Err(EngineError::NoFixpoint)));
@@ -1935,7 +1872,7 @@ mod tests {
     #[test]
     fn insert_facts_and_rerun_grow_the_fixpoint_while_old_snapshots_hold() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         e.add_facts("Edge", [[0u32, 1], [1, 2]]).unwrap();
         e.run().unwrap();
         let first = e.snapshot().unwrap();
@@ -1957,7 +1894,7 @@ mod tests {
 
         // The incremental re-run is byte-identical to computing the
         // enlarged fixpoint from scratch.
-        let mut scratch = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut scratch = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         scratch
             .add_facts("Edge", [[0u32, 1], [1, 2], [2, 3]])
             .unwrap();
@@ -1986,13 +1923,20 @@ mod tests {
     fn adaptive_merge_batching_engages_on_chain_reach() {
         let d = device();
         let chain: Vec<[u32; 2]> = (0..30u32).map(|i| [i, i + 1]).collect();
-        let mut serial = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut serial = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         serial.add_facts("Edge", chain.clone()).unwrap();
         let serial_stats = serial.run().unwrap();
         assert_eq!(serial_stats.adaptive_merge_batches, 0);
 
-        let cfg = EngineConfig::new().with_pipelined(2);
-        let mut pipelined = GpulogEngine::from_source(&d, REACH, cfg).unwrap();
+        let cfg = EngineConfig {
+            pipelined: 2,
+            ..EngineConfig::default()
+        };
+        let mut pipelined = GpulogEngine::builder(&d)
+            .program(REACH)
+            .config(cfg)
+            .build()
+            .unwrap();
         pipelined.add_facts("Edge", chain).unwrap();
         let stats = pipelined.run().unwrap();
         // Late chain iterations derive a handful of pairs against a large
@@ -2011,7 +1955,7 @@ mod tests {
     #[test]
     fn run_stats_capture_phases_and_memory() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, SG, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(SG).build().unwrap();
         e.add_facts("Edge", figure1_edges()).unwrap();
         let stats = e.run().unwrap();
         assert!(stats.wall_seconds > 0.0);
@@ -2049,12 +1993,12 @@ mod tests {
     fn run_query_matches_the_filtered_full_closure() {
         for src in [REACH, REACH_LEFT] {
             let d = device();
-            let mut full = GpulogEngine::from_source(&d, src, EngineConfig::default()).unwrap();
+            let mut full = GpulogEngine::builder(&d).program(src).build().unwrap();
             full.add_facts("Edge", figure1_edges()).unwrap();
             full.run().unwrap();
             // run_query works on a never-run engine: the staged facts are
             // the extensional database it copies.
-            let mut fresh = GpulogEngine::from_source(&d, src, EngineConfig::default()).unwrap();
+            let mut fresh = GpulogEngine::builder(&d).program(src).build().unwrap();
             fresh.add_facts("Edge", figure1_edges()).unwrap();
             for source in [0u32, 2, 4, 8] {
                 let expected = filtered_closure(&full, source);
@@ -2070,7 +2014,10 @@ mod tests {
     #[test]
     fn run_query_after_a_run_reuses_the_materialized_edb() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH_LEFT, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d)
+            .program(REACH_LEFT)
+            .build()
+            .unwrap();
         e.add_facts("Edge", figure1_edges()).unwrap();
         e.run().unwrap();
         let expected = filtered_closure(&e, 1);
@@ -2084,11 +2031,17 @@ mod tests {
     fn run_query_materializes_fewer_tuples_than_the_closure() {
         let d = device();
         let chain: Vec<[u32; 2]> = (0..40u32).map(|i| [i, i + 1]).collect();
-        let mut full = GpulogEngine::from_source(&d, REACH_LEFT, EngineConfig::default()).unwrap();
+        let mut full = GpulogEngine::builder(&d)
+            .program(REACH_LEFT)
+            .build()
+            .unwrap();
         full.add_facts("Edge", chain.clone()).unwrap();
         full.run().unwrap();
         let closure = full.relation_size("Reach").unwrap();
-        let mut e = GpulogEngine::from_source(&d, REACH_LEFT, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d)
+            .program(REACH_LEFT)
+            .build()
+            .unwrap();
         e.add_facts("Edge", chain).unwrap();
         // Reach from the tail: one answer, a one-tuple magic set, and a
         // 41-tuple closure row block versus the full 820-pair closure.
@@ -2106,7 +2059,10 @@ mod tests {
     fn run_query_uses_the_embedded_goal() {
         let d = device();
         let with_goal = format!("{REACH_LEFT}\n?- Reach(0, y).");
-        let mut e = GpulogEngine::from_source(&d, &with_goal, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d)
+            .program(&with_goal)
+            .build()
+            .unwrap();
         e.add_facts("Edge", figure1_edges()).unwrap();
         let from_goal = e.run_query().unwrap();
         let ad_hoc = e.run_query_with("Reach", &[Some(0), None]).unwrap();
@@ -2119,7 +2075,10 @@ mod tests {
     #[test]
     fn run_query_error_paths_are_typed() {
         let d = device();
-        let mut e = GpulogEngine::from_source(&d, REACH_LEFT, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d)
+            .program(REACH_LEFT)
+            .build()
+            .unwrap();
         e.add_facts("Edge", [[0u32, 1]]).unwrap();
         assert!(matches!(e.run_query(), Err(EngineError::MissingQuery)));
         assert!(matches!(
@@ -2154,14 +2113,26 @@ mod tests {
         let d = device();
         let configs = [
             EngineConfig::default(),
-            EngineConfig::new().with_shard_count(4),
-            EngineConfig::new().with_pipelined(4),
-            EngineConfig::new()
-                .with_device_topology(DeviceTopology::nvlink_like(NonZeroUsize::new(2).unwrap())),
+            EngineConfig {
+                shard_count: 4,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                pipelined: 4,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                device_topology: Some(DeviceTopology::nvlink_like(NonZeroUsize::new(2).unwrap())),
+                ..EngineConfig::default()
+            },
         ];
         let mut baseline: Option<Vec<u32>> = None;
         for cfg in configs {
-            let mut e = GpulogEngine::from_source(&d, REACH_LEFT, cfg).unwrap();
+            let mut e = GpulogEngine::builder(&d)
+                .program(REACH_LEFT)
+                .config(cfg)
+                .build()
+                .unwrap();
             e.add_facts("Edge", figure1_edges()).unwrap();
             let got = e.run_query_with("Reach", &[Some(0), None]).unwrap();
             let flat = got.answers.as_flat().to_vec();

@@ -35,19 +35,19 @@
 //!    populates each relation's next delta, against an
 //!    [`backend::EvalContext`]. It is one op loop with three knobs, all
 //!    keeping fixpoints byte-identical to the default's:
-//!    * *shards* ([`EngineConfig::with_shard_count`] or the builder's
+//!    * *shards* ([`EngineConfig::shard_count`], the builder's
 //!      `.shard_count(..)`): relations hash-partition by join key and each
 //!      join / delta-population op fans out across the persistent worker
 //!      pool as one epoch of per-shard tasks; the default of one shard
 //!      runs operator-at-a-time on one simulated device with no partition
 //!      pass;
-//!    * *merge policy* ([`EngineConfig::with_pipelined`] or the builder's
+//!    * *merge policy* ([`EngineConfig::pipelined`], the builder's
 //!      `.pipelined(..)`): deferred merging breaks the per-iteration
 //!      barrier — delta merges coalesce in relation storage and drain on
 //!      the device's background lane, so iteration *k+1*'s joins overlap
 //!      iteration *k*'s merge (reported through [`RunStats`]'s
 //!      `overlap_nanos` / `pipeline_stall_nanos` / `epochs_in_flight`);
-//!    * *observer* ([`EngineConfig::with_device_topology`]): a cost model
+//!    * *observer* ([`EngineConfig::device_topology`]): a cost model
 //!      pins shard `i` to modeled device `i` of a [`DeviceTopology`],
 //!      charges the kernels the loop ran to per-device counters, and
 //!      charges every row moved between shards — join re-partitions,
@@ -84,6 +84,10 @@
 //!     .pipelined(4)
 //!     .build()?;
 //! assert_eq!(overlapped.backend().name(), "pipelined");
+//! // A whole configuration can be passed as one plain value instead.
+//! let config = EngineConfig { shard_count: 2, ..EngineConfig::default() };
+//! let sharded = GpulogEngine::builder(&device).program(src).config(config).build()?;
+//! assert_eq!(sharded.backend().shards(), 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -120,8 +124,8 @@
 //! # }
 //! ```
 //!
-//! The [`Gpulog`] facade remains for the one-liner workflow, and
-//! [`GpulogEngine::from_source`] for constructing with an explicit
+//! [`GpulogEngine::builder`] is the one constructor: its setters adjust
+//! single knobs, and [`EngineBuilder::config`] takes a whole
 //! [`EngineConfig`].
 //!
 //! ## Linting and optimizing the program before it runs
@@ -135,7 +139,7 @@
 //! elimination, constant propagation, duplicate-literal and
 //! subsumed-rule removal — before the planner lowers the program. The
 //! default [`LintLevel::Warn`] collects findings behind
-//! [`GpulogEngine::diagnostics`]; [`EngineConfig::with_lint`] with
+//! [`GpulogEngine::diagnostics`]; [`EngineConfig::lint`] at
 //! [`LintLevel::Deny`] turns any finding into a build error:
 //!
 //! ```
@@ -253,7 +257,7 @@
 //! assert_eq!(engine.relation_size("Reach"), Some(2));
 //! assert!(!engine.contains("Reach", &[0, 2]));
 //! // The min aggregate keeps one row per (x, y) group.
-//! assert_eq!(engine.relation_tuples("SP"), Some(vec![vec![0, 3, 4]]));
+//! assert_eq!(engine.relation_batch("SP").unwrap().to_rows(), vec![vec![0, 3, 4]]);
 //! # Ok(())
 //! # }
 //! ```
@@ -321,7 +325,6 @@ pub mod engine;
 pub mod error;
 pub mod parser;
 pub mod planner;
-pub mod program;
 pub mod ra;
 pub mod relation;
 pub mod snapshot;
@@ -342,7 +345,6 @@ pub use engine::{EngineBuilder, EngineConfig, GpulogEngine, QueryResult};
 pub use error::{EngineError, EngineResult};
 pub use parser::parse_program;
 pub use planner::{compile, lower_program, lower_rule_plan, CompiledProgram, LoweredStratum};
-pub use program::Gpulog;
 pub use ra::{NwayStrategy, RaOp, RaPipeline};
 pub use snapshot::FixpointSnapshot;
 
@@ -358,7 +360,6 @@ mod tests {
     fn public_api_types_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<GpulogEngine>();
-        assert_send::<Gpulog>();
         assert_send::<RunStats>();
         assert_send::<EngineConfig>();
         assert_send::<TupleBatch>();

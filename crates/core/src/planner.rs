@@ -1265,8 +1265,15 @@ mod tests {
             NwayStrategy::TemporarilyMaterialized,
             NwayStrategy::FusedNestedLoop,
         ] {
-            let cfg = EngineConfig::new().with_nway(nway);
-            let mut engine = GpulogEngine::from_source(&d, src, cfg).unwrap();
+            let cfg = EngineConfig {
+                nway,
+                ..EngineConfig::default()
+            };
+            let mut engine = GpulogEngine::builder(&d)
+                .program(src)
+                .config(cfg)
+                .build()
+                .unwrap();
             engine.add_facts("A", [[4u32], [5]]).unwrap();
             engine.add_facts("B", [[5u32], [6]]).unwrap();
             engine.run().unwrap();

@@ -23,31 +23,29 @@ fn resolve(src: ColumnSource, row: &[u32]) -> u32 {
     }
 }
 
-/// Keeps the rows of a row-major buffer whose probe tuple is absent from
-/// `existing`. Row order is preserved, so a sorted input stays sorted.
+/// Keeps the rows of a batch whose probe tuple is absent from `existing`.
+/// Row order is preserved, though the result does not carry the input's
+/// sorted-unique flag.
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a multiple of `arity`, the probe arity
-/// does not match `existing`, or a probe column is out of range.
-pub fn anti_join_rows(
+/// Panics if the probe arity does not match `existing` or a probe column
+/// is out of range.
+pub fn anti_join_batch(
     device: &Device,
-    data: &[u32],
-    arity: usize,
+    batch: &TupleBatch,
     probe: &[ColumnSource],
     existing: &Hisa,
-) -> Vec<u32> {
-    assert!(arity > 0, "arity must be positive");
-    assert_eq!(data.len() % arity, 0, "ragged row buffer");
+) -> TupleBatch {
+    let (data, arity, rows) = (batch.as_flat(), batch.arity(), batch.len());
     assert_eq!(
         existing.arity(),
         probe.len(),
         "probe arity mismatch in anti-join"
     );
     if data.is_empty() {
-        return Vec::new();
+        return TupleBatch::new(arity, Vec::new());
     }
-    let rows = data.len() / arity;
     device.metrics().add_kernel_launch();
     device.metrics().add_bytes_read((data.len() * 4) as u64);
     let keep: Vec<usize> = device.executor().map_collect(rows, |r| {
@@ -67,20 +65,7 @@ pub fn anti_join_rows(
                 slots.copy_from_slice(&data[r * arity..(r + 1) * arity]);
             }
         });
-    out
-}
-
-/// [`anti_join_rows`] over a [`TupleBatch`].
-pub fn anti_join_batch(
-    device: &Device,
-    batch: &TupleBatch,
-    probe: &[ColumnSource],
-    existing: &Hisa,
-) -> TupleBatch {
-    TupleBatch::new(
-        batch.arity(),
-        anti_join_rows(device, batch.as_flat(), batch.arity(), probe, existing),
-    )
+    TupleBatch::new(arity, out)
 }
 
 #[cfg(test)]
@@ -99,9 +84,9 @@ mod tests {
         // Blocked = {3, 5}, unary.
         let blocked = Hisa::build(&d, IndexSpec::new(1, vec![0]), &[3, 5]).unwrap();
         // Intermediate (x, y): probe !Blocked(y) = Col(1).
-        let data = [1u32, 2, 1, 3, 4, 5, 6, 7];
-        let out = anti_join_rows(&d, &data, 2, &[ColumnSource::Col(1)], &blocked);
-        assert_eq!(out, vec![1, 2, 6, 7]);
+        let data = TupleBatch::new(2, vec![1, 2, 1, 3, 4, 5, 6, 7]);
+        let out = anti_join_batch(&d, &data, &[ColumnSource::Col(1)], &blocked);
+        assert_eq!(out.as_flat(), &[1, 2, 6, 7]);
     }
 
     #[test]
@@ -110,20 +95,20 @@ mod tests {
         // S = {(1, 9)}.
         let s = Hisa::build(&d, IndexSpec::new(2, vec![0]), &[1, 9]).unwrap();
         // Probe !S(x, 9): rows with x == 1 die, everything else survives.
-        let data = [1u32, 2u32, 7];
+        let data = TupleBatch::new(1, vec![1, 2, 7]);
         let probe = [ColumnSource::Col(0), ColumnSource::Const(9)];
-        let out = anti_join_rows(&d, &data, 1, &probe, &s);
-        assert_eq!(out, vec![2, 7]);
+        let out = anti_join_batch(&d, &data, &probe, &s);
+        assert_eq!(out.as_flat(), &[2, 7]);
     }
 
     #[test]
     fn empty_negated_relation_keeps_everything() {
         let d = device();
         let empty = Hisa::build(&d, IndexSpec::new(1, vec![0]), &[]).unwrap();
-        let data = [4u32, 4, 2, 2];
+        let data = TupleBatch::new(2, vec![4, 4, 2, 2]);
         assert_eq!(
-            anti_join_rows(&d, &data, 2, &[ColumnSource::Col(0)], &empty),
-            data.to_vec()
+            anti_join_batch(&d, &data, &[ColumnSource::Col(0)], &empty).as_flat(),
+            data.as_flat()
         );
     }
 

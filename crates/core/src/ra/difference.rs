@@ -12,17 +12,12 @@ use gpulog_device::thrust::transform::adjacent_unique_flags;
 use gpulog_device::Device;
 use gpulog_hisa::{Hisa, TupleBatch};
 
-/// Sorts and deduplicates a row-major tuple buffer, returning the distinct
-/// rows in lexicographic order.
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a multiple of `arity`.
-pub fn deduplicate_rows(device: &Device, data: &[u32], arity: usize) -> Vec<u32> {
-    assert!(arity > 0, "arity must be positive");
-    assert_eq!(data.len() % arity, 0, "ragged row buffer");
+/// Sorts and deduplicates a batch, returning its distinct rows in
+/// lexicographic order (flagged sorted-unique).
+pub fn deduplicate_rows(device: &Device, batch: &TupleBatch) -> TupleBatch {
+    let (data, arity) = (batch.as_flat(), batch.arity());
     if data.is_empty() {
-        return Vec::new();
+        return TupleBatch::empty(arity);
     }
     let order: Vec<usize> = (0..arity).collect();
     let sorted = lexicographic_sort_indices(device, data, arity, &order);
@@ -41,25 +36,31 @@ pub fn deduplicate_rows(device: &Device, data: &[u32], arity: usize) -> Vec<u32>
             slots.copy_from_slice(&data[row * arity..(row + 1) * arity]);
         });
     device.metrics().add_bytes_written((total * 4) as u64);
-    out
+    TupleBatch::from_sorted_unique_flat(arity, out)
 }
 
-/// Computes `deduplicate(data) \ existing`: the distinct rows of `data` that
-/// are not already present in the `existing` relation. This is exactly the
-/// delta-population step of semi-naïve evaluation.
+/// Computes `deduplicate(batch) \ existing`: the distinct rows of `batch`
+/// that are not already present in the `existing` relation. This is exactly
+/// the delta-population step of semi-naïve evaluation.
 ///
 /// `existing` may be indexed on any key; membership is tested with a range
-/// query followed by a full-tuple comparison.
+/// query followed by a full-tuple comparison. The result is sorted and
+/// duplicate-free by construction, so the returned batch carries the
+/// sorted-unique flag — which is what lets
+/// [`crate::relation::RelationStorage::set_delta_batch`] build the delta
+/// HISA without re-sorting.
 ///
 /// # Panics
 ///
 /// Panics if arities disagree.
-pub fn difference(device: &Device, data: &[u32], arity: usize, existing: &Hisa) -> Vec<u32> {
+pub fn difference_batch(device: &Device, batch: &TupleBatch, existing: &Hisa) -> TupleBatch {
+    let arity = batch.arity();
     assert_eq!(existing.arity(), arity, "arity mismatch in set difference");
-    let candidates = deduplicate_rows(device, data, arity);
+    let candidates = deduplicate_rows(device, batch);
     if candidates.is_empty() {
         return candidates;
     }
+    let candidates = candidates.as_flat();
     let rows = candidates.len() / arity;
     device.metrics().add_kernel_launch();
     device
@@ -80,20 +81,7 @@ pub fn difference(device: &Device, data: &[u32], arity: usize, existing: &Hisa) 
                 slots.copy_from_slice(&candidates[r * arity..(r + 1) * arity]);
             }
         });
-    out
-}
-
-/// [`difference`] over a [`TupleBatch`]. The result is sorted and
-/// duplicate-free by construction, so the returned batch carries the
-/// sorted-unique flag — which is what lets
-/// [`crate::relation::RelationStorage::set_delta_batch`] build the delta
-/// HISA without re-sorting.
-pub fn difference_batch(device: &Device, batch: &TupleBatch, existing: &Hisa) -> TupleBatch {
-    TupleBatch::new(
-        batch.arity(),
-        difference(device, batch.as_flat(), batch.arity(), existing),
-    )
-    .assert_sorted_unique()
+    TupleBatch::from_sorted_unique_flat(arity, out)
 }
 
 #[cfg(test)]
@@ -109,38 +97,40 @@ mod tests {
     #[test]
     fn deduplicate_removes_duplicates_and_sorts() {
         let d = device();
-        let data = [3u32, 4, 1, 2, 3, 4, 1, 2, 1, 2];
-        assert_eq!(deduplicate_rows(&d, &data, 2), vec![1, 2, 3, 4]);
+        let data = TupleBatch::new(2, vec![3, 4, 1, 2, 3, 4, 1, 2, 1, 2]);
+        let out = deduplicate_rows(&d, &data);
+        assert_eq!(out.as_flat(), &[1, 2, 3, 4]);
+        assert!(out.is_sorted_unique());
     }
 
     #[test]
     fn deduplicate_of_empty_is_empty() {
-        assert!(deduplicate_rows(&device(), &[], 2).is_empty());
+        assert!(deduplicate_rows(&device(), &TupleBatch::empty(2)).is_empty());
     }
 
     #[test]
     fn difference_removes_existing_tuples() {
         let d = device();
         let full = Hisa::build(&d, IndexSpec::new(2, vec![0]), &[1, 2, 3, 4]).unwrap();
-        let new = [1u32, 2, 5, 6, 3, 4, 5, 6, 7, 8];
-        let delta = difference(&d, &new, 2, &full);
-        assert_eq!(delta, vec![5, 6, 7, 8]);
+        let new = TupleBatch::new(2, vec![1, 2, 5, 6, 3, 4, 5, 6, 7, 8]);
+        let delta = difference_batch(&d, &new, &full);
+        assert_eq!(delta.as_flat(), &[5, 6, 7, 8]);
+        assert!(delta.is_sorted_unique());
     }
 
     #[test]
     fn difference_with_nothing_new_is_empty() {
         let d = device();
         let full = Hisa::build(&d, IndexSpec::new(2, vec![0]), &[1, 2]).unwrap();
-        assert!(difference(&d, &[1, 2, 1, 2], 2, &full).is_empty());
+        let new = TupleBatch::new(2, vec![1, 2, 1, 2]);
+        assert!(difference_batch(&d, &new, &full).is_empty());
     }
 
     #[test]
     fn difference_against_empty_relation_keeps_everything_deduplicated() {
         let d = device();
         let full = Hisa::build(&d, IndexSpec::new(2, vec![0]), &[]).unwrap();
-        assert_eq!(
-            difference(&d, &[9, 9, 9, 9, 1, 1], 2, &full),
-            vec![1, 1, 9, 9]
-        );
+        let new = TupleBatch::new(2, vec![9, 9, 9, 9, 1, 1]);
+        assert_eq!(difference_batch(&d, &new, &full).as_flat(), &[1, 1, 9, 9]);
     }
 }

@@ -13,9 +13,8 @@ use gpulog_device::thrust::scan::exclusive_scan_offsets;
 use gpulog_device::Device;
 use gpulog_hisa::{Hisa, TupleBatch};
 
-/// Computes the join of a dense outer buffer with an indexed inner HISA.
+/// Computes the join of an outer batch with an indexed inner HISA.
 ///
-/// * `outer` is row-major with `outer_arity` columns.
 /// * `outer_key_cols` selects the outer columns forming the join key; it is
 ///   matched positionally against the inner HISA's key columns, so the HISA
 ///   must have been built with an [`gpulog_hisa::IndexSpec`] whose key has
@@ -26,31 +25,28 @@ use gpulog_hisa::{Hisa, TupleBatch};
 /// * `emit` describes each output column as either an outer column or an
 ///   inner (original-order) column.
 ///
-/// Returns the output buffer, row-major with `emit.len()` columns.
+/// Returns the output batch, with `emit.len()` columns.
 ///
 /// # Panics
 ///
 /// Panics if the key arities of `outer_key_cols` and the inner HISA differ,
 /// or if any referenced column is out of range.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
-pub fn hash_join(
+pub fn hash_join_batch(
     device: &Device,
-    outer: &[u32],
-    outer_arity: usize,
+    outer: &TupleBatch,
     outer_key_cols: &[usize],
     inner: &Hisa,
     inner_const_filters: &[(usize, u32)],
     inner_eq_filters: &[(usize, usize)],
     emit: &[EmitSource],
-) -> Vec<u32> {
+) -> TupleBatch {
     assert!(
         outer_key_cols.is_empty() || outer_key_cols.len() == inner.spec().key_arity(),
         "outer and inner join-key arities must match"
     );
-    if outer_arity > 0 {
-        assert_eq!(outer.len() % outer_arity, 0, "ragged outer buffer");
-    }
-    let outer_rows = outer.len().checked_div(outer_arity).unwrap_or(0);
+    let outer_arity = outer.arity();
+    let outer_rows = outer.len();
+    let outer = outer.as_flat();
     let emit_arity = emit.len();
     let inner_arity = inner.arity();
 
@@ -116,7 +112,7 @@ pub fn hash_join(
             });
             debug_assert_eq!(cursor, out_slice.len());
         });
-    output
+    batch_from_flat(emit_arity, output)
 }
 
 /// Join keys up to this many columns are gathered on the stack.
@@ -150,32 +146,6 @@ fn for_each_match(
     inner.range_query(key).for_each(visit);
 }
 
-/// [`hash_join`] with the outer relation carried as a [`TupleBatch`]; the
-/// batch supplies the outer arity the flat form threads by hand.
-pub fn hash_join_batch(
-    device: &Device,
-    outer: &TupleBatch,
-    outer_key_cols: &[usize],
-    inner: &Hisa,
-    inner_const_filters: &[(usize, u32)],
-    inner_eq_filters: &[(usize, usize)],
-    emit: &[EmitSource],
-) -> TupleBatch {
-    batch_from_flat(
-        emit.len(),
-        hash_join(
-            device,
-            outer.as_flat(),
-            outer.arity(),
-            outer_key_cols,
-            inner,
-            inner_const_filters,
-            inner_eq_filters,
-            emit,
-        ),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,8 +156,8 @@ mod tests {
         Device::with_workers(DeviceProfile::nvidia_h100(), 4)
     }
 
-    fn rows(buffer: &[u32], arity: usize) -> Vec<Vec<u32>> {
-        let mut out: Vec<Vec<u32>> = buffer.chunks_exact(arity).map(|c| c.to_vec()).collect();
+    fn rows(batch: &TupleBatch) -> Vec<Vec<u32>> {
+        let mut out = batch.to_rows();
         out.sort();
         out
     }
@@ -200,8 +170,16 @@ mod tests {
         let bar_tuples = [1u32, 2, 2, 1, 2, 5, 2, 3, 1, 5, 2, 0, 5, 2, 9];
         let bar = Hisa::build(&d, IndexSpec::new(3, vec![0, 1]), &bar_tuples).unwrap();
         let emit = [EmitSource::Outer(2), EmitSource::Inner(2)];
-        let out = hash_join(&d, &foo, 3, &[0, 1], &bar, &[], &[], &emit);
-        let got = rows(&out, 2);
+        let out = hash_join_batch(
+            &d,
+            &TupleBatch::new(3, foo.to_vec()),
+            &[0, 1],
+            &bar,
+            &[],
+            &[],
+            &emit,
+        );
+        let got = rows(&out);
         // Foo(2,3,5) x Bar(2,3,1) -> (5,1); Foo(2,3,2) x Bar(2,3,1) -> (2,1)
         // Foo(1,2,1) x Bar(1,2,2) -> (1,2); x Bar(1,2,5) -> (1,5)
         // Foo(1,2,5) x Bar(1,2,2) -> (5,2); x Bar(1,2,5) -> (5,5)
@@ -240,7 +218,15 @@ mod tests {
             EmitSource::Outer(1),
             EmitSource::Inner(1),
         ];
-        let got = rows(&hash_join(&d, &outer, 2, &[1], &inner, &[], &[], &emit), 3);
+        let got = rows(&hash_join_batch(
+            &d,
+            &TupleBatch::new(2, outer.to_vec()),
+            &[1],
+            &inner,
+            &[],
+            &[],
+            &emit,
+        ));
         // Reference: dedup inner first (HISA deduplicates), then nested loop.
         let mut inner_set: Vec<Vec<u32>> =
             inner_tuples.chunks_exact(2).map(|c| c.to_vec()).collect();
@@ -271,11 +257,27 @@ mod tests {
         ];
         // Require inner col1 == inner col2 (repeated variable).
         let eq = [(1usize, 2usize)];
-        let got = rows(&hash_join(&d, &outer, 2, &[0], &inner, &[], &eq, &emit), 3);
+        let got = rows(&hash_join_batch(
+            &d,
+            &TupleBatch::new(2, outer.to_vec()),
+            &[0],
+            &inner,
+            &[],
+            &eq,
+            &emit,
+        ));
         assert_eq!(got, vec![vec![1, 5, 5], vec![1, 7, 7], vec![2, 9, 9]]);
         // Require inner col2 == 9 (constant argument).
         let cf = [(2usize, 9u32)];
-        let got = rows(&hash_join(&d, &outer, 2, &[0], &inner, &cf, &[], &emit), 3);
+        let got = rows(&hash_join_batch(
+            &d,
+            &TupleBatch::new(2, outer.to_vec()),
+            &[0],
+            &inner,
+            &cf,
+            &[],
+            &emit,
+        ));
         assert_eq!(got, vec![vec![2, 3, 9], vec![2, 9, 9]]);
     }
 
@@ -286,7 +288,15 @@ mod tests {
         let inner_tuples = [10u32, 20, 30];
         let inner = Hisa::build(&d, IndexSpec::full_key(1), &inner_tuples).unwrap();
         let emit = [EmitSource::Outer(0), EmitSource::Inner(0)];
-        let got = rows(&hash_join(&d, &outer, 1, &[], &inner, &[], &[], &emit), 2);
+        let got = rows(&hash_join_batch(
+            &d,
+            &TupleBatch::new(1, outer.to_vec()),
+            &[],
+            &inner,
+            &[],
+            &[],
+            &emit,
+        ));
         assert_eq!(
             got,
             vec![
@@ -305,9 +315,20 @@ mod tests {
         let d = device();
         let inner = Hisa::build(&d, IndexSpec::new(2, vec![0]), &[1, 2]).unwrap();
         let emit = [EmitSource::Outer(0), EmitSource::Inner(1)];
-        assert!(hash_join(&d, &[], 2, &[0], &inner, &[], &[], &emit).is_empty());
+        assert!(
+            hash_join_batch(&d, &TupleBatch::empty(2), &[0], &inner, &[], &[], &emit).is_empty()
+        );
         let empty_inner = Hisa::build(&d, IndexSpec::new(2, vec![0]), &[]).unwrap();
-        assert!(hash_join(&d, &[5, 5], 2, &[0], &empty_inner, &[], &[], &emit).is_empty());
+        assert!(hash_join_batch(
+            &d,
+            &TupleBatch::new(2, vec![5, 5]),
+            &[0],
+            &empty_inner,
+            &[],
+            &[],
+            &emit
+        )
+        .is_empty());
     }
 
     #[test]
@@ -319,7 +340,15 @@ mod tests {
         let inner_tuples = [1u32, 7, 2, 7, 3, 8];
         let inner = Hisa::build(&d, IndexSpec::new(2, vec![1]), &inner_tuples).unwrap();
         let emit = [EmitSource::Inner(0), EmitSource::Outer(0)];
-        let got = rows(&hash_join(&d, &outer, 1, &[0], &inner, &[], &[], &emit), 2);
+        let got = rows(&hash_join_batch(
+            &d,
+            &TupleBatch::new(1, outer.to_vec()),
+            &[0],
+            &inner,
+            &[],
+            &[],
+            &emit,
+        ));
         assert_eq!(got, vec![vec![1, 7], vec![2, 7]]);
     }
 }

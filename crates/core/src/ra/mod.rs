@@ -9,12 +9,13 @@
 //! stratum ([`antijoin`]) and grouped head-aggregate reduction
 //! ([`mod@reduce`]).
 //!
-//! Rule evaluation does not call these kernels directly: the planner lowers
-//! each rule into an [`op::RaPipeline`] of [`op::RaOp`]s, and the
-//! executor ([`crate::backend::ShardedBackend`]) runs the pipeline, moving
-//! [`gpulog_hisa::TupleBatch`] intermediates between operators. The
-//! flat-slice kernel forms remain public as the reference implementations
-//! the property tests pin the operator pipeline against.
+//! Every kernel takes and returns [`gpulog_hisa::TupleBatch`]es, which
+//! carry their arity (and, where a kernel guarantees it, the sorted-unique
+//! flag) with the data. Rule evaluation does not call these kernels
+//! directly: the planner lowers each rule into an [`op::RaPipeline`] of
+//! [`op::RaOp`]s, and the executor ([`crate::backend::ShardedBackend`])
+//! runs the pipeline, moving batches between operators. The property tests
+//! pin the operator pipeline against the same kernels composed by hand.
 
 pub mod antijoin;
 pub mod difference;
@@ -24,10 +25,10 @@ pub mod op;
 pub mod project;
 pub mod reduce;
 
-pub use antijoin::{anti_join_batch, anti_join_rows};
-pub use difference::{deduplicate_rows, difference, difference_batch};
-pub use join::{hash_join, hash_join_batch};
-pub use nway::{fused_rule_join, fused_rule_join_batch, NwayStrategy};
+pub use antijoin::anti_join_batch;
+pub use difference::{deduplicate_rows, difference_batch};
+pub use join::hash_join_batch;
+pub use nway::{fused_rule_join_batch, NwayStrategy};
 pub use op::{RaOp, RaPipeline};
-pub use project::{filter_batch, filter_rows, project_batch, project_rows, scan_select_batch};
-pub use reduce::{group_reduce_batch, group_reduce_rows};
+pub use project::{filter_batch, project_batch, scan_select_batch};
+pub use reduce::group_reduce_batch;

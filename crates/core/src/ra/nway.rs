@@ -110,23 +110,18 @@ fn walk_levels(
 /// Evaluates an entire join chain in one fused pass (two kernel launches:
 /// count and write), producing the head tuples directly.
 ///
-/// The `outer` buffer is the already-scanned (and filtered) first body atom;
+/// The `outer` batch is the already-scanned (and filtered) first body atom;
 /// `levels` are the remaining body atoms in plan order; `head_proj` builds
 /// the head tuple from the final intermediate.
-///
-/// # Panics
-///
-/// Panics if `outer.len()` is not a multiple of `outer_arity`.
-pub fn fused_rule_join(
+pub fn fused_rule_join_batch(
     device: &Device,
-    outer: &[u32],
-    outer_arity: usize,
+    outer: &TupleBatch,
     levels: &[FusedLevel<'_>],
     head_proj: &[ColumnSource],
-) -> Vec<u32> {
-    assert!(outer_arity > 0, "outer arity must be positive");
-    assert_eq!(outer.len() % outer_arity, 0, "ragged outer buffer");
-    let outer_rows = outer.len() / outer_arity;
+) -> TupleBatch {
+    let outer_arity = outer.arity();
+    let outer_rows = outer.len();
+    let outer = outer.as_flat();
     let head_arity = head_proj.len();
     let col_maps: Vec<Vec<usize>> = levels.iter().map(|l| orig_to_reordered(l.inner)).collect();
 
@@ -164,20 +159,7 @@ pub fn fused_rule_join(
             });
             debug_assert_eq!(cursor, slots.len());
         });
-    output
-}
-
-/// [`fused_rule_join`] with the outer relation carried as a [`TupleBatch`].
-pub fn fused_rule_join_batch(
-    device: &Device,
-    outer: &TupleBatch,
-    levels: &[FusedLevel<'_>],
-    head_proj: &[ColumnSource],
-) -> TupleBatch {
-    batch_from_flat(
-        head_proj.len(),
-        fused_rule_join(device, outer.as_flat(), outer.arity(), levels, head_proj),
-    )
+    batch_from_flat(head_arity, output)
 }
 
 #[cfg(test)]
@@ -192,8 +174,8 @@ mod tests {
         Device::with_workers(DeviceProfile::nvidia_h100(), 4)
     }
 
-    fn rows(buffer: &[u32], arity: usize) -> Vec<Vec<u32>> {
-        let mut out: Vec<Vec<u32>> = buffer.chunks_exact(arity).map(|c| c.to_vec()).collect();
+    fn rows(batch: &TupleBatch) -> Vec<Vec<u32>> {
+        let mut out = batch.to_rows();
         out.sort();
         out
     }
@@ -257,7 +239,8 @@ mod tests {
             },
         ];
         let head = [ColumnSource::Col(2), ColumnSource::Col(3)];
-        let got = rows(&fused_rule_join(&d, &sg_delta, 2, &levels, &head), 2);
+        let outer = TupleBatch::new(2, sg_delta.clone());
+        let got = rows(&fused_rule_join_batch(&d, &outer, &levels, &head));
         // Reference by brute force.
         let edge_pairs: Vec<(u32, u32)> = edges.chunks_exact(2).map(|c| (c[0], c[1])).collect();
         let mut expected = Vec::new();
@@ -283,10 +266,10 @@ mod tests {
     #[test]
     fn fused_join_with_empty_levels_projects_the_outer_directly() {
         let d = device();
-        let outer = [4u32, 5, 6, 7];
+        let outer = TupleBatch::new(2, vec![4, 5, 6, 7]);
         let head = [ColumnSource::Col(1), ColumnSource::Col(0)];
-        let got = fused_rule_join(&d, &outer, 2, &[], &head);
-        assert_eq!(got, vec![5, 4, 7, 6]);
+        let got = fused_rule_join_batch(&d, &outer, &[], &head);
+        assert_eq!(got.as_flat(), &[5, 4, 7, 6]);
     }
 
     #[test]

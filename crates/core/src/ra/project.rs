@@ -1,9 +1,4 @@
-//! Projection and selection over dense intermediate buffers.
-//!
-//! Each kernel exists in two forms: the legacy flat-slice form
-//! (`&[u32]` + arity) retained as the reference implementation, and a
-//! [`TupleBatch`]-typed form used by the operator pipeline, which keeps the
-//! arity attached to the data instead of threading it alongside.
+//! Projection and selection over dense intermediate batches.
 
 use crate::planner::{ColumnSource, FilterStep};
 use gpulog_device::thrust::scan::exclusive_scan_offsets;
@@ -32,21 +27,13 @@ fn resolve(src: ColumnSource, row: &[u32]) -> u32 {
     }
 }
 
-/// Projects each row of a row-major buffer onto `out_cols`.
+/// Projects each row of a batch onto `out_cols`.
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a multiple of `arity` or a projected column
-/// is out of range.
-pub fn project_rows(
-    device: &Device,
-    data: &[u32],
-    arity: usize,
-    out_cols: &[ColumnSource],
-) -> Vec<u32> {
-    assert!(arity > 0, "arity must be positive");
-    assert_eq!(data.len() % arity, 0, "ragged row buffer");
-    let rows = data.len() / arity;
+/// Panics if a projected column is out of range.
+pub fn project_batch(device: &Device, batch: &TupleBatch, out_cols: &[ColumnSource]) -> TupleBatch {
+    let (data, arity, rows) = (batch.as_flat(), batch.arity(), batch.len());
     let out_arity = out_cols.len();
     device.metrics().add_kernel_launch();
     device.metrics().add_bytes_read((data.len() * 4) as u64);
@@ -59,26 +46,16 @@ pub fn project_rows(
         let col = slot % out_arity;
         resolve(out_cols[col], &data[row * arity..(row + 1) * arity])
     });
-    out
+    batch_from_flat(out_arity, out)
 }
 
-/// Keeps the rows of a row-major buffer satisfying every filter.
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a multiple of `arity`.
-pub fn filter_rows(
-    device: &Device,
-    data: &[u32],
-    arity: usize,
-    filters: &[FilterStep],
-) -> Vec<u32> {
-    assert!(arity > 0, "arity must be positive");
-    assert_eq!(data.len() % arity, 0, "ragged row buffer");
+/// Keeps the rows of a batch satisfying every filter. The result does not
+/// carry the input's sorted-unique flag.
+pub fn filter_batch(device: &Device, batch: &TupleBatch, filters: &[FilterStep]) -> TupleBatch {
+    let (data, arity, rows) = (batch.as_flat(), batch.arity(), batch.len());
     if filters.is_empty() {
-        return data.to_vec();
+        return TupleBatch::new(arity, data.to_vec());
     }
-    let rows = data.len() / arity;
     device.metrics().add_kernel_launch();
     device.metrics().add_bytes_read((data.len() * 4) as u64);
     let keep: Vec<usize> = device.executor().map_collect(rows, |r| {
@@ -101,7 +78,7 @@ pub fn filter_rows(
                 slots.copy_from_slice(&data[r * arity..(r + 1) * arity]);
             }
         });
-    out
+    TupleBatch::new(arity, out)
 }
 
 /// Applies row-level constant and column-equality selections, then keeps the
@@ -109,17 +86,34 @@ pub fn filter_rows(
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a multiple of `arity`.
-pub fn scan_select(
+/// Panics if a filtered or kept column is out of range.
+pub fn scan_select_batch(
+    device: &Device,
+    batch: &TupleBatch,
+    const_filters: &[(usize, u32)],
+    eq_filters: &[(usize, usize)],
+    keep_cols: &[usize],
+) -> TupleBatch {
+    scan_select_rows(
+        device,
+        batch.as_flat(),
+        batch.arity(),
+        const_filters,
+        eq_filters,
+        keep_cols,
+    )
+}
+
+/// [`scan_select_batch`] over a stored relation's row-major data, which
+/// the executor's scan reads in place rather than copying into a batch.
+pub(crate) fn scan_select_rows(
     device: &Device,
     data: &[u32],
     arity: usize,
     const_filters: &[(usize, u32)],
     eq_filters: &[(usize, usize)],
     keep_cols: &[usize],
-) -> Vec<u32> {
-    assert!(arity > 0, "arity must be positive");
-    assert_eq!(data.len() % arity, 0, "ragged row buffer");
+) -> TupleBatch {
     let rows = data.len() / arity;
     let out_arity = keep_cols.len();
     device.metrics().add_kernel_launch();
@@ -146,44 +140,7 @@ pub fn scan_select(
                 *slot = row[col];
             }
         });
-    out
-}
-
-/// [`project_rows`] over a [`TupleBatch`].
-pub fn project_batch(device: &Device, batch: &TupleBatch, out_cols: &[ColumnSource]) -> TupleBatch {
-    batch_from_flat(
-        out_cols.len(),
-        project_rows(device, batch.as_flat(), batch.arity(), out_cols),
-    )
-}
-
-/// [`filter_rows`] over a [`TupleBatch`].
-pub fn filter_batch(device: &Device, batch: &TupleBatch, filters: &[FilterStep]) -> TupleBatch {
-    TupleBatch::new(
-        batch.arity(),
-        filter_rows(device, batch.as_flat(), batch.arity(), filters),
-    )
-}
-
-/// [`scan_select`] over a [`TupleBatch`].
-pub fn scan_select_batch(
-    device: &Device,
-    batch: &TupleBatch,
-    const_filters: &[(usize, u32)],
-    eq_filters: &[(usize, usize)],
-    keep_cols: &[usize],
-) -> TupleBatch {
-    batch_from_flat(
-        keep_cols.len(),
-        scan_select(
-            device,
-            batch.as_flat(),
-            batch.arity(),
-            const_filters,
-            eq_filters,
-            keep_cols,
-        ),
-    )
+    batch_from_flat(out_arity, out)
 }
 
 #[cfg(test)]
@@ -199,58 +156,60 @@ mod tests {
     #[test]
     fn project_reorders_and_injects_constants() {
         let d = device();
-        let data = [1u32, 2, 3, 4, 5, 6];
-        let out = project_rows(
+        let data = TupleBatch::new(3, vec![1, 2, 3, 4, 5, 6]);
+        let out = project_batch(
             &d,
             &data,
-            3,
             &[
                 ColumnSource::Col(2),
                 ColumnSource::Const(9),
                 ColumnSource::Col(0),
             ],
         );
-        assert_eq!(out, vec![3, 9, 1, 6, 9, 4]);
+        assert_eq!(out.as_flat(), &[3, 9, 1, 6, 9, 4]);
     }
 
     #[test]
     fn filter_keeps_only_matching_rows() {
         let d = device();
-        let data = [1u32, 1, 2, 3, 4, 4, 5, 6];
+        let data = TupleBatch::new(2, vec![1, 1, 2, 3, 4, 4, 5, 6]);
         let ne = FilterStep {
             left: ColumnSource::Col(0),
             op: CmpOp::Ne,
             right: ColumnSource::Col(1),
         };
-        assert_eq!(filter_rows(&d, &data, 2, &[ne]), vec![2, 3, 5, 6]);
+        assert_eq!(filter_batch(&d, &data, &[ne]).as_flat(), &[2, 3, 5, 6]);
         let lt = FilterStep {
             left: ColumnSource::Col(0),
             op: CmpOp::Lt,
             right: ColumnSource::Const(3),
         };
-        assert_eq!(filter_rows(&d, &data, 2, &[ne, lt]), vec![2, 3]);
+        assert_eq!(filter_batch(&d, &data, &[ne, lt]).as_flat(), &[2, 3]);
     }
 
     #[test]
     fn empty_filter_list_is_identity() {
         let d = device();
-        let data = [7u32, 8];
-        assert_eq!(filter_rows(&d, &data, 2, &[]), data.to_vec());
+        let data = TupleBatch::new(2, vec![7, 8]);
+        assert_eq!(filter_batch(&d, &data, &[]).as_flat(), data.as_flat());
     }
 
     #[test]
     fn scan_select_applies_const_and_eq_filters_then_projects() {
         let d = device();
         // rows: (1,1,5) (1,2,5) (2,2,5) (2,2,9)
-        let data = [1u32, 1, 5, 1, 2, 5, 2, 2, 5, 2, 2, 9];
-        let out = scan_select(&d, &data, 3, &[(2, 5)], &[(0, 1)], &[0, 2]);
-        assert_eq!(out, vec![1, 5, 2, 5]);
+        let data = TupleBatch::new(3, vec![1, 1, 5, 1, 2, 5, 2, 2, 5, 2, 2, 9]);
+        let out = scan_select_batch(&d, &data, &[(2, 5)], &[(0, 1)], &[0, 2]);
+        assert_eq!(out.as_flat(), &[1, 5, 2, 5]);
     }
 
     #[test]
     fn scan_select_with_no_filters_keeps_all_rows() {
         let d = device();
-        let data = [1u32, 2, 3, 4];
-        assert_eq!(scan_select(&d, &data, 2, &[], &[], &[1]), vec![2, 4]);
+        let data = TupleBatch::new(2, vec![1, 2, 3, 4]);
+        assert_eq!(
+            scan_select_batch(&d, &data, &[], &[], &[1]).as_flat(),
+            &[2, 4]
+        );
     }
 }

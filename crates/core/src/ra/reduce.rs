@@ -25,29 +25,27 @@ use gpulog_hisa::TupleBatch;
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a multiple of `arity` or `agg_column` is
-/// out of range.
-pub fn group_reduce_rows(
+/// Panics if `agg_column` is out of range.
+pub fn group_reduce_batch(
     device: &Device,
-    data: &[u32],
-    arity: usize,
+    batch: &TupleBatch,
     agg_column: usize,
     op: AggregateOp,
-) -> Vec<u32> {
-    assert!(arity > 0, "arity must be positive");
+) -> TupleBatch {
+    let arity = batch.arity();
     assert!(agg_column < arity, "aggregate column out of range");
-    assert_eq!(data.len() % arity, 0, "ragged row buffer");
-    if data.is_empty() {
-        return Vec::new();
+    if batch.is_empty() {
+        return TupleBatch::new(arity, Vec::new());
     }
-    let distinct = deduplicate_rows(device, data, arity);
+    let distinct = deduplicate_rows(device, batch);
+    let distinct = distinct.as_flat();
     let rows = distinct.len() / arity;
     let group_cols: Vec<usize> = (0..arity).filter(|&c| c != agg_column).collect();
     // Group-key-major, value-minor order: every group is one contiguous
     // segment of the sorted permutation.
     let mut order = group_cols.clone();
     order.push(agg_column);
-    let sorted = lexicographic_sort_indices(device, &distinct, arity, &order);
+    let sorted = lexicographic_sort_indices(device, distinct, arity, &order);
     device.metrics().add_kernel_launch();
     device.metrics().add_bytes_read((distinct.len() * 4) as u64);
     let heads: Vec<usize> = device.executor().map_collect(rows, |i| {
@@ -94,20 +92,7 @@ pub fn group_reduce_rows(
             slots.copy_from_slice(row);
             slots[agg_column] = u32::try_from(acc).unwrap_or(u32::MAX);
         });
-    out
-}
-
-/// [`group_reduce_rows`] over a [`TupleBatch`].
-pub fn group_reduce_batch(
-    device: &Device,
-    batch: &TupleBatch,
-    agg_column: usize,
-    op: AggregateOp,
-) -> TupleBatch {
-    TupleBatch::new(
-        batch.arity(),
-        group_reduce_rows(device, batch.as_flat(), batch.arity(), agg_column, op),
-    )
+    TupleBatch::new(arity, out)
 }
 
 #[cfg(test)]
@@ -128,30 +113,35 @@ mod tests {
         2, 2, 1,
     ];
 
+    fn reduce(data: &[u32], arity: usize, agg_column: usize, op: AggregateOp) -> Vec<u32> {
+        let batch = TupleBatch::new(arity, data.to_vec());
+        group_reduce_batch(&device(), &batch, agg_column, op).into_flat()
+    }
+
     #[test]
     fn min_keeps_the_smallest_value_per_group() {
-        let out = group_reduce_rows(&device(), &PATHS, 3, 2, AggregateOp::Min);
+        let out = reduce(&PATHS, 3, 2, AggregateOp::Min);
         assert_eq!(out, vec![1, 2, 3, 1, 3, 7, 2, 2, 1]);
     }
 
     #[test]
     fn max_keeps_the_largest_value_per_group() {
-        let out = group_reduce_rows(&device(), &PATHS, 3, 2, AggregateOp::Max);
+        let out = reduce(&PATHS, 3, 2, AggregateOp::Max);
         assert_eq!(out, vec![1, 2, 5, 1, 3, 7, 2, 2, 1]);
     }
 
     #[test]
     fn count_counts_distinct_bindings() {
-        let out = group_reduce_rows(&device(), &PATHS, 3, 2, AggregateOp::Count);
+        let out = reduce(&PATHS, 3, 2, AggregateOp::Count);
         assert_eq!(out, vec![1, 2, 2, 1, 3, 1, 2, 2, 1]);
     }
 
     #[test]
     fn sum_adds_distinct_values_and_saturates() {
-        let out = group_reduce_rows(&device(), &PATHS, 3, 2, AggregateOp::Sum);
+        let out = reduce(&PATHS, 3, 2, AggregateOp::Sum);
         assert_eq!(out, vec![1, 2, 8, 1, 3, 7, 2, 2, 1]);
         let big = [7u32, u32::MAX, 7, u32::MAX - 1];
-        let out = group_reduce_rows(&device(), &big, 2, 1, AggregateOp::Sum);
+        let out = reduce(&big, 2, 1, AggregateOp::Sum);
         assert_eq!(out, vec![7, u32::MAX]);
     }
 
@@ -159,13 +149,13 @@ mod tests {
     fn aggregate_column_need_not_be_last() {
         // (d, x): group by x at column 1, aggregate column 0.
         let data = [9u32, 4, 2, 4, 5, 6];
-        let out = group_reduce_rows(&device(), &data, 2, 0, AggregateOp::Min);
+        let out = reduce(&data, 2, 0, AggregateOp::Min);
         assert_eq!(out, vec![2, 4, 5, 6]);
     }
 
     #[test]
     fn empty_input_reduces_to_nothing() {
-        assert!(group_reduce_rows(&device(), &[], 2, 1, AggregateOp::Count).is_empty());
+        assert!(reduce(&[], 2, 1, AggregateOp::Count).is_empty());
     }
 
     #[test]

@@ -53,70 +53,15 @@ pub struct RelationVersion {
 }
 
 impl RelationVersion {
+    /// An empty version. The batch is deliberately unflagged, so the
+    /// canonical index takes the general build like any unsorted load.
     pub(crate) fn empty(device: &Device, arity: usize, load_factor: f64) -> EngineResult<Self> {
-        Ok(RelationVersion {
-            arity,
-            canonical: Hisa::build_with_load_factor(
-                device,
-                IndexSpec::full_key(arity),
-                &[],
-                load_factor,
-            )?,
-            by_key: HashMap::new(),
-            sharded: HashMap::new(),
-            load_factor,
-        })
-    }
-
-    fn from_tuples(
-        device: &Device,
-        arity: usize,
-        tuples: &[u32],
-        load_factor: f64,
-    ) -> EngineResult<Self> {
-        Ok(RelationVersion {
-            arity,
-            canonical: Hisa::build_with_load_factor(
-                device,
-                IndexSpec::full_key(arity),
-                tuples,
-                load_factor,
-            )?,
-            by_key: HashMap::new(),
-            sharded: HashMap::new(),
-            load_factor,
-        })
-    }
-
-    /// [`RelationVersion::from_tuples`] for tuples that are already
-    /// lexicographically sorted and duplicate-free (the shape the
-    /// delta-population phase produces): the canonical index is built with
-    /// the HISA fast path, skipping its sort and dedup entirely.
-    fn from_sorted_unique_tuples(
-        device: &Device,
-        arity: usize,
-        tuples: &[u32],
-        load_factor: f64,
-    ) -> EngineResult<Self> {
-        Ok(RelationVersion {
-            arity,
-            canonical: Hisa::build_from_sorted_unique(
-                device,
-                IndexSpec::full_key(arity),
-                tuples,
-                load_factor,
-            )?,
-            by_key: HashMap::new(),
-            sharded: HashMap::new(),
-            load_factor,
-        })
+        Self::from_batch(device, &TupleBatch::new(arity, Vec::new()), load_factor)
     }
 
     /// Builds a version from a [`TupleBatch`], letting the batch's
     /// sorted-unique flag pick between the general build and the
-    /// sort/dedup-free fast path — the type-driven replacement for choosing
-    /// between [`RelationVersion::from_tuples`] and
-    /// [`RelationVersion::from_sorted_unique_tuples`] by hand.
+    /// sort/dedup-free fast path ([`Hisa::build_from_batch`]).
     fn from_batch(device: &Device, batch: &TupleBatch, load_factor: f64) -> EngineResult<Self> {
         Ok(RelationVersion {
             arity: batch.arity(),
@@ -167,12 +112,8 @@ impl RelationVersion {
         }
         if !self.by_key.contains_key(key_cols) {
             let spec = IndexSpec::new(self.arity, key_cols.to_vec());
-            let hisa = Hisa::build_with_load_factor(
-                device,
-                spec,
-                self.canonical.data(),
-                self.load_factor,
-            )?;
+            let rows = TupleBatch::new(self.arity, self.canonical.data().to_vec());
+            let hisa = Hisa::build_from_batch(device, spec, &rows, self.load_factor)?;
             self.by_key.insert(key_cols.to_vec(), hisa);
         }
         Ok(&self.by_key[key_cols])
@@ -238,7 +179,7 @@ impl RelationVersion {
                 let built = if sorted_unique {
                     Hisa::build_reindexed_from_sorted_unique(device, spec, &data, load_factor)
                 } else {
-                    Hisa::build_with_load_factor(device, spec, &data, load_factor)
+                    Hisa::build_from_batch(device, spec, &TupleBatch::new(arity, data), load_factor)
                 };
                 *slot = Some(built.map_err(Into::into));
             });
@@ -452,8 +393,8 @@ impl RelationVersion {
     /// [`RelationStorage::merge_delta_into_full`], used by the pipelined
     /// backend to drain its double buffer. For every maintained layer
     /// (canonical, each secondary index, each cached shard map) the runs
-    /// are combined with [`Hisa::build_from_sorted_unique_runs`] and merged
-    /// with a single [`Hisa::merge_from`], so the O(|full|) sorted-index
+    /// are combined with [`index_runs`] and merged with a single
+    /// [`Hisa::merge_from`], so the O(|full|) sorted-index
     /// and inverse-permutation streaming passes are paid once per drain
     /// instead of once per delta. Merge associativity (the runs' rows are
     /// globally distinct) keeps the result byte-identical to merging the
@@ -492,19 +433,14 @@ impl RelationVersion {
         let load_factor = self.load_factor;
         let flats: Vec<&[u32]> = runs.iter().map(TupleBatch::as_flat).collect();
         let reserve = ebm.reserve_rows(total_rows);
-        let combined = Hisa::build_from_sorted_unique_runs(
-            device,
-            IndexSpec::full_key(arity),
-            &flats,
-            load_factor,
-        )?;
+        let combined = index_runs(device, IndexSpec::full_key(arity), &flats, load_factor)?;
         if reserve > 0 {
             self.canonical.reserve_additional_rows(reserve)?;
         }
         self.canonical.merge_from(&combined)?;
         let keys: Vec<Vec<usize>> = self.by_key.keys().cloned().collect();
         for key in keys {
-            let combined = Hisa::build_from_sorted_unique_runs(
+            let combined = index_runs(
                 device,
                 IndexSpec::new(arity, key.clone()),
                 &flats,
@@ -548,7 +484,7 @@ impl RelationVersion {
                 |_, ((target, slices, key_cols, shard_reserve), result)| {
                     *result = (|| -> EngineResult<()> {
                         let slice_refs: Vec<&[u32]> = slices.iter().map(Vec::as_slice).collect();
-                        let combined = Hisa::build_from_sorted_unique_runs(
+                        let combined = index_runs(
                             device,
                             IndexSpec::new(arity, key_cols),
                             &slice_refs,
@@ -580,6 +516,33 @@ impl RelationVersion {
 /// One shard-map drain job: the target shard HISA, the run slices routed
 /// to it, the map's key columns, and the rows to pre-reserve.
 type ShardMergeJob<'a> = (&'a mut Hisa, Vec<Vec<u32>>, Vec<usize>, usize);
+
+/// Indexes several identity-sorted, duplicate-free, pairwise-disjoint
+/// delta runs under `spec` as one HISA: each run is re-indexed and merged
+/// into the first, in order. Every run's rows are globally distinct, so
+/// the merged sorted order depends on tuple content alone and the result
+/// is byte-identical to merging each run into the destination one at a
+/// time — which is what lets a drain pay the destination's O(|full|)
+/// merge passes once per batch of runs.
+fn index_runs(
+    device: &Device,
+    spec: IndexSpec,
+    runs: &[&[u32]],
+    load_factor: f64,
+) -> EngineResult<Hisa> {
+    let index = |run: &[u32]| {
+        Hisa::build_reindexed_from_sorted_unique(device, spec.clone(), run, load_factor)
+    };
+    let mut runs = runs.iter().filter(|run| !run.is_empty());
+    let first = runs
+        .next()
+        .expect("a drain merges at least one non-empty run");
+    let mut combined = index(first)?;
+    for run in runs {
+        combined.merge_from(&index(run)?)?;
+    }
+    Ok(combined)
+}
 
 /// Whether `key_cols` is served by the canonical (identity full-key)
 /// index: an empty key (plain scan) or exactly `[0, 1, ..., arity - 1]`.
@@ -766,8 +729,10 @@ impl RelationStorage {
     pub(crate) fn settle(&mut self, ebm: &EbmConfig) -> EngineResult<()> {
         self.join_merge()?;
         if !self.pending.is_empty() {
-            let runs = std::mem::take(&mut self.pending);
+            // Detach before taking the runs: a detach copy that does not
+            // fit must leave them pending for a retry.
             self.detach_full()?;
+            let runs = std::mem::take(&mut self.pending);
             let full = Arc::get_mut(&mut self.full).expect("full version is unique after detach");
             full.merge_sorted_unique_runs(&self.device, &runs, ebm)?;
         }
@@ -885,52 +850,6 @@ impl RelationStorage {
         self.new_tuples.extend_from_slice(batch.as_flat());
     }
 
-    /// Replaces the full relation's contents with `tuples` (used when
-    /// loading extensional facts).
-    ///
-    /// # Errors
-    ///
-    /// Returns a device error if the relation does not fit.
-    pub fn load_full(&mut self, tuples: &[u32]) -> EngineResult<()> {
-        self.full = Arc::new(RelationVersion::from_tuples(
-            &self.device,
-            self.arity,
-            tuples,
-            self.load_factor,
-        )?);
-        Ok(())
-    }
-
-    /// Replaces the delta version with the given (already deduplicated and
-    /// full-disjoint) tuples.
-    ///
-    /// # Errors
-    ///
-    /// Returns a device error if the delta does not fit.
-    pub fn set_delta(&mut self, tuples: &[u32]) -> EngineResult<()> {
-        self.delta =
-            RelationVersion::from_tuples(&self.device, self.arity, tuples, self.load_factor)?;
-        Ok(())
-    }
-
-    /// [`RelationStorage::set_delta`] for tuples that are additionally
-    /// already sorted lexicographically — exactly what
-    /// [`crate::ra::difference()`] emits. The delta HISA is built without
-    /// re-sorting or re-deduplicating.
-    ///
-    /// # Errors
-    ///
-    /// Returns a device error if the delta does not fit.
-    pub fn set_delta_sorted_unique(&mut self, tuples: &[u32]) -> EngineResult<()> {
-        self.delta = RelationVersion::from_sorted_unique_tuples(
-            &self.device,
-            self.arity,
-            tuples,
-            self.load_factor,
-        )?;
-        Ok(())
-    }
-
     /// Installs a [`TupleBatch`] as the delta version. The batch's
     /// sorted-unique flag — not a comment at the call site — decides whether
     /// the HISA build skips its sort/dedup passes.
@@ -948,8 +867,8 @@ impl RelationStorage {
         Ok(())
     }
 
-    /// Replaces the full relation's contents with a [`TupleBatch`] (the
-    /// batch-typed sibling of [`RelationStorage::load_full`]).
+    /// Replaces the full relation's contents with a [`TupleBatch`] (used
+    /// when loading extensional facts).
     ///
     /// # Errors
     ///
@@ -1045,7 +964,8 @@ mod tests {
     fn load_full_and_query() {
         let d = device();
         let mut s = storage(&d);
-        s.load_full(&[1, 2, 3, 4, 1, 2]).unwrap();
+        s.load_full_batch(&TupleBatch::new(2, vec![1, 2, 3, 4, 1, 2]))
+            .unwrap();
         assert_eq!(s.len(), 2);
         assert!(s.contains(&[3, 4]));
         assert!(!s.contains(&[4, 3]));
@@ -1061,7 +981,8 @@ mod tests {
     fn index_on_builds_and_caches_secondary_indices() {
         let d = device();
         let mut s = storage(&d);
-        s.load_full(&[1, 2, 3, 2, 5, 6]).unwrap();
+        s.load_full_batch(&TupleBatch::new(2, vec![1, 2, 3, 2, 5, 6]))
+            .unwrap();
         let hits = s
             .full_mut()
             .unwrap()
@@ -1083,7 +1004,8 @@ mod tests {
     fn permuted_full_key_builds_a_real_secondary_index() {
         let d = device();
         let mut s = storage(&d);
-        s.load_full(&[1, 2, 3, 4]).unwrap();
+        s.load_full_batch(&TupleBatch::new(2, vec![1, 2, 3, 4]))
+            .unwrap();
         let bytes_before = s.full().device_bytes();
         {
             let idx = s.full_mut().unwrap().index_on(&d, &[1, 0]).unwrap();
@@ -1109,13 +1031,15 @@ mod tests {
         let mut a = storage(&d);
         let mut b = storage(&d);
         for s in [&mut a, &mut b] {
-            s.load_full(&[1, 2]).unwrap();
+            s.load_full_batch(&TupleBatch::new(2, vec![1, 2])).unwrap();
             let _ = s.full_mut().unwrap().index_on(&d, &[1]).unwrap();
         }
         // Sorted, deduplicated, disjoint from full — the difference() shape.
         let delta = [0u32, 2, 3, 2, 4, 5];
-        a.set_delta(&delta).unwrap();
-        b.set_delta_sorted_unique(&delta).unwrap();
+        a.set_delta_batch(&TupleBatch::new(2, delta.to_vec()))
+            .unwrap();
+        b.set_delta_batch(&TupleBatch::from_sorted_unique_flat(2, delta.to_vec()))
+            .unwrap();
         a.merge_delta_into_full(&EbmConfig::default()).unwrap();
         b.merge_delta_into_full(&EbmConfig::default()).unwrap();
         assert_eq!(a.len(), b.len());
@@ -1137,7 +1061,7 @@ mod tests {
     fn merge_moves_delta_into_full_and_keeps_indices_consistent() {
         let d = device();
         let mut s = storage(&d);
-        s.load_full(&[1, 2]).unwrap();
+        s.load_full_batch(&TupleBatch::new(2, vec![1, 2])).unwrap();
         // Materialize a secondary index before merging.
         assert_eq!(
             s.full_mut()
@@ -1148,7 +1072,8 @@ mod tests {
                 .count(),
             1
         );
-        s.set_delta(&[3, 2, 4, 5]).unwrap();
+        s.set_delta_batch(&TupleBatch::new(2, vec![3, 2, 4, 5]))
+            .unwrap();
         s.merge_delta_into_full(&EbmConfig::default()).unwrap();
         assert_eq!(s.len(), 3);
         assert!(s.contains(&[3, 2]));
@@ -1168,14 +1093,14 @@ mod tests {
     fn merge_with_ebm_disabled_trims_capacity() {
         let d = device();
         let mut s = storage(&d);
-        s.load_full(&[1, 2]).unwrap();
-        s.set_delta(&[3, 4]).unwrap();
+        s.load_full_batch(&TupleBatch::new(2, vec![1, 2])).unwrap();
+        s.set_delta_batch(&TupleBatch::new(2, vec![3, 4])).unwrap();
         s.merge_delta_into_full(&EbmConfig::disabled()).unwrap();
         assert_eq!(s.len(), 2);
         let d2 = device();
         let mut s2 = storage(&d2);
-        s2.load_full(&[1, 2]).unwrap();
-        s2.set_delta(&[3, 4]).unwrap();
+        s2.load_full_batch(&TupleBatch::new(2, vec![1, 2])).unwrap();
+        s2.set_delta_batch(&TupleBatch::new(2, vec![3, 4])).unwrap();
         s2.merge_delta_into_full(&EbmConfig::with_growth_factor(16.0))
             .unwrap();
         assert_eq!(s2.len(), 2);
@@ -1195,35 +1120,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_paths_agree_with_slice_paths() {
-        let d = device();
-        let mut a = storage(&d);
-        let mut b = storage(&d);
-        a.load_full(&[5, 6, 1, 2]).unwrap();
-        b.load_full_batch(&TupleBatch::new(2, vec![5, 6, 1, 2]))
-            .unwrap();
-        assert_eq!(a.tuples_batch(), b.tuples_batch());
-        // A sorted-unique batch drives the delta fast path; an unflagged one
-        // drives the general path. Both must land on the same delta.
-        let sorted = TupleBatch::from_sorted_unique_flat(2, vec![0, 9, 3, 3]);
-        let messy = TupleBatch::new(2, vec![3, 3, 0, 9]);
-        a.set_delta_batch(&sorted).unwrap();
-        b.set_delta_batch(&messy).unwrap();
-        assert_eq!(
-            a.delta.canonical().to_sorted_tuples(),
-            b.delta.canonical().to_sorted_tuples()
-        );
-        a.push_new_batch(&TupleBatch::from_rows(2, [[7u32, 7]]));
-        assert_eq!(a.take_new(&EbmConfig::default()), vec![7, 7]);
-    }
-
-    #[test]
     fn coalesced_run_merge_is_byte_identical_to_per_delta_merges() {
         let d = device();
         // Serial reference: merge two deltas one at a time, maintaining a
         // secondary index and a cached shard map throughout.
         let mut serial = storage(&d);
-        serial.load_full(&[1, 2, 8, 0]).unwrap();
+        serial
+            .load_full_batch(&TupleBatch::new(2, vec![1, 2, 8, 0]))
+            .unwrap();
         let _ = serial.full_mut().unwrap().index_on(&d, &[1]).unwrap();
         let _ = serial
             .full_mut()
@@ -1233,12 +1137,16 @@ mod tests {
         let d1: &[u32] = &[0, 7, 3, 3, 9, 1];
         let d2: &[u32] = &[2, 2, 4, 8];
         for delta in [d1, d2] {
-            serial.set_delta_sorted_unique(delta).unwrap();
+            serial
+                .set_delta_batch(&TupleBatch::from_sorted_unique_flat(2, delta.to_vec()))
+                .unwrap();
             serial.merge_delta_into_full(&EbmConfig::default()).unwrap();
         }
         // Coalesced: same deltas as one deferred drain.
         let mut coalesced = storage(&d);
-        coalesced.load_full(&[1, 2, 8, 0]).unwrap();
+        coalesced
+            .load_full_batch(&TupleBatch::new(2, vec![1, 2, 8, 0]))
+            .unwrap();
         let _ = coalesced.full_mut().unwrap().index_on(&d, &[1]).unwrap();
         let _ = coalesced
             .full_mut()
@@ -1286,14 +1194,16 @@ mod tests {
     fn shared_full_detaches_on_merge_and_keeps_the_snapshot_intact() {
         let d = device();
         let mut s = storage(&d);
-        s.load_full(&[1, 2, 3, 4]).unwrap();
+        s.load_full_batch(&TupleBatch::new(2, vec![1, 2, 3, 4]))
+            .unwrap();
         let _ = s.full_mut().unwrap().index_on(&d, &[1]).unwrap();
         // Publish: a snapshot holds the full version.
         let published = s.share_full();
         assert!(s.full_is_shared());
         let published_rows = published.tuples_flat().to_vec();
         // Writer merges the next delta — must copy-on-write, not tear.
-        s.set_delta_sorted_unique(&[5, 6, 7, 8]).unwrap();
+        s.set_delta_batch(&TupleBatch::from_sorted_unique_flat(2, vec![5, 6, 7, 8]))
+            .unwrap();
         s.merge_delta_into_full(&EbmConfig::default()).unwrap();
         assert_eq!(s.len(), 4);
         assert_eq!(
@@ -1327,11 +1237,15 @@ mod tests {
         let d = device();
         let ebm = EbmConfig::default();
         let mut eager = storage(&d);
-        eager.load_full(&[9, 9, 1, 2, 5, 5]).unwrap();
+        eager
+            .load_full_batch(&TupleBatch::new(2, vec![9, 9, 1, 2, 5, 5]))
+            .unwrap();
         let _ = eager.full_mut().unwrap().index_on(&d, &[1]).unwrap();
         let before = eager.full().tuples_flat().to_vec();
         let mark = eager.len();
-        eager.set_delta_sorted_unique(&[0, 7, 3, 3]).unwrap();
+        eager
+            .set_delta_batch(&TupleBatch::from_sorted_unique_flat(2, vec![0, 7, 3, 3]))
+            .unwrap();
         eager.merge_delta_into_full(&ebm).unwrap();
         assert_eq!(
             &eager.full().tuples_flat()[..before.len()],
@@ -1345,7 +1259,9 @@ mod tests {
         assert!(eager.rows_since(mark + 5).is_empty());
 
         let mut deferred = storage(&d);
-        deferred.load_full(&[9, 9, 1, 2, 5, 5]).unwrap();
+        deferred
+            .load_full_batch(&TupleBatch::new(2, vec![9, 9, 1, 2, 5, 5]))
+            .unwrap();
         for run in [[0u32, 7], [4, 4], [2, 8]] {
             deferred.join_merge().unwrap();
             deferred
@@ -1373,14 +1289,16 @@ mod tests {
         // KiB of slack, far short of a second copy).
         let probe = device();
         let mut s = storage(&probe);
-        s.load_full(&rows).unwrap();
+        s.load_full_batch(&TupleBatch::new(2, rows.to_vec()))
+            .unwrap();
         let _placeholder = RelationVersion::empty(&probe, 2, DEFAULT_LOAD_FACTOR).unwrap();
         let mut profile = DeviceProfile::nvidia_h100();
         profile.memory_capacity_bytes = probe.metrics().peak_bytes_in_use() + 4096;
         let d = Device::with_workers(profile, 4);
 
         let mut s = storage(&d);
-        s.load_full(&rows).unwrap();
+        s.load_full_batch(&TupleBatch::new(2, rows.to_vec()))
+            .unwrap();
         let snapshot = s.share_full();
         assert!(matches!(
             s.take_full(),
@@ -1392,10 +1310,46 @@ mod tests {
     }
 
     #[test]
+    fn a_settle_whose_detach_does_not_fit_keeps_its_pending_runs() {
+        let rows: Vec<u32> = (0..20_000u32).flat_map(|i| [i, i / 7]).collect();
+        let run = TupleBatch::from_sorted_unique_flat(2, vec![0, 9, 1, 9]);
+        let ebm = EbmConfig::default();
+        // Size a device for one loaded copy and the merge of the run into
+        // it, with a few KiB of slack: far short of a detach copy.
+        let probe = device();
+        let mut s = storage(&probe);
+        s.load_full_batch(&TupleBatch::new(2, rows.clone()))
+            .unwrap();
+        s.defer_merge(run.clone(), &ebm).unwrap();
+        s.settle(&ebm).unwrap();
+        let mut profile = DeviceProfile::nvidia_h100();
+        profile.memory_capacity_bytes = probe.metrics().peak_bytes_in_use() + 4096;
+        let d = Device::with_workers(profile, 4);
+
+        let mut s = storage(&d);
+        s.load_full_batch(&TupleBatch::new(2, rows)).unwrap();
+        let snapshot = s.share_full();
+        s.defer_merge(run, &ebm).unwrap();
+        assert!(matches!(
+            s.settle(&ebm),
+            Err(EngineError::Device(DeviceError::OutOfMemory { .. }))
+        ));
+        assert!(
+            !s.is_settled(),
+            "the failed detach must keep the run pending"
+        );
+        // Once the snapshot lets go, a retry merges the run.
+        drop(snapshot);
+        s.settle(&ebm).unwrap();
+        assert_eq!(s.len(), 20_002);
+        assert!(s.contains(&[0, 9]) && s.contains(&[1, 9]));
+    }
+
+    #[test]
     fn clear_delta_empties_the_delta_version() {
         let d = device();
         let mut s = storage(&d);
-        s.set_delta(&[1, 2]).unwrap();
+        s.set_delta_batch(&TupleBatch::new(2, vec![1, 2])).unwrap();
         assert_eq!(s.delta.len(), 1);
         s.clear_delta().unwrap();
         assert!(s.delta.is_empty());

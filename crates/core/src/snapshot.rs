@@ -142,7 +142,7 @@ impl FixpointSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, GpulogEngine};
+    use crate::engine::GpulogEngine;
     use gpulog_device::profile::DeviceProfile;
     use gpulog_device::Device;
 
@@ -157,7 +157,7 @@ mod tests {
 
     fn engine() -> GpulogEngine {
         let d = Device::with_workers(DeviceProfile::nvidia_h100(), 4);
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         e.add_facts("Edge", [[0u32, 1], [1, 2], [2, 3]]).unwrap();
         e.run().unwrap();
         e

@@ -82,120 +82,57 @@ impl Hisa {
     ///
     /// Panics if `tuples.len()` is not a multiple of the spec's arity.
     pub fn build(device: &Device, spec: IndexSpec, tuples: &[Value]) -> DeviceResult<Self> {
-        Self::build_with_load_factor(device, spec, tuples, DEFAULT_LOAD_FACTOR)
+        Self::sort_and_build(device, spec, tuples, DEFAULT_LOAD_FACTOR)
     }
 
-    /// [`Hisa::build`] with an explicit hash-table load factor.
+    /// Builds a HISA from a [`TupleBatch`] with an explicit hash-table load
+    /// factor, letting the batch's sorted-unique flag and the spec's
+    /// permutation pick the construction path:
     ///
-    /// # Errors
-    ///
-    /// Returns [`gpulog_device::DeviceError::OutOfMemory`] when the relation
-    /// does not fit on the device.
-    pub fn build_with_load_factor(
-        device: &Device,
-        spec: IndexSpec,
-        tuples: &[Value],
-        load_factor: f64,
-    ) -> DeviceResult<Self> {
-        assert_eq!(
-            tuples.len() % spec.arity(),
-            0,
-            "tuple buffer length must be a multiple of the arity"
-        );
-        let arity = spec.arity();
-        // Layer 1: reorder columns key-first and move to the device.
-        let reordered = spec.reorder_rows(tuples);
-        // Layer 2: sort + dedup.
-        let order: Vec<usize> = (0..arity).collect();
-        let sorted_all = lexicographic_sort_indices(device, &reordered, arity, &order);
-        let unique = unique_sorted_positions(device, &reordered, arity, &sorted_all);
-        // Compact the data array to unique rows, stored in sorted order so a
-        // freshly built HISA has an identity sorted-index array.
-        let compacted = gather_rows(device, &reordered, arity, &unique);
-        let rows = unique.len();
-        let data = device.buffer_from_vec(compacted)?;
-        let sorted_index = device.buffer_from_vec((0..rows as u32).collect())?;
-        // Data is stored in sorted order, so position == row.
-        let pos_in_sorted = device.buffer_from_vec((0..rows as u32).collect())?;
-        // Layer 3: hash table over the key columns.
-        let hash = build_hash_layer(
-            device,
-            &spec,
-            &data,
-            &sorted_index,
-            pos_in_sorted.as_slice(),
-            load_factor,
-        )?;
-        Ok(Hisa {
-            spec,
-            device: device.clone(),
-            data,
-            sorted_index,
-            pos_in_sorted,
-            hash,
-            load_factor,
-        })
-    }
-
-    /// Builds a HISA from tuples that are already in key-first order,
-    /// lexicographically sorted, and duplicate-free — the fast path for
-    /// delta relations, whose tuples leave the delta-population phase
-    /// exactly in this shape. Skips the sort, the adjacent-comparison
-    /// dedup pass, and the compaction gather of [`Hisa::build`]: only the
-    /// hash layer is constructed, over an identity sorted-index array.
+    /// * a flagged batch under an identity permutation (where original
+    ///   order *is* key-first order) skips the sort, the dedup pass and the
+    ///   compaction gather: only the hash layer is built, over an identity
+    ///   sorted-index array;
+    /// * a flagged batch under a permuted spec is re-indexed
+    ///   ([`Hisa::build_reindexed_from_sorted_unique`]);
+    /// * an unflagged batch takes the general sort + dedup build
+    ///   ([`Hisa::build`]).
     ///
     /// # Errors
     ///
     /// Returns [`gpulog_device::DeviceError::OutOfMemory`] when the
-    /// relation does not fit on the device.
+    /// relation does not fit on the device, and
+    /// [`gpulog_device::DeviceError::InvalidLoadFactor`] for a load factor
+    /// outside `(0, 1]`.
     ///
     /// # Panics
     ///
-    /// Panics if `reordered.len()` is not a multiple of the arity. Sorted
-    /// order and uniqueness are the caller's contract (checked only under
-    /// `debug_assertions`).
-    pub fn build_from_sorted_unique(
+    /// Panics if the batch's arity differs from the spec's.
+    pub fn build_from_batch(
         device: &Device,
         spec: IndexSpec,
-        reordered: &[Value],
+        batch: &TupleBatch,
         load_factor: f64,
     ) -> DeviceResult<Self> {
-        let arity = spec.arity();
         assert_eq!(
-            reordered.len() % arity,
-            0,
-            "tuple buffer length must be a multiple of the arity"
+            batch.arity(),
+            spec.arity(),
+            "batch arity must match the index spec"
         );
-        debug_assert!(
-            rows_are_sorted_unique(reordered, arity),
-            "build_from_sorted_unique requires sorted, duplicate-free rows"
-        );
-        let rows = reordered.len() / arity;
-        let data = device.buffer_from_slice(reordered)?;
-        let sorted_index = device.buffer_from_vec((0..rows as u32).collect())?;
-        let pos_in_sorted = device.buffer_from_vec((0..rows as u32).collect())?;
-        let hash = build_hash_layer(
-            device,
-            &spec,
-            &data,
-            &sorted_index,
-            pos_in_sorted.as_slice(),
-            load_factor,
-        )?;
-        Ok(Hisa {
-            spec,
-            device: device.clone(),
-            data,
-            sorted_index,
-            pos_in_sorted,
-            hash,
-            load_factor,
-        })
+        let identity = spec.permutation().iter().copied().eq(0..spec.arity());
+        match (batch.is_sorted_unique(), identity) {
+            (true, true) => Self::index_sorted(device, spec, batch.as_flat(), load_factor),
+            (true, false) => {
+                Self::build_reindexed_from_sorted_unique(device, spec, batch.as_flat(), load_factor)
+            }
+            (false, _) => Self::sort_and_build(device, spec, batch.as_flat(), load_factor),
+        }
     }
 
     /// Re-indexes duplicate-free tuples that are already sorted in their
-    /// *original* column order under a different key specification — the
-    /// secondary-index fast path of the delta-reuse merge.
+    /// *original* column order under `spec` — the secondary-index path of
+    /// the delta merge, which re-keys a delta it holds only as a slice of
+    /// its canonical index.
     ///
     /// Because the input is identity-sorted and duplicate-free, a stable
     /// sort over the key columns alone yields the full key-first
@@ -237,6 +174,75 @@ impl Hisa {
         let data = device.buffer_from_vec(spec.reorder_rows(tuples))?;
         let pos_in_sorted = device.buffer_from_vec(invert_permutation(device, &order))?;
         let sorted_index = device.buffer_from_vec(order)?;
+        Self::with_hash_layer(device, spec, data, sorted_index, pos_in_sorted, load_factor)
+    }
+
+    /// Creates an empty HISA.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`gpulog_device::DeviceError::OutOfMemory`] when even the
+    /// minimal hash table does not fit (only plausible on tiny test devices).
+    pub fn empty(device: &Device, spec: IndexSpec) -> DeviceResult<Self> {
+        Self::build(device, spec, &[])
+    }
+
+    /// The general build: reorder the columns key-first, sort, drop
+    /// duplicates, and store the unique rows in sorted order (so a fresh
+    /// HISA has an identity sorted-index array).
+    fn sort_and_build(
+        device: &Device,
+        spec: IndexSpec,
+        tuples: &[Value],
+        load_factor: f64,
+    ) -> DeviceResult<Self> {
+        assert_eq!(
+            tuples.len() % spec.arity(),
+            0,
+            "tuple buffer length must be a multiple of the arity"
+        );
+        let arity = spec.arity();
+        // Layer 1: reorder columns key-first and move to the device.
+        let reordered = spec.reorder_rows(tuples);
+        // Layer 2: sort + dedup.
+        let order: Vec<usize> = (0..arity).collect();
+        let sorted_all = lexicographic_sort_indices(device, &reordered, arity, &order);
+        let unique = unique_sorted_positions(device, &reordered, arity, &sorted_all);
+        let compacted = gather_rows(device, &reordered, arity, &unique);
+        let rows = unique.len();
+        let data = device.buffer_from_vec(compacted)?;
+        let sorted_index = device.buffer_from_vec((0..rows as u32).collect())?;
+        // Data is stored in sorted order, so position == row.
+        let pos_in_sorted = device.buffer_from_vec((0..rows as u32).collect())?;
+        // Layer 3: hash table over the key columns.
+        Self::with_hash_layer(device, spec, data, sorted_index, pos_in_sorted, load_factor)
+    }
+
+    /// The build for rows already key-first, sorted and duplicate-free:
+    /// the rows are uploaded as they are and only the hash layer is built.
+    fn index_sorted(
+        device: &Device,
+        spec: IndexSpec,
+        reordered: &[Value],
+        load_factor: f64,
+    ) -> DeviceResult<Self> {
+        let rows = reordered.len() / spec.arity();
+        let data = device.buffer_from_slice(reordered)?;
+        let sorted_index = device.buffer_from_vec((0..rows as u32).collect())?;
+        let pos_in_sorted = device.buffer_from_vec((0..rows as u32).collect())?;
+        Self::with_hash_layer(device, spec, data, sorted_index, pos_in_sorted, load_factor)
+    }
+
+    /// Completes a build: hashes the key columns over the finished data and
+    /// sorted-index layers.
+    fn with_hash_layer(
+        device: &Device,
+        spec: IndexSpec,
+        data: DeviceBuffer<Value>,
+        sorted_index: DeviceBuffer<u32>,
+        pos_in_sorted: DeviceBuffer<u32>,
+        load_factor: f64,
+    ) -> DeviceResult<Self> {
         let hash = build_hash_layer(
             device,
             &spec,
@@ -254,94 +260,6 @@ impl Hisa {
             hash,
             load_factor,
         })
-    }
-
-    /// Builds one HISA covering several identity-sorted, duplicate-free,
-    /// pairwise-disjoint delta runs under `spec` — the coalesced form of
-    /// building each run with [`Hisa::build_reindexed_from_sorted_unique`]
-    /// and merging them in order, which is exactly how it is implemented.
-    /// The pipelined backend uses this to pay the O(|full|) streaming
-    /// passes of the *final* [`Hisa::merge_from`] once for a batch of
-    /// deferred deltas instead of once per delta.
-    ///
-    /// Merging is associative here: every run's rows are globally distinct,
-    /// so the merged sorted order is determined by tuple content alone and
-    /// the chained result is byte-identical to merging each run into the
-    /// destination one at a time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`gpulog_device::DeviceError::OutOfMemory`] when the
-    /// combined relation does not fit on the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any run's length is not a multiple of the arity. Sorted
-    /// order, uniqueness, and disjointness are the caller's contract
-    /// (sortedness checked under `debug_assertions`).
-    pub fn build_from_sorted_unique_runs(
-        device: &Device,
-        spec: IndexSpec,
-        runs: &[&[Value]],
-        load_factor: f64,
-    ) -> DeviceResult<Self> {
-        let mut combined: Option<Hisa> = None;
-        for run in runs.iter().filter(|run| !run.is_empty()) {
-            let part =
-                Self::build_reindexed_from_sorted_unique(device, spec.clone(), run, load_factor)?;
-            match combined.as_mut() {
-                None => combined = Some(part),
-                Some(hisa) => hisa.merge_from(&part)?,
-            }
-        }
-        match combined {
-            Some(hisa) => Ok(hisa),
-            None => Self::empty(device, spec),
-        }
-    }
-
-    /// Builds a HISA from a [`TupleBatch`], letting the batch's type-level
-    /// invariants pick the construction path: a batch carrying the
-    /// sorted-unique flag, indexed under an identity permutation (where
-    /// original order *is* key-first order), takes the sort/dedup-free
-    /// [`Hisa::build_from_sorted_unique`] fast path; anything else takes
-    /// the general [`Hisa::build`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`gpulog_device::DeviceError::OutOfMemory`] when the
-    /// relation does not fit on the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch's arity differs from the spec's.
-    pub fn build_from_batch(
-        device: &Device,
-        spec: IndexSpec,
-        batch: &TupleBatch,
-        load_factor: f64,
-    ) -> DeviceResult<Self> {
-        assert_eq!(
-            batch.arity(),
-            spec.arity(),
-            "batch arity must match the index spec"
-        );
-        let identity = spec.permutation().iter().copied().eq(0..spec.arity());
-        if batch.is_sorted_unique() && identity {
-            Self::build_from_sorted_unique(device, spec, batch.as_flat(), load_factor)
-        } else {
-            Self::build_with_load_factor(device, spec, batch.as_flat(), load_factor)
-        }
-    }
-
-    /// Creates an empty HISA.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`gpulog_device::DeviceError::OutOfMemory`] when even the
-    /// minimal hash table does not fit (only plausible on tiny test devices).
-    pub fn empty(device: &Device, spec: IndexSpec) -> DeviceResult<Self> {
-        Self::build(device, spec, &[])
     }
 
     /// The index specification this HISA was built with.
@@ -1047,7 +965,8 @@ mod tests {
         let d = device();
         // Already sorted, unique, key-first (key = column 0, identity perm).
         let tuples = [1u32, 2, 2, 9, 3, 4, 3, 7];
-        let fast = Hisa::build_from_sorted_unique(&d, edge_spec(), &tuples, 0.8).unwrap();
+        let batch = TupleBatch::from_sorted_unique_flat(2, tuples.to_vec());
+        let fast = Hisa::build_from_batch(&d, edge_spec(), &batch, 0.8).unwrap();
         let general = Hisa::build(&d, edge_spec(), &tuples).unwrap();
         assert_eq!(fast.to_sorted_tuples(), general.to_sorted_tuples());
         assert_eq!(fast.range_query(&[3]).count(), 2);
@@ -1058,7 +977,7 @@ mod tests {
     #[test]
     fn build_from_sorted_unique_of_empty_input() {
         let d = device();
-        let h = Hisa::build_from_sorted_unique(&d, edge_spec(), &[], 0.8).unwrap();
+        let h = Hisa::build_from_batch(&d, edge_spec(), &TupleBatch::empty(2), 0.8).unwrap();
         assert!(h.is_empty());
         assert_eq!(h.range_query(&[1]).count(), 0);
     }
@@ -1109,45 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn run_coalesced_build_is_byte_identical_to_chained_merges() {
-        let d = device();
-        for key in [vec![0usize], vec![1], vec![1, 0]] {
-            let spec = IndexSpec::new(2, key.clone());
-            // Disjoint identity-sorted runs, as the pipelined diff produces.
-            let r1: &[u32] = &[0, 5, 2, 1, 7, 7];
-            let r2: &[u32] = &[1, 1, 3, 9];
-            let r3: &[u32] = &[4, 0, 6, 2, 8, 8];
-            let coalesced =
-                Hisa::build_from_sorted_unique_runs(&d, spec.clone(), &[r1, &[], r2, r3], 0.8)
-                    .unwrap();
-            let mut chained =
-                Hisa::build_reindexed_from_sorted_unique(&d, spec.clone(), r1, 0.8).unwrap();
-            for run in [r2, r3] {
-                let part =
-                    Hisa::build_reindexed_from_sorted_unique(&d, spec.clone(), run, 0.8).unwrap();
-                chained.merge_from(&part).unwrap();
-            }
-            assert_eq!(coalesced.data(), chained.data(), "key {key:?}");
-            assert_eq!(
-                coalesced.sorted_index(),
-                chained.sorted_index(),
-                "key {key:?}"
-            );
-            for probe in 0..10u32 {
-                let probe_key: Vec<u32> = key.iter().map(|_| probe).collect();
-                assert_eq!(
-                    coalesced.key_start_position(&probe_key),
-                    chained.key_start_position(&probe_key),
-                    "key {key:?} probe {probe}"
-                );
-            }
-        }
-        // All-empty input degenerates to an empty HISA.
-        let empty = Hisa::build_from_sorted_unique_runs(&d, edge_spec(), &[&[], &[]], 0.8).unwrap();
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn merged_hisa_accepts_reindexed_deltas() {
         let d = device();
         let spec = IndexSpec::new(2, vec![1]);
@@ -1175,11 +1055,109 @@ mod tests {
         let general = Hisa::build_from_batch(&d, edge_spec(), &messy, 0.8).unwrap();
         assert_eq!(fast.to_sorted_tuples(), general.to_sorted_tuples());
         // Sorted-unique batch under a *permuted* spec cannot take the fast
-        // path (original order is not key-first order there).
+        // path (original order is not key-first order there): it re-indexes.
         let spec = IndexSpec::new(2, vec![1]);
         let permuted = Hisa::build_from_batch(&d, spec.clone(), &sorted, 0.8).unwrap();
         let reference = Hisa::build(&d, spec, sorted.as_flat()).unwrap();
         assert_eq!(permuted.to_sorted_tuples(), reference.to_sorted_tuples());
+    }
+
+    /// The device counters one build charges, in the order
+    /// `[bytes_read, bytes_written, kernel_launches, sort_passes,
+    /// allocations, bytes_allocated]`.
+    fn charged(d: &Device, build: impl FnOnce() -> Hisa) -> (Hisa, [u64; 6]) {
+        let before = d.metrics().snapshot();
+        let hisa = build();
+        let c = d.metrics().snapshot().since(&before);
+        let counters = [
+            c.bytes_read,
+            c.bytes_written,
+            c.kernel_launches,
+            c.sort_passes,
+            c.allocations,
+            c.bytes_allocated,
+        ];
+        (hisa, counters)
+    }
+
+    #[test]
+    fn build_from_batch_paths_answer_like_a_general_build_and_charge_their_own_path() {
+        let d = Device::with_workers(DeviceProfile::nvidia_h100(), 1);
+        // Over 64 rows with values past one radix byte, so the sorts below
+        // run real counting passes rather than an insertion sort.
+        let rows: Vec<u32> = (0..300u32)
+            .flat_map(|i| [i * 7 % 1009, (i * 613) % 4099])
+            .collect();
+        let reference_rows = |spec: &IndexSpec| {
+            let general = Hisa::build(&d, spec.clone(), &rows).unwrap();
+            let keys: Vec<Vec<u32>> = (0..4099u32)
+                .step_by(7)
+                .map(|v| vec![v; spec.key_arity()])
+                .collect();
+            let answers: Vec<Vec<Vec<u32>>> = keys
+                .iter()
+                .map(|key| {
+                    let mut hits: Vec<Vec<u32>> = general
+                        .range_query(key)
+                        .map(|r| general.row(r as usize))
+                        .collect();
+                    hits.sort();
+                    hits
+                })
+                .collect();
+            (keys, answers)
+        };
+        let lookups_agree = |hisa: &Hisa, spec: &IndexSpec| {
+            let (keys, answers) = reference_rows(spec);
+            for (key, expected) in keys.iter().zip(&answers) {
+                let mut hits: Vec<Vec<u32>> = hisa
+                    .range_query(key)
+                    .map(|r| hisa.row(r as usize))
+                    .collect();
+                hits.sort();
+                assert_eq!(&hits, expected, "spec {spec:?} key {key:?}");
+            }
+            assert_eq!(hisa.len(), 300);
+        };
+        let mut sorted_rows: Vec<Vec<u32>> = rows.chunks(2).map(<[u32]>::to_vec).collect();
+        sorted_rows.sort();
+        let sorted = TupleBatch::from_sorted_unique_flat(2, sorted_rows.concat());
+        let unsorted = TupleBatch::new(2, rows.clone());
+        for spec in [IndexSpec::new(2, vec![0]), IndexSpec::new(2, vec![1])] {
+            let identity = spec.key_columns() == [0];
+            // Sorted-unique: the identity spec uploads the rows and hashes
+            // them (one kernel launch, no sort); the permuted one charges
+            // exactly the re-index build.
+            let (fast, got) = charged(&d, || {
+                Hisa::build_from_batch(&d, spec.clone(), &sorted, DEFAULT_LOAD_FACTOR).unwrap()
+            });
+            lookups_agree(&fast, &spec);
+            if identity {
+                // What the sort/dedup-free build has always charged for
+                // these rows: the upload and the hash layer, no sort.
+                assert_eq!(got, [4800, 8544, 1, 0, 4, 10944], "fast path charges");
+            } else {
+                let (_, reindex) = charged(&d, || {
+                    Hisa::build_reindexed_from_sorted_unique(
+                        &d,
+                        spec.clone(),
+                        sorted.as_flat(),
+                        DEFAULT_LOAD_FACTOR,
+                    )
+                    .unwrap()
+                });
+                assert_eq!(got, reindex, "permuted sorted batch charges the re-index");
+                assert!(got[3] > 0, "the re-index sorts its key column");
+            }
+            // Unflagged: exactly the general build (which sorts).
+            let (general, got) = charged(&d, || {
+                Hisa::build_from_batch(&d, spec.clone(), &unsorted, DEFAULT_LOAD_FACTOR).unwrap()
+            });
+            lookups_agree(&general, &spec);
+            let (_, reference) = charged(&d, || Hisa::build(&d, spec.clone(), &rows).unwrap());
+            assert_eq!(got, reference, "unsorted batch charges the general build");
+            assert!(got[3] > 0 && got[2] == 8);
+        }
     }
 
     #[test]

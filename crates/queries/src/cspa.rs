@@ -73,7 +73,10 @@ pub fn prepare(
     input: &CspaInput,
     config: EngineConfig,
 ) -> EngineResult<GpulogEngine> {
-    let mut engine = GpulogEngine::from_source(device, CSPA_PROGRAM, config)?;
+    let mut engine = GpulogEngine::builder(device)
+        .program(CSPA_PROGRAM)
+        .config(config)
+        .build()?;
     engine.add_facts_flat("Assign", &input.assign_flat())?;
     engine.add_facts_flat("Dereference", &input.dereference_flat())?;
     Ok(engine)

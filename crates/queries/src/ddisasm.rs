@@ -76,7 +76,10 @@ pub fn run(
     input: &DdisasmInput,
     config: EngineConfig,
 ) -> EngineResult<(RunStats, usize)> {
-    let mut engine = GpulogEngine::from_source(device, DDISASM_PROGRAM, config)?;
+    let mut engine = GpulogEngine::builder(device)
+        .program(DDISASM_PROGRAM)
+        .config(config)
+        .build()?;
     let def_flat: Vec<u32> = input.def_used.iter().flatten().copied().collect();
     let mem_flat: Vec<u32> = input.memory_access.iter().flatten().copied().collect();
     engine.add_facts_flat("def_used_for_address", &def_flat)?;

@@ -47,7 +47,10 @@ pub fn prepare(
     graph: &EdgeList,
     config: EngineConfig,
 ) -> EngineResult<GpulogEngine> {
-    let mut engine = GpulogEngine::from_source(device, GOAL_REACH_PROGRAM, config)?;
+    let mut engine = GpulogEngine::builder(device)
+        .program(GOAL_REACH_PROGRAM)
+        .config(config)
+        .build()?;
     engine.add_facts_flat("Edge", &graph.to_flat())?;
     Ok(engine)
 }

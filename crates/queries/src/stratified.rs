@@ -83,7 +83,10 @@ pub fn prepare_negated_reach(
     stride: u32,
     config: EngineConfig,
 ) -> EngineResult<GpulogEngine> {
-    let mut engine = GpulogEngine::from_source(device, NEGATED_REACH_PROGRAM, config)?;
+    let mut engine = GpulogEngine::builder(device)
+        .program(NEGATED_REACH_PROGRAM)
+        .config(config)
+        .build()?;
     engine.add_facts_flat("Edge", &graph.to_flat())?;
     engine.add_facts_flat("Blocked", &blocked_nodes(graph, stride))?;
     Ok(engine)
@@ -120,7 +123,10 @@ pub fn run_shortest_path(
     max_hops: u32,
     config: EngineConfig,
 ) -> EngineResult<ShortestPathResult> {
-    let mut engine = GpulogEngine::from_source(device, SHORTEST_PATH_PROGRAM, config)?;
+    let mut engine = GpulogEngine::builder(device)
+        .program(SHORTEST_PATH_PROGRAM)
+        .config(config)
+        .build()?;
     engine.add_facts_flat("Edge", &graph.to_flat())?;
     let succ: Vec<u32> = (1..max_hops).flat_map(|d| [d, d + 1]).collect();
     engine.add_facts_flat("Succ", &succ)?;
@@ -249,18 +255,18 @@ mod tests {
         let result = run_shortest_path(&d, &g, 5, EngineConfig::default()).unwrap();
         let expected = reference_shortest_paths(&g, 5);
         assert_eq!(result.sp_size, expected.len());
-        let mut engine = GpulogEngine::from_source(
-            &Device::with_workers(DeviceProfile::nvidia_h100(), 4),
-            SHORTEST_PATH_PROGRAM,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let mut engine =
+            GpulogEngine::builder(&Device::with_workers(DeviceProfile::nvidia_h100(), 4))
+                .program(SHORTEST_PATH_PROGRAM)
+                .build()
+                .unwrap();
         engine.add_facts_flat("Edge", &g.to_flat()).unwrap();
         let succ: Vec<u32> = (1..5u32).flat_map(|d| [d, d + 1]).collect();
         engine.add_facts_flat("Succ", &succ).unwrap();
         engine.run().unwrap();
         let got: Vec<(u32, u32, u32)> = engine
-            .relation_tuples("SP")
+            .relation_batch("SP")
+            .map(|b| b.to_rows())
             .unwrap()
             .into_iter()
             .map(|t| (t[0], t[1], t[2]))
@@ -274,8 +280,10 @@ mod tests {
         let d = device();
         let g = EdgeList::new("diamond", vec![(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]);
         let result = run_shortest_path(&d, &g, 4, EngineConfig::default()).unwrap();
-        let mut engine =
-            GpulogEngine::from_source(&d, SHORTEST_PATH_PROGRAM, EngineConfig::default()).unwrap();
+        let mut engine = GpulogEngine::builder(&d)
+            .program(SHORTEST_PATH_PROGRAM)
+            .build()
+            .unwrap();
         engine.add_facts_flat("Edge", &g.to_flat()).unwrap();
         engine
             .add_facts_flat("Succ", &[1u32, 2, 2, 3, 3, 4])

@@ -204,7 +204,6 @@ impl ServeWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpulog::EngineConfig;
     use gpulog_device::profile::DeviceProfile;
     use gpulog_device::Device;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -221,7 +220,7 @@ mod tests {
 
     fn chain_engine(nodes: u32) -> GpulogEngine {
         let d = Device::with_workers(DeviceProfile::nvidia_h100(), 4);
-        let mut e = GpulogEngine::from_source(&d, REACH, EngineConfig::default()).unwrap();
+        let mut e = GpulogEngine::builder(&d).program(REACH).build().unwrap();
         let edges: Vec<[u32; 2]> = (0..nodes - 1).map(|i| [i, i + 1]).collect();
         e.add_facts("Edge", edges).unwrap();
         e

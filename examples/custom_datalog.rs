@@ -9,7 +9,7 @@
 //! cargo run --release --example custom_datalog
 //! ```
 
-use gpulog::{CmpOp, EbmConfig, EngineConfig, GpulogEngine, NwayStrategy, ProgramBuilder, Term};
+use gpulog::{CmpOp, EbmConfig, GpulogEngine, NwayStrategy, ProgramBuilder, Term};
 use gpulog_device::{profile::DeviceProfile, Device};
 use gpulog_queries::ddisasm;
 
@@ -42,17 +42,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .end_rule()
         .build()?;
 
-    // Tune the engine: larger EBM growth factor, paper's 0.8 load factor,
+    // Tune the engine through the builder: a larger EBM growth factor and
     // temporarily-materialized joins (the default, spelled out here).
-    let config = EngineConfig::new()
-        .with_ebm(EbmConfig::with_growth_factor(16.0))
-        .with_load_factor(0.8)
-        .with_nway(NwayStrategy::TemporarilyMaterialized);
-
     let device = Device::new(DeviceProfile::nvidia_a100());
     let mut engine = GpulogEngine::builder(&device)
         .program_ast(&program)
-        .config(config)
+        .ebm(EbmConfig::with_growth_factor(16.0))
+        .nway(NwayStrategy::TemporarilyMaterialized)
         .build()?;
 
     // Reuse the synthetic DDisasm workload generator from gpulog-queries.

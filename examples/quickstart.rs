@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    (Scan → HashJoin* [→ Project]) and dispatched through the engine's
     //    one executor — `ShardedBackend`, by default at one shard (the
     //    single-device loop) with eager merging. Adding `.shard_count(4)`
-    //    to the builder (or `EngineConfig::with_shard_count`) runs the same
+    //    to the builder (or setting `EngineConfig::shard_count`) runs the same
     //    loop hash-partitioned: relations shard by join-key hash and each
     //    join/dedup op fans across the worker pool, with results
     //    byte-identical to the one-shard run.

@@ -66,7 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         ("fused nested loop", NwayStrategy::FusedNestedLoop),
     ] {
-        let cfg = EngineConfig::new().with_nway(strategy);
+        let cfg = EngineConfig {
+            nway: strategy,
+            ..EngineConfig::default()
+        };
         let result = sg::run(&device, &big, cfg)?;
         println!(
             "strategy {label:<26}: {} tuples, wall {:.1} ms, modeled {:.2} ms",

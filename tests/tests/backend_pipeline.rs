@@ -1,16 +1,18 @@
 //! Property tests pinning the lowered `RaOp` pipeline (executed by the
 //! one-shard `ShardedBackend`, the default engine's executor) against the
-//! legacy flat-slice kernels (`scan_select` / `hash_join` / `project_rows`
-//! / `difference`) on random inputs, plus `TupleBatch` container
-//! round-trips. These are the refactoring guardrails: the operator IR must
+//! RA kernels composed by hand (`scan_select_batch` / `hash_join_batch` /
+//! `project_batch` / `difference_batch`) on random inputs, plus
+//! `TupleBatch` container round-trips. These are the refactoring guardrails: the operator IR must
 //! derive byte-identical results to composing the free functions by hand —
 //! and every executor configuration's fixpoints must be byte-identical to
 //! the one-shard eager loop's on random programs and inputs.
 
 use gpulog::backend::{EvalContext, ShardedBackend};
 use gpulog::planner::{ColumnSource, EmitSource, JoinStep, ScanStep, VersionSel};
-use gpulog::ra::project::{filter_rows, project_rows, scan_select};
-use gpulog::ra::{difference, hash_join, RaOp, RaPipeline};
+use gpulog::ra::{
+    difference_batch, filter_batch, hash_join_batch, project_batch, scan_select_batch, RaOp,
+    RaPipeline,
+};
 use gpulog::relation::RelationStorage;
 use gpulog::DeviceTopology;
 use gpulog::{EbmConfig, EngineConfig, GpulogEngine, NwayStrategy, RunStats, TupleBatch};
@@ -39,7 +41,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // `Scan → HashJoin → Project` through one shard must equal the
-    // hand-composed `scan_select` → `hash_join` → `project_rows` chain.
+    // hand-composed `scan_select_batch` → `hash_join_batch` →
+    // `project_batch` chain.
     #[test]
     fn pipeline_matches_legacy_scan_join_project(
         outer in pairs_strategy(13, 120),
@@ -68,8 +71,8 @@ proptest! {
             RelationStorage::new(&d, "Inner", 2, DEFAULT_LOAD_FACTOR).unwrap(),
             RelationStorage::new(&d, "Head", 3, DEFAULT_LOAD_FACTOR).unwrap(),
         ];
-        relations[0].load_full(&outer_flat).unwrap();
-        relations[1].load_full(&inner_flat).unwrap();
+        relations[0].load_full_batch(&TupleBatch::new(2, outer_flat)).unwrap();
+        relations[1].load_full_batch(&TupleBatch::new(2, inner_flat)).unwrap();
         let pipeline = RaPipeline {
             head: 2,
             ops: vec![
@@ -113,22 +116,23 @@ proptest! {
         let got = relations[2].take_new(&EbmConfig::default());
 
         // The storage path deduplicates the outer relation (HISA set
-        // semantics), so compare against the legacy composition re-run over
+        // semantics), so compare against the hand composition re-run over
         // the storage's canonical outer tuples: byte-identical output.
-        let canon_outer = relations[0].full().tuples_flat().to_vec();
-        let canon_scanned = scan_select(&d, &canon_outer, 2, &[], &[], &[0, 1]);
-        let canon_joined = hash_join(&d, &canon_scanned, 2, &[1], &inner_hisa, &[], &[], &emit);
+        let canon_outer = TupleBatch::new(2, relations[0].full().tuples_flat().to_vec());
+        let canon_scanned = scan_select_batch(&d, &canon_outer, &[], &[], &[0, 1]);
+        let canon_joined =
+            hash_join_batch(&d, &canon_scanned, &[1], &inner_hisa, &[], &[], &emit);
         let canon_expected = if canon_joined.is_empty() {
             Vec::new()
         } else {
-            project_rows(&d, &canon_joined, 3, &head_proj)
+            project_batch(&d, &canon_joined, &head_proj).into_flat()
         };
         prop_assert_eq!(outcome.derived_rows, canon_expected.len() / 3);
         prop_assert_eq!(got, canon_expected);
     }
 
     // A `Scan` op with constant/equality/comparison filters must equal
-    // `scan_select` + `filter_rows`.
+    // `scan_select_batch` + `filter_batch`.
     #[test]
     fn scan_op_matches_legacy_scan_select(
         rows in pairs_strategy(6, 150),
@@ -149,22 +153,22 @@ proptest! {
             RelationStorage::new(&d, "Src", 2, DEFAULT_LOAD_FACTOR).unwrap(),
             RelationStorage::new(&d, "Head", 1, DEFAULT_LOAD_FACTOR).unwrap(),
         ];
-        relations[0].load_full(&flat).unwrap();
-        let canon = relations[0].full().tuples_flat().to_vec();
+        relations[0].load_full_batch(&TupleBatch::new(2, flat.to_vec())).unwrap();
+        let canon = TupleBatch::new(2, relations[0].full().tuples_flat().to_vec());
 
-        let scanned = scan_select(&d, &canon, 2, &[(1, const_val)], &[], &[0]);
-        let expected = filter_rows(&d, &scanned, 1, &[]);
+        let scanned = scan_select_batch(&d, &canon, &[(1, const_val)], &[], &[0]);
+        let expected = filter_batch(&d, &scanned, &[]).into_flat();
         // keep_cols = [0] drops column 1, so the Ne filter on (0, 1) cannot
         // be applied post-scan; use a 2-column scan for the filter case.
-        let scanned2 = scan_select(&d, &canon, 2, &[], &[], &[0, 1]);
-        let expected2 = filter_rows(&d, &scanned2, 2, &filters);
+        let scanned2 = scan_select_batch(&d, &canon, &[], &[], &[0, 1]);
+        let expected2 = filter_batch(&d, &scanned2, &filters).into_flat();
 
         let run_pipeline = |ops: Vec<RaOp>, head: usize, arity: usize| {
             let mut rels = vec![
                 RelationStorage::new(&d, "Src", 2, DEFAULT_LOAD_FACTOR).unwrap(),
                 RelationStorage::new(&d, "Head", arity, DEFAULT_LOAD_FACTOR).unwrap(),
             ];
-            rels[0].load_full(&flat).unwrap();
+            rels[0].load_full_batch(&TupleBatch::new(2, flat.to_vec())).unwrap();
             let mut stats = RunStats::default();
             let mut ctx = EvalContext {
                 device: &d,
@@ -228,8 +232,8 @@ proptest! {
         prop_assert_eq!(got2, expected2);
     }
 
-    // Delta population must install exactly `difference(new, full)` as
-    // the delta and merge it into full.
+    // Delta population must install exactly `difference_batch(new, full)`
+    // as the delta and merge it into full.
     #[test]
     fn diff_op_matches_legacy_difference(
         base in pairs_strategy(15, 120),
@@ -241,8 +245,10 @@ proptest! {
 
         let mut relations =
             vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
-        relations[0].load_full(&base_flat).unwrap();
-        let expected_delta = difference(&d, &derived_flat, 2, relations[0].full().canonical());
+        relations[0].load_full_batch(&TupleBatch::new(2, base_flat.clone())).unwrap();
+        let derived_batch = TupleBatch::new(2, derived_flat.clone());
+        let expected_delta =
+            difference_batch(&d, &derived_batch, relations[0].full().canonical()).into_flat();
 
         relations[0].push_new(&derived_flat);
         let mut stats = RunStats::default();
@@ -297,8 +303,12 @@ proptest! {
 
         let run = |shards: usize| {
             let d = device();
-            let cfg = EngineConfig::new().with_nway(nway).with_shard_count(shards);
-            let mut engine = GpulogEngine::from_source(&d, src, cfg).unwrap();
+            let cfg = EngineConfig {
+                nway,
+                shard_count: shards,
+                ..EngineConfig::default()
+            };
+            let mut engine = GpulogEngine::builder(&d).program(src).config(cfg).build().unwrap();
             engine.add_facts("Edge", &edges).unwrap();
             let stats = engine.run().unwrap();
             (engine.relation_batch(output).unwrap(), stats.iterations)
@@ -353,11 +363,12 @@ proptest! {
 
         let run = |pipelined: usize| {
             let d = device();
-            let mut cfg = EngineConfig::new().with_nway(nway);
-            if pipelined > 0 {
-                cfg = cfg.with_pipelined(pipelined);
-            }
-            let mut engine = GpulogEngine::from_source(&d, src, cfg).unwrap();
+            let cfg = EngineConfig {
+                nway,
+                pipelined,
+                ..EngineConfig::default()
+            };
+            let mut engine = GpulogEngine::builder(&d).program(src).config(cfg).build().unwrap();
             engine.add_facts("Edge", &edges).unwrap();
             let stats = engine.run().unwrap();
             (engine.relation_batch(output).unwrap(), stats)
@@ -442,12 +453,14 @@ proptest! {
 
         let run = |topology: Option<usize>| {
             let d = device();
-            let mut cfg = EngineConfig::new().with_nway(nway);
-            if let Some(devices) = topology {
-                let devices = NonZeroUsize::new(devices).unwrap();
-                cfg = cfg.with_device_topology(DeviceTopology::nvlink_like(devices));
-            }
-            let mut engine = GpulogEngine::from_source(&d, src, cfg).unwrap();
+            let cfg = EngineConfig {
+                nway,
+                device_topology: topology.map(|devices| {
+                    DeviceTopology::nvlink_like(NonZeroUsize::new(devices).unwrap())
+                }),
+                ..EngineConfig::default()
+            };
+            let mut engine = GpulogEngine::builder(&d).program(src).config(cfg).build().unwrap();
             engine.add_facts("Edge", &edges).unwrap();
             let stats = engine.run().unwrap();
             (engine.relation_batch(output).unwrap(), stats)
@@ -547,8 +560,12 @@ fn sharded_ops_dispatch_one_epoch_per_op_not_one_per_shard() {
         let b: Vec<u32> = (0..159u32)
             .flat_map(|i| [i % 53, i.wrapping_mul(7)])
             .collect();
-        relations[0].load_full(&a).unwrap();
-        relations[1].load_full(&b).unwrap();
+        relations[0]
+            .load_full_batch(&TupleBatch::new(2, a.to_vec()))
+            .unwrap();
+        relations[1]
+            .load_full_batch(&TupleBatch::new(2, b.to_vec()))
+            .unwrap();
         let mut stats = RunStats::default();
         let mut ctx = EvalContext {
             device: &d,
@@ -647,7 +664,11 @@ fn run_golden_case(
     edges: &[[u32; 2]],
     cfg: EngineConfig,
 ) -> RunStats {
-    let mut engine = GpulogEngine::from_source(d, src, cfg).unwrap();
+    let mut engine = GpulogEngine::builder(d)
+        .program(src)
+        .config(cfg)
+        .build()
+        .unwrap();
     engine.add_facts("Edge", edges).unwrap();
     if program == "neg-min" {
         engine.add_facts("Blocked", [[7u32], [22]]).unwrap();
@@ -695,9 +716,11 @@ fn topology_reports_match_the_recorded_model() {
         for devices in [1usize, 2, 4] {
             let d = device();
             let topology = DeviceTopology::nvlink_like(NonZeroUsize::new(devices).unwrap());
-            let cfg = EngineConfig::new()
-                .with_nway(nway)
-                .with_device_topology(topology);
+            let cfg = EngineConfig {
+                nway,
+                device_topology: Some(topology),
+                ..EngineConfig::default()
+            };
             let report = run_golden_case(&d, program, src, &edges, cfg)
                 .topology
                 .expect("topology report");
@@ -768,7 +791,10 @@ fn default_engine_counters_match_the_recorded_run() {
             program,
             src,
             &edges,
-            EngineConfig::new().with_nway(nway),
+            EngineConfig {
+                nway,
+                ..EngineConfig::default()
+            },
         );
         let c = d.metrics().snapshot();
         got.push((
@@ -804,13 +830,20 @@ fn pipelined_overlap_is_reported_on_chain_reach() {
 
     let chain = road_network(160, 0, 23);
     let d_serial = device();
-    let serial = reach::run(&d_serial, &chain, EngineConfig::new()).unwrap();
+    let serial = reach::run(&d_serial, &chain, EngineConfig::default()).unwrap();
     assert_eq!(serial.stats.overlap_nanos, 0);
     assert_eq!(serial.stats.epochs_in_flight, 0);
 
     let d_pipelined = device();
-    let pipelined =
-        reach::run(&d_pipelined, &chain, EngineConfig::new().with_pipelined(4)).unwrap();
+    let pipelined = reach::run(
+        &d_pipelined,
+        &chain,
+        EngineConfig {
+            pipelined: 4,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
     assert_eq!(pipelined.reach_size, serial.reach_size);
     assert_eq!(pipelined.stats.iterations, serial.stats.iterations);
     assert!(

@@ -210,12 +210,12 @@ fn sg_deduplicated_join_inputs_derive_less_with_the_same_fixpoint_on_every_backe
         let d = device();
         let mut engine = sg::prepare(&d, &graph, cfg).unwrap();
         let stats = engine.run().unwrap();
-        let mut tuples = engine.relation_tuples("SG").unwrap();
+        let mut tuples = engine.relation_batch("SG").unwrap().to_rows();
         tuples.sort_unstable();
         let new_tuples: usize = stats.iteration_records.iter().map(|r| r.new_tuples).sum();
         (tuples, new_tuples)
     };
-    let (tuples, new_tuples) = run(gpulog::EngineConfig::new());
+    let (tuples, new_tuples) = run(gpulog::EngineConfig::default());
     assert_eq!(tuples, expected, "SG vs reference");
     assert!(
         new_tuples < SG_POWER_LAW_NEW_TUPLES_BEFORE_NARROWING,
@@ -223,19 +223,43 @@ fn sg_deduplicated_join_inputs_derive_less_with_the_same_fixpoint_on_every_backe
     );
     let two = NonZeroUsize::new(2).unwrap();
     for (name, cfg) in [
-        ("sharded:2", gpulog::EngineConfig::new().with_shard_count(2)),
-        ("sharded:7", gpulog::EngineConfig::new().with_shard_count(7)),
-        ("pipelined:2", gpulog::EngineConfig::new().with_pipelined(2)),
+        (
+            "sharded:2",
+            gpulog::EngineConfig {
+                shard_count: 2,
+                ..gpulog::EngineConfig::default()
+            },
+        ),
+        (
+            "sharded:7",
+            gpulog::EngineConfig {
+                shard_count: 7,
+                ..gpulog::EngineConfig::default()
+            },
+        ),
+        (
+            "pipelined:2",
+            gpulog::EngineConfig {
+                pipelined: 2,
+                ..gpulog::EngineConfig::default()
+            },
+        ),
         (
             "multigpu:2",
-            gpulog::EngineConfig::new().with_device_topology(DeviceTopology::nvlink_like(two)),
+            gpulog::EngineConfig {
+                device_topology: Some(DeviceTopology::nvlink_like(two)),
+                ..gpulog::EngineConfig::default()
+            },
         ),
     ] {
         let (got, got_new) = run(cfg);
         assert_eq!(got, tuples, "{name}: SG relation");
         assert_eq!(got_new, new_tuples, "{name}: new_tuples");
     }
-    let (fused, _) = run(gpulog::EngineConfig::new().with_nway(NwayStrategy::FusedNestedLoop));
+    let (fused, _) = run(gpulog::EngineConfig {
+        nway: NwayStrategy::FusedNestedLoop,
+        ..gpulog::EngineConfig::default()
+    });
     assert_eq!(fused, tuples, "fused: SG relation");
 }
 
@@ -255,7 +279,10 @@ fn ebm_configurations_do_not_change_results_only_memory() {
     let graph = PaperDataset::SfCedge.generate(0.12);
     let run = |ebm: EbmConfig| {
         let d = device();
-        let cfg = gpulog_tests::config_from_env().with_ebm(ebm);
+        let cfg = gpulog::EngineConfig {
+            ebm,
+            ..gpulog_tests::config_from_env()
+        };
         let r = reach::run(&d, &graph, cfg).unwrap();
         (r.reach_size, r.stats.peak_device_bytes)
     };
@@ -272,7 +299,10 @@ fn join_strategies_agree_on_cspa() {
     let input = gpulog_datasets::cspa::postgres_like(1.0 / 6000.0);
     let d = device();
     let materialized = cspa::run(&d, &input, gpulog_tests::config_from_env()).unwrap();
-    let cfg = gpulog_tests::config_from_env().with_nway(NwayStrategy::FusedNestedLoop);
+    let cfg = gpulog::EngineConfig {
+        nway: NwayStrategy::FusedNestedLoop,
+        ..gpulog_tests::config_from_env()
+    };
     let fused = cspa::run(&d, &input, cfg).unwrap();
     assert_eq!(materialized.sizes, fused.sizes);
 }

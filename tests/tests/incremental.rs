@@ -170,7 +170,10 @@ fn an_isolated_edge_on_a_long_chain_derives_only_itself() {
 #[test]
 fn a_rerun_past_the_iteration_limit_converges_over_repeated_runs() {
     let d = device();
-    let config = config_from_env().with_max_iterations(8);
+    let config = EngineConfig {
+        max_iterations: 8,
+        ..config_from_env()
+    };
     let mut e = engine(&d, REACH_PROGRAM, config);
     e.add_facts("Edge", (0..4u32).map(|i| [i, i + 1])).unwrap();
     e.run().unwrap();

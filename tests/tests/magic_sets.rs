@@ -4,7 +4,7 @@
 //! goal, byte for byte, on every backend the CI matrix runs
 //! (`GPULOG_TEST_BACKEND`: serial, sharded:4, pipelined:4, multigpu:2).
 
-use gpulog::{EngineConfig, EngineError, GpulogEngine};
+use gpulog::{EngineConfig, EngineError, GpulogEngine, TupleBatch};
 use gpulog_bench::BackendSpec;
 use gpulog_datasets::generators::hub_graph;
 use gpulog_datasets::EdgeList;
@@ -107,8 +107,11 @@ Reach(x, z) :- Reach(x, y), Edge(y, z).
 ?- Reach(3, y).
 ";
     let graph = hub_graph(32, 2, 13);
-    let mut engine =
-        GpulogEngine::from_source(&device(), source, config_from_env()).expect("build failed");
+    let mut engine = GpulogEngine::builder(&device())
+        .program(source)
+        .config(config_from_env())
+        .build()
+        .expect("build failed");
     engine
         .add_facts_flat("Edge", &graph.to_flat())
         .expect("loading edges failed");
@@ -120,6 +123,51 @@ Reach(x, z) :- Reach(x, y), Edge(y, z).
     assert_eq!(result.answers.as_flat(), &expected[..]);
 }
 
+/// A REACH engine over the chain 0 → 1 → 2 with `Reach(9, 0)` added
+/// directly to the rule-derived `Reach` before the first run.
+fn chain_with_a_derived_fact() -> GpulogEngine {
+    let chain = EdgeList::new("chain", vec![(0, 1), (1, 2)]);
+    let mut engine = goal::prepare(&device(), &chain, config_from_env()).expect("prepare failed");
+    engine
+        .add_facts("Reach", [[9u32, 0]])
+        .expect("staging before the run failed");
+    engine
+}
+
+fn goal_rows(engine: &GpulogEngine, source: u32) -> Vec<Vec<u32>> {
+    goal::query(engine, source)
+        .expect("goal query failed")
+        .answers
+        .to_rows()
+}
+
+/// Facts added to a rule-derived relation before the first run reach goal
+/// answers, as they reach the full fixpoint.
+#[test]
+fn goal_answers_include_facts_added_to_a_derived_relation_before_the_first_run() {
+    let mut engine = chain_with_a_derived_fact();
+    let expected = vec![vec![9, 0], vec![9, 1], vec![9, 2]];
+    assert_eq!(goal_rows(&engine, 9), expected);
+    engine.run().expect("fixpoint failed");
+    assert!(engine.contains("Reach", &[9, 2]));
+    assert_eq!(goal_rows(&engine, 9), expected);
+}
+
+/// Facts staged into a rule-derived relation after a run reach goal
+/// answers, before and after the run that merges them.
+#[test]
+fn goal_answers_include_facts_staged_into_a_derived_relation_after_a_run() {
+    let mut engine = chain_with_a_derived_fact();
+    engine.run().expect("fixpoint failed");
+    engine
+        .insert_facts_batch("Reach", &TupleBatch::from_rows(2, [[7u32, 8]]))
+        .expect("staging after the run failed");
+    assert_eq!(goal_rows(&engine, 7), vec![vec![7, 8]]);
+    engine.run().expect("re-run failed");
+    assert!(engine.contains("Reach", &[7, 8]));
+    assert_eq!(goal_rows(&engine, 7), vec![vec![7, 8]]);
+}
+
 /// Malformed goals fail with the typed query errors, carrying the parse
 /// span of the offending `?-` line.
 #[test]
@@ -129,8 +177,11 @@ fn malformed_goals_surface_typed_errors_with_spans() {
 .input Edge
 ?- Ghost(1, y).
 ";
-    let engine =
-        GpulogEngine::from_source(&device(), unknown, config_from_env()).expect("build failed");
+    let engine = GpulogEngine::builder(&device())
+        .program(unknown)
+        .config(config_from_env())
+        .build()
+        .expect("build failed");
     match engine.run_query() {
         Err(EngineError::UnknownQueryRelation {
             relation,
@@ -149,8 +200,11 @@ fn malformed_goals_surface_typed_errors_with_spans() {
 .input Edge
 ?- Edge(1).
 ";
-    let engine =
-        GpulogEngine::from_source(&device(), arity, config_from_env()).expect("build failed");
+    let engine = GpulogEngine::builder(&device())
+        .program(arity)
+        .config(config_from_env())
+        .build()
+        .expect("build failed");
     match engine.run_query() {
         Err(EngineError::QueryArityMismatch {
             relation,

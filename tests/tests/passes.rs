@@ -5,7 +5,7 @@
 //! every declared output relation, on every `GPULOG_TEST_BACKEND` matrix
 //! leg.
 
-use gpulog::{parse_program, EngineError, Gpulog, GpulogEngine, LintCode, LintLevel, Program};
+use gpulog::{parse_program, EngineError, GpulogEngine, LintCode, LintLevel, Program};
 use gpulog_device::{profile::DeviceProfile, Device};
 use gpulog_tests::{config_from_env, PROPERTY_PROGRAMS};
 use proptest::prelude::*;
@@ -134,9 +134,12 @@ fn engine_surfaces_diagnostics_and_deny_fails_the_build() {
 #[test]
 fn facade_exposes_diagnostics_at_the_default_warn_level() {
     let d = device();
-    let dl = Gpulog::from_source(&d, EVERY_LINT_PROGRAM).unwrap();
-    assert!(dl.diagnostics().has(LintCode::SingletonVariable));
-    assert_eq!(dl.diagnostics().len(), 7);
+    let engine = GpulogEngine::builder(&d)
+        .program(EVERY_LINT_PROGRAM)
+        .build()
+        .unwrap();
+    assert!(engine.diagnostics().has(LintCode::SingletonVariable));
+    assert_eq!(engine.diagnostics().len(), 7);
 }
 
 #[test]
@@ -305,7 +308,8 @@ fn output_fixpoint(engine: &GpulogEngine, program: &Program) -> Vec<(String, Vec
         .filter(|decl| decl.is_output)
         .map(|decl| {
             let mut tuples = engine
-                .relation_tuples(&decl.name)
+                .relation_batch(&decl.name)
+                .map(|b| b.to_rows())
                 .expect("declared relations exist");
             tuples.sort();
             (decl.name.clone(), tuples)

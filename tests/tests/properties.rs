@@ -9,7 +9,7 @@ use gpulog_datasets::EdgeList;
 use gpulog_device::thrust::merge::{merge_path_merge, merge_sorted_index_rows};
 use gpulog_device::thrust::sort::lexicographic_sort_indices;
 use gpulog_device::{profile::DeviceProfile, Device};
-use gpulog_hisa::{Hisa, IndexSpec, DEFAULT_LOAD_FACTOR};
+use gpulog_hisa::{Hisa, IndexSpec, TupleBatch, DEFAULT_LOAD_FACTOR};
 use gpulog_queries::{reach, sg};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -234,7 +234,7 @@ proptest! {
         let d = device();
         let mut storage = RelationStorage::new(&d, "Edge", 2, DEFAULT_LOAD_FACTOR).unwrap();
         let base_flat: Vec<u32> = base.iter().flat_map(|&(a, b)| [a, b]).collect();
-        storage.load_full(&base_flat).unwrap();
+        storage.load_full_batch(&TupleBatch::new(2, base_flat.to_vec())).unwrap();
         // Materialize a secondary index before the merge so the reuse path
         // has to keep it consistent.
         let _ = storage.full_mut().unwrap().index_on(&d, &[1]).unwrap();
@@ -244,7 +244,7 @@ proptest! {
             delta_set.remove(&(a, b));
         }
         let delta_flat: Vec<u32> = delta_set.iter().flat_map(|&(a, b)| [a, b]).collect();
-        storage.set_delta_sorted_unique(&delta_flat).unwrap();
+        storage.set_delta_batch(&TupleBatch::from_sorted_unique_flat(2, delta_flat.to_vec())).unwrap();
         storage.merge_delta_into_full(&EbmConfig::default()).unwrap();
 
         // The merged secondary index must agree with an index built from

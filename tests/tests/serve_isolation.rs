@@ -46,7 +46,10 @@ fn edges_at_generation(gen: u64) -> Vec<[u32; 2]> {
 /// `gen`, computed from scratch by a fresh serial engine.
 fn expected_fixpoint(gen: u64) -> (Vec<u32>, Vec<u32>) {
     let device = Device::with_workers(DeviceProfile::nvidia_h100(), 2);
-    let mut engine = GpulogEngine::from_source(&device, REACH, EngineConfig::default()).unwrap();
+    let mut engine = GpulogEngine::builder(&device)
+        .program(REACH)
+        .build()
+        .unwrap();
     engine.add_facts("Edge", edges_at_generation(gen)).unwrap();
     engine.run().unwrap();
     let snap = engine.snapshot().unwrap();
@@ -66,7 +69,11 @@ fn isolation_under_concurrent_writes(spec: &str) {
         .unwrap()
         .configure(EngineConfig::default());
     let device = Device::with_workers(DeviceProfile::nvidia_h100(), 4);
-    let mut engine = GpulogEngine::from_source(&device, REACH, config).unwrap();
+    let mut engine = GpulogEngine::builder(&device)
+        .program(REACH)
+        .config(config)
+        .build()
+        .unwrap();
     engine.add_facts("Edge", edges_at_generation(1)).unwrap();
     let mut writer = ServeWriter::new(engine).unwrap();
     let handle = writer.handle();

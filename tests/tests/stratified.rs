@@ -78,8 +78,11 @@ fn positive_reach_fixpoint_matches_golden_tuples() {
         Reach(x, y) :- Edge(x, z), Reach(z, y).
     ";
     let d = device();
-    let mut engine =
-        GpulogEngine::from_source(&d, REACH_SRC, gpulog_tests::config_from_env()).unwrap();
+    let mut engine = GpulogEngine::builder(&d)
+        .program(REACH_SRC)
+        .config(gpulog_tests::config_from_env())
+        .build()
+        .unwrap();
     engine
         .add_facts_flat("Edge", &figure1_graph().to_flat())
         .unwrap();
@@ -113,7 +116,10 @@ fn positive_reach_fixpoint_matches_golden_tuples() {
     .iter()
     .map(|t| t.to_vec())
     .collect();
-    assert_eq!(engine.relation_tuples("Reach"), Some(golden));
+    assert_eq!(
+        engine.relation_batch("Reach").map(|b| b.to_rows()),
+        Some(golden)
+    );
 }
 
 #[test]
@@ -127,8 +133,11 @@ fn positive_sg_fixpoint_matches_golden_tuples() {
         SG(x, y) :- Edge(a, x), SG(a, b), Edge(b, y), x != y.
     ";
     let d = device();
-    let mut engine =
-        GpulogEngine::from_source(&d, SG_SRC, gpulog_tests::config_from_env()).unwrap();
+    let mut engine = GpulogEngine::builder(&d)
+        .program(SG_SRC)
+        .config(gpulog_tests::config_from_env())
+        .build()
+        .unwrap();
     engine
         .add_facts_flat("Edge", &figure1_graph().to_flat())
         .unwrap();
@@ -154,7 +163,10 @@ fn positive_sg_fixpoint_matches_golden_tuples() {
     .iter()
     .map(|t| t.to_vec())
     .collect();
-    assert_eq!(engine.relation_tuples("SG"), Some(golden));
+    assert_eq!(
+        engine.relation_batch("SG").map(|b| b.to_rows()),
+        Some(golden)
+    );
 }
 
 // The stratified workload leg of the backend matrix: negation + min
@@ -164,8 +176,11 @@ fn positive_sg_fixpoint_matches_golden_tuples() {
 #[test]
 fn stratified_negation_and_min_aggregate_match_golden_tuples_on_every_backend() {
     let d = device();
-    let mut engine =
-        GpulogEngine::from_source(&d, STRATIFIED_SRC, gpulog_tests::config_from_env()).unwrap();
+    let mut engine = GpulogEngine::builder(&d)
+        .program(STRATIFIED_SRC)
+        .config(gpulog_tests::config_from_env())
+        .build()
+        .unwrap();
     // 0→1→2→3→4 with shortcuts 0→3 and 1→4; node 2 is blocked.
     let edges: &[u32] = &[0, 1, 1, 2, 2, 3, 0, 3, 3, 4, 1, 4];
     engine.add_facts_flat("Edge", edges).unwrap();
@@ -179,7 +194,10 @@ fn stratified_negation_and_min_aggregate_match_golden_tuples_on_every_backend() 
         .iter()
         .map(|t| t.to_vec())
         .collect();
-    assert_eq!(engine.relation_tuples("Reach"), Some(reach_golden));
+    assert_eq!(
+        engine.relation_batch("Reach").map(|b| b.to_rows()),
+        Some(reach_golden)
+    );
 
     // Hop counts: (0,4) is reachable in 2 via either shortcut route; the
     // min aggregate must keep exactly one tuple per (x, y) group.
@@ -195,24 +213,28 @@ fn stratified_negation_and_min_aggregate_match_golden_tuples_on_every_backend() 
     .iter()
     .map(|t| t.to_vec())
     .collect();
-    assert_eq!(engine.relation_tuples("SP"), Some(sp_golden));
+    assert_eq!(
+        engine.relation_batch("SP").map(|b| b.to_rows()),
+        Some(sp_golden)
+    );
 }
 
 #[test]
 fn cyclic_negation_is_rejected_with_a_typed_error() {
     let d = device();
-    let err = GpulogEngine::from_source(
-        &d,
-        r"
+    let err = GpulogEngine::builder(&d)
+        .program(
+            r"
         .decl S(x: number)
         .input S
         .decl R(x: number)
         .output R
         R(x) :- S(x), !R(x).
         ",
-        gpulog_tests::config_from_env(),
-    )
-    .unwrap_err();
+        )
+        .config(gpulog_tests::config_from_env())
+        .build()
+        .unwrap_err();
     match err {
         EngineError::CyclicNegation { relation, .. } => assert_eq!(relation, "R"),
         other => panic!("expected CyclicNegation, got {other:?}"),
@@ -220,9 +242,9 @@ fn cyclic_negation_is_rejected_with_a_typed_error() {
 
     // Aggregation through the rule's own head is a stratification cycle
     // too: the aggregate reads the finished relation it is defining.
-    let err = GpulogEngine::from_source(
-        &d,
-        r"
+    let err = GpulogEngine::builder(&d)
+        .program(
+            r"
         .decl E(x: number, y: number)
         .input E
         .decl P(x: number, y: number)
@@ -230,9 +252,10 @@ fn cyclic_negation_is_rejected_with_a_typed_error() {
         P(x, y) :- E(x, y).
         P(x, min(y)) :- P(x, y).
         ",
-        gpulog_tests::config_from_env(),
-    )
-    .unwrap_err();
+        )
+        .config(gpulog_tests::config_from_env())
+        .build()
+        .unwrap_err();
     assert!(
         matches!(err, EngineError::CyclicNegation { ref relation, .. } if relation == "P"),
         "aggregate over its own head must be unstratifiable, got {err:?}"
@@ -253,7 +276,7 @@ proptest! {
         let edges: Vec<[u32; 2]> = edges.iter().map(|&(a, b)| [a, b]).collect();
         let run = |cfg: EngineConfig| {
             let d = device();
-            let mut engine = GpulogEngine::from_source(&d, STRATIFIED_SRC, cfg).unwrap();
+            let mut engine = GpulogEngine::builder(&d).program(STRATIFIED_SRC).config(cfg).build().unwrap();
             engine.add_facts("Edge", &edges).unwrap();
             // Block every third node; bound hop counts at 6.
             let blocked: Vec<u32> = (0..18).step_by(3).collect();
@@ -266,15 +289,24 @@ proptest! {
                 stats.iterations,
             )
         };
-        let (serial_reach, serial_sp, serial_iters) = run(EngineConfig::new());
+        let (serial_reach, serial_sp, serial_iters) = run(EngineConfig::default());
         let variants: Vec<(&str, EngineConfig)> = vec![
-            ("sharded:4", EngineConfig::new().with_shard_count(4)),
-            ("pipelined:4", EngineConfig::new().with_pipelined(4)),
+            (
+                "sharded:4",
+                EngineConfig { shard_count: 4, ..EngineConfig::default() },
+            ),
+            (
+                "pipelined:4",
+                EngineConfig { pipelined: 4, ..EngineConfig::default() },
+            ),
             (
                 "multigpu:2",
-                EngineConfig::new().with_device_topology(DeviceTopology::nvlink_like(
-                    NonZeroUsize::new(2).unwrap(),
-                )),
+                EngineConfig {
+                    device_topology: Some(DeviceTopology::nvlink_like(
+                        NonZeroUsize::new(2).unwrap(),
+                    )),
+                    ..EngineConfig::default()
+                },
             ),
         ];
         for (label, cfg) in variants {
