@@ -96,10 +96,12 @@ impl EvalContext<'_> {
     /// Builds (or refreshes from cache) the shard map of one relation
     /// version: `shards` HISAs over `key_cols`, where shard `i` holds
     /// exactly the tuples whose key values hash to `i` (see
-    /// [`gpulog_hisa::shard_of`]). The map is cached on the relation's
-    /// storage and kept consistent across delta merges, so a fixpoint run
-    /// pays the full build once and per-shard merges afterwards. A 1-way
-    /// map is the version's own index on `key_cols`.
+    /// [`gpulog_hisa::shard_of`]). The map is the version's index entry
+    /// `(key_cols, shards)` ([`crate::relation::RelationVersion`] keeps one
+    /// map of them), kept consistent across delta merges, so a fixpoint
+    /// run pays the full build once and per-shard merges afterwards. A
+    /// 1-way map is the version's plain index on `key_cols`, and the
+    /// canonical key's 1-way map is the canonical index.
     ///
     /// A full version is settled first. A cached map returns at once, so a
     /// full version shared with a published snapshot is copy-on-write
@@ -125,12 +127,8 @@ impl EvalContext<'_> {
         {
             return Ok(());
         }
-        let storage = &mut self.relations[relation];
-        let version = match version {
-            VersionSel::Full => storage.full_mut()?,
-            VersionSel::Delta => &mut storage.delta,
-        };
-        version
+        self.relations[relation]
+            .version_mut(version)?
             .sharded_index_on(self.device, key_cols, shards)
             .map(|_| ())
     }
@@ -145,12 +143,9 @@ impl EvalContext<'_> {
         key_cols: &[usize],
         shards: NonZeroUsize,
     ) -> Option<&[Hisa]> {
-        let storage = &self.relations[relation];
-        let version = match version {
-            VersionSel::Full => storage.full(),
-            VersionSel::Delta => &storage.delta,
-        };
-        version.existing_sharded_index(key_cols, shards)
+        self.relations[relation]
+            .version(version)
+            .existing_sharded_index(key_cols, shards)
     }
 }
 

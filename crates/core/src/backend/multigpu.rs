@@ -376,10 +376,11 @@ impl ShardObserver for TopologyModel {
         });
     }
 
-    /// Exchange leg 2: each owner pushes its delta slice into every cached
-    /// shard-map partitioning of the full version.
+    /// Exchange leg 2: each owner pushes its delta slice into every index
+    /// entry of the full version as wide as the device count (its shard
+    /// maps).
     fn delta_sent_to_shard_maps(&self, delta: &TupleBatch, full: &RelationVersion) {
-        for (key_cols, map_shards) in full.sharded_index_specs() {
+        for (key_cols, map_shards) in full.index_keys() {
             if map_shards == self.devices().get() {
                 self.charge_owner_to_key_exchange(delta.as_flat(), delta.arity(), &key_cols);
             }

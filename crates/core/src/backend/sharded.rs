@@ -42,8 +42,10 @@
 //! single-GPU evaluation loop: the intermediate is always one part, a
 //! re-partition passes it through, delta population subtracts `full` from
 //! the whole `new` buffer with no partition pass and no k-way merge, and a
-//! 1-way shard map *is* the version's own index
-//! ([`crate::relation::RelationVersion::sharded_index_on`]), so no shard
+//! 1-way shard map is the version's width-1 entry in its one index map
+//! keyed by (key columns, width) — a plain index on the key, or the
+//! canonical index for the canonical key
+//! ([`crate::relation::RelationVersion::sharded_index_on`]) — so no shard
 //! copy is ever built. The observer hooks fire exactly as at any `S`.
 //!
 //! ## Merge policy
@@ -722,10 +724,7 @@ fn scan(
     }
     let t = Instant::now();
     let storage = &ctx.relations[step.relation];
-    let source = match step.version {
-        VersionSel::Full => storage.full(),
-        VersionSel::Delta => &storage.delta,
-    };
+    let source = storage.version(step.version);
     let batch = if source.is_empty() {
         TupleBatch::empty(1)
     } else {
@@ -1155,9 +1154,9 @@ mod tests {
 
     /// At one shard no HISA copy is ever built: observed or not, and under
     /// a 1-device topology model, a delta population and joins against
-    /// `B`'s full and delta versions cache no shard map and leave every
-    /// relation holding exactly the device bytes the default executor
-    /// leaves.
+    /// `B`'s full and delta versions cache no index wider than one shard
+    /// and leave every relation holding exactly the device bytes the
+    /// default executor leaves.
     #[test]
     fn one_shard_maps_are_the_versions_own_indices() {
         let d = device();
@@ -1181,8 +1180,12 @@ mod tests {
             assert!(rels[2].take_new(&EbmConfig::default()).len() > 2);
             rels.iter()
                 .map(|r| {
-                    let specs = [r.full(), &r.delta].map(RelationVersion::sharded_index_specs);
-                    assert!(specs.iter().all(Vec::is_empty), "{}: {specs:?}", r.name);
+                    let keys = [r.full(), &r.delta].map(RelationVersion::index_keys);
+                    assert!(
+                        keys.iter().flatten().all(|&(_, width)| width == 1),
+                        "{}: {keys:?}",
+                        r.name
+                    );
                     r.device_bytes()
                 })
                 .collect::<Vec<_>>()
@@ -1252,13 +1255,13 @@ mod tests {
             eager_full.canonical().sorted_index(),
             deferred_full.canonical().sorted_index()
         );
-        let eager_secondary = eager_full.existing_index(&[1]).unwrap();
-        let deferred_secondary = deferred_full.existing_index(&[1]).unwrap();
-        assert_eq!(eager_secondary.data(), deferred_secondary.data());
-        assert_eq!(
-            eager_secondary.sorted_index(),
-            deferred_secondary.sorted_index()
-        );
+        let secondary = |full: &RelationVersion| {
+            let index = &full
+                .existing_sharded_index(&[1], NonZeroUsize::MIN)
+                .unwrap()[0];
+            (index.data().to_vec(), index.sorted_index().to_vec())
+        };
+        assert_eq!(secondary(eager_full), secondary(deferred_full));
     }
 
     #[test]

@@ -4,11 +4,12 @@
 
 use crate::ebm::EbmConfig;
 use crate::error::EngineResult;
+use crate::planner::VersionSel;
 use gpulog_device::{Device, JobHandle};
 use gpulog_hisa::{
     partition_flat_by_key_hash, rows_are_sorted_unique, Hisa, IndexSpec, TupleBatch,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::slice;
 use std::sync::Arc;
@@ -32,6 +33,15 @@ const MAX_MERGE_BATCH: usize = 8;
 const ADAPTIVE_RATIO: usize = 8;
 
 /// One version (full or delta) of a relation, with its indices.
+///
+/// Beside the canonical index a version keeps **one map** from `(key
+/// columns, width)` to `width` HISAs indexed on those key columns, built
+/// lazily and kept consistent across delta merges. Shard `i` of an entry
+/// holds exactly the tuples whose key values satisfy
+/// [`gpulog_hisa::shard_of`]`(key, width) == i`, so a width-1 entry is a
+/// plain secondary index and a wider one is the sharded executor's shard
+/// map. The canonical key at width 1 resolves to the canonical index and
+/// never enters the map.
 #[derive(Debug)]
 pub struct RelationVersion {
     arity: usize,
@@ -40,15 +50,8 @@ pub struct RelationVersion {
     /// relation's declared column order, which makes it the authoritative
     /// tuple store for this version.
     canonical: Hisa,
-    /// Secondary indices keyed by specific column sets, built lazily.
-    by_key: HashMap<Vec<usize>, Hisa>,
-    /// Hash-sharded indices, keyed by `(key columns, shard count)`: shard
-    /// `i` holds exactly the tuples whose key values satisfy
-    /// [`gpulog_hisa::shard_of`]`(key, shards) == i`, each shard indexed on the key
-    /// columns. Built lazily by the sharded backend for two or more shards
-    /// (a 1-way map is the index itself); kept consistent across delta
-    /// merges like the flat secondary indices.
-    sharded: HashMap<(Vec<usize>, usize), Vec<Hisa>>,
+    /// Every other index, keyed by `(key columns, width)`, in key order.
+    indices: BTreeMap<(Vec<usize>, usize), Vec<Hisa>>,
     load_factor: f64,
 }
 
@@ -71,8 +74,7 @@ impl RelationVersion {
                 batch,
                 load_factor,
             )?,
-            by_key: HashMap::new(),
-            sharded: HashMap::new(),
+            indices: BTreeMap::new(),
             load_factor,
         })
     }
@@ -97,45 +99,25 @@ impl RelationVersion {
         self.canonical.data()
     }
 
-    /// Returns the HISA indexed on `key_cols`, building it if necessary.
-    /// An empty key set returns the canonical index (used by cross products).
+    /// Returns the HISA indexed on `key_cols` — the width-1 entry of
+    /// [`RelationVersion::sharded_index_on`] — building it if necessary.
+    /// An empty or identity key returns the canonical index; a *permuted*
+    /// full key (e.g. `[1, 0]`) changes the sort order, so it gets a real
+    /// index.
     ///
     /// # Errors
     ///
     /// Returns a device error if building the index exhausts device memory.
     pub fn index_on(&mut self, device: &Device, key_cols: &[usize]) -> EngineResult<&Hisa> {
-        // The canonical index covers plain scans (empty key) and the
-        // identity full key. A *permuted* full key (e.g. [1, 0]) changes
-        // the sort order, so it gets a real secondary index below.
-        if is_canonical_key(key_cols, self.arity) {
-            return Ok(&self.canonical);
-        }
-        if !self.by_key.contains_key(key_cols) {
-            let spec = IndexSpec::new(self.arity, key_cols.to_vec());
-            let rows = TupleBatch::new(self.arity, self.canonical.data().to_vec());
-            let hisa = Hisa::build_from_batch(device, spec, &rows, self.load_factor)?;
-            self.by_key.insert(key_cols.to_vec(), hisa);
-        }
-        Ok(&self.by_key[key_cols])
+        Ok(&self.sharded_index_on(device, key_cols, NonZeroUsize::MIN)?[0])
     }
 
-    /// Returns an already-built index on `key_cols` without building one.
-    /// An empty or identity key returns the canonical index.
-    pub fn existing_index(&self, key_cols: &[usize]) -> Option<&Hisa> {
-        if is_canonical_key(key_cols, self.arity) {
-            return Some(&self.canonical);
-        }
-        self.by_key.get(key_cols)
-    }
-
-    /// Returns the hash-sharded indices on `key_cols` for the given shard
-    /// count, building them if necessary: the version's tuples are
-    /// partitioned with [`gpulog_hisa::shard_of`] over their key values and each
-    /// partition becomes its own HISA indexed on `key_cols`. All shard
-    /// builds are dispatched to the worker pool as a single epoch, so the
-    /// cost of a sharded index build is one pool hand-off regardless of the
-    /// shard count. A 1-way map is the version's own index on `key_cols`
-    /// ([`RelationVersion::index_on`]); no shard copy is built or cached.
+    /// Returns the `shards`-way index map on `key_cols`, building it if
+    /// necessary: the version's tuples are partitioned with
+    /// [`gpulog_hisa::shard_of`] over their key values and each partition
+    /// becomes its own HISA indexed on `key_cols`, all built as one
+    /// worker-pool epoch. One shard is the version's index on `key_cols`,
+    /// built on the calling thread with no partition pass.
     ///
     /// # Errors
     ///
@@ -152,236 +134,175 @@ impl RelationVersion {
         key_cols: &[usize],
         shards: NonZeroUsize,
     ) -> EngineResult<&[Hisa]> {
-        if shards.get() == 1 {
-            return self.index_on(device, key_cols).map(slice::from_ref);
-        }
-        assert!(!key_cols.is_empty(), "sharding requires a join key");
-        let cache_key = (key_cols.to_vec(), shards.get());
-        if !self.sharded.contains_key(&cache_key) {
-            let parts =
-                partition_flat_by_key_hash(self.canonical.data(), self.arity, key_cols, shards);
-            let arity = self.arity;
-            let load_factor = self.load_factor;
-            // A delta version's canonical data array is sorted and
-            // duplicate-free (both delta construction paths guarantee it),
-            // and each hash partition is a subsequence of it — so every
-            // shard qualifies for the sort/dedup-free re-index build. A
-            // full version loses that shape on its first merge (merges
-            // concatenate data arrays), hence the linear check rather than
-            // an assumption.
-            let sorted_unique = rows_are_sorted_unique(self.canonical.data(), self.arity);
-            let mut slots: Vec<Option<EngineResult<Hisa>>> =
-                (0..shards.get()).map(|_| None).collect();
-            let jobs: Vec<(Vec<u32>, &mut Option<EngineResult<Hisa>>)> =
-                parts.into_iter().zip(slots.iter_mut()).collect();
-            device.executor().run_tasks(jobs, |_, (data, slot)| {
+        if self.existing_sharded_index(key_cols, shards).is_none() {
+            assert!(!key_cols.is_empty(), "sharding requires a join key");
+            let (arity, load_factor) = (self.arity, self.load_factor);
+            let rows = self.canonical.data();
+            // One shard takes the general build over a copy of the rows
+            // (re-indexing would change the default engine's counters).
+            // Delta rows are sorted and duplicate-free, and each hash
+            // partition is a subsequence of them, so wider builds re-index
+            // that shape without sort/dedup. A full version loses it on its
+            // first merge (merges concatenate data arrays), hence the
+            // linear check rather than an assumption.
+            let (parts, sorted_unique) = if shards.get() == 1 {
+                (vec![rows.to_vec()], false)
+            } else {
+                (
+                    partition_flat_by_key_hash(rows, arity, key_cols, shards),
+                    rows_are_sorted_unique(rows, arity),
+                )
+            };
+            let built = per_shard(device, parts, |part| {
                 let spec = IndexSpec::new(arity, key_cols.to_vec());
-                let built = if sorted_unique {
-                    Hisa::build_reindexed_from_sorted_unique(device, spec, &data, load_factor)
+                Ok(if sorted_unique {
+                    Hisa::build_reindexed_from_sorted_unique(device, spec, &part, load_factor)?
                 } else {
-                    Hisa::build_from_batch(device, spec, &TupleBatch::new(arity, data), load_factor)
-                };
-                *slot = Some(built.map_err(Into::into));
-            });
-            let built: Vec<Hisa> = slots
-                .into_iter()
-                .map(|slot| slot.expect("every shard build ran"))
-                .collect::<EngineResult<_>>()?;
-            self.sharded.insert(cache_key.clone(), built);
+                    let batch = TupleBatch::new(arity, part);
+                    Hisa::build_from_batch(device, spec, &batch, load_factor)?
+                })
+            })?;
+            let entry = (key_cols.to_vec(), shards.get());
+            self.indices.insert(entry, built);
         }
-        Ok(&self.sharded[&cache_key])
+        Ok(self
+            .existing_sharded_index(key_cols, shards)
+            .expect("index map built above"))
     }
 
-    /// Returns already-built sharded indices without building them (for
-    /// one shard, the already-built [`RelationVersion::existing_index`]).
+    /// Returns an already-built index map without building it. The
+    /// canonical key at one shard (an empty or identity key) returns the
+    /// canonical index.
     pub fn existing_sharded_index(
         &self,
         key_cols: &[usize],
         shards: NonZeroUsize,
     ) -> Option<&[Hisa]> {
-        if shards.get() == 1 {
-            return self.existing_index(key_cols).map(slice::from_ref);
+        if shards.get() == 1 && is_canonical_key(key_cols, self.arity) {
+            return Some(slice::from_ref(&self.canonical));
         }
-        self.sharded
+        self.indices
             .get(&(key_cols.to_vec(), shards.get()))
             .map(Vec::as_slice)
     }
 
-    /// The `(key columns, shard count)` specs of every cached shard map on
-    /// this version — the partitionings a delta exchange must feed (each
-    /// cached map's shard `i` needs exactly the delta rows whose key hashes
-    /// to `i`).
-    pub fn sharded_index_specs(&self) -> Vec<(Vec<usize>, usize)> {
-        self.sharded.keys().cloned().collect()
-    }
-
-    /// The `(key columns, shard count)` of every index this version carries
-    /// beside its canonical one, sorted: secondary indices count as one
-    /// shard.
+    /// The sorted `(key columns, width)` of every index this version
+    /// carries beside its canonical one — for the multi-GPU model, the
+    /// partitionings a delta exchange must feed.
     pub fn index_keys(&self) -> Vec<(Vec<usize>, usize)> {
-        let mut keys: Vec<(Vec<usize>, usize)> = self
-            .by_key
-            .keys()
-            .map(|key| (key.clone(), 1))
-            .chain(self.sharded_index_specs())
-            .collect();
-        keys.sort_unstable();
-        keys
+        self.indices.keys().cloned().collect()
     }
 
-    /// Device bytes attributable to this version (canonical plus secondary
-    /// and sharded indices).
+    /// Device bytes attributable to this version (canonical plus every
+    /// other index).
     pub fn device_bytes(&self) -> usize {
-        self.canonical.device_bytes()
-            + self.by_key.values().map(Hisa::device_bytes).sum::<usize>()
-            + self
-                .sharded
-                .values()
-                .flatten()
-                .map(Hisa::device_bytes)
-                .sum::<usize>()
+        let indices = self.indices.values().flatten();
+        self.canonical.device_bytes() + indices.map(Hisa::device_bytes).sum::<usize>()
     }
 
-    /// Drops all secondary and sharded indices (they will be rebuilt
-    /// lazily).
+    /// Drops every index but the canonical one (they are rebuilt lazily).
     pub fn clear_secondary_indices(&mut self) {
-        self.by_key.clear();
-        self.sharded.clear();
+        self.indices.clear();
     }
 
-    /// Deep-copies the version — canonical index, secondary indices, and
-    /// cached shard maps — onto fresh device buffers. This is the
-    /// copy-on-write detach behind snapshot publication: once a full
-    /// version has been shared with readers (see
-    /// [`RelationStorage::share_full`]), the writer clones it before the
-    /// next merge instead of mutating the published data.
+    /// Deep-copies the version — canonical index and every other index —
+    /// onto fresh device buffers. This is the copy-on-write detach behind
+    /// snapshot publication: once a full version has been shared with
+    /// readers (see [`RelationStorage::share_full`]), the writer clones it
+    /// before the next merge instead of mutating the published data.
     ///
     /// # Errors
     ///
     /// Returns a device error if the device cannot hold a second copy.
     pub(crate) fn try_clone(&self) -> EngineResult<Self> {
-        let canonical = self.canonical.try_clone()?;
-        let mut by_key = HashMap::with_capacity(self.by_key.len());
-        for (key, hisa) in &self.by_key {
-            by_key.insert(key.clone(), hisa.try_clone()?);
-        }
-        let mut sharded = HashMap::with_capacity(self.sharded.len());
-        for (key, hisas) in &self.sharded {
-            let copies: Vec<Hisa> = hisas
-                .iter()
-                .map(|h| h.try_clone().map_err(Into::into))
-                .collect::<EngineResult<_>>()?;
-            sharded.insert(key.clone(), copies);
+        let mut indices = BTreeMap::new();
+        for (entry, shards) in &self.indices {
+            let copies = shards.iter().map(Hisa::try_clone);
+            indices.insert(entry.clone(), copies.collect::<Result<_, _>>()?);
         }
         Ok(RelationVersion {
             arity: self.arity,
-            canonical,
-            by_key,
-            sharded,
+            canonical: self.canonical.try_clone()?,
+            indices,
             load_factor: self.load_factor,
         })
     }
 
-    /// Merges `delta` (sorted, duplicate-free, disjoint from this version)
-    /// into this **full** version, honouring the eager-buffer-management
-    /// policy — the version-level body of
-    /// [`RelationStorage::merge_delta_into_full`], which detaches any
-    /// published snapshot first and then delegates here. Secondary indices
-    /// and cached shard maps are kept consistent (shard-locally, one
-    /// worker-pool epoch) exactly as documented on the storage method.
+    /// Merges delta runs (each sorted-unique, pairwise disjoint, and
+    /// disjoint from this **full** version) into it, honouring the
+    /// eager-buffer-management policy. `runs_canonical` holds the runs'
+    /// rows under the canonical index: the eager merge passes the delta
+    /// version's own canonical and its one run, a drain
+    /// ([`RelationVersion::merge_sorted_unique_runs`]) the [`index_runs`]
+    /// of its runs.
+    ///
+    /// Every other index stays consistent, one entry at a time: the runs
+    /// are re-indexed on the entry's key (delta rows are sorted and
+    /// duplicate-free, so that is a key-column-only permutation sort) and
+    /// merged in. A wider entry merges shard-locally: each run partitions
+    /// by the entry's key hash, and shard `i` absorbs only its own slices,
+    /// all shards as one worker-pool epoch. Each index reserves EBM slack
+    /// sized from the rows it absorbs, so `S` shards reserve no more than
+    /// one index would.
     ///
     /// # Errors
     ///
     /// Returns a device error if the merged relation does not fit.
-    pub(crate) fn merge_delta(
+    fn merge_runs(
         &mut self,
         device: &Device,
-        delta: &RelationVersion,
+        runs_canonical: &Hisa,
+        runs: &[&[u32]],
         ebm: &EbmConfig,
     ) -> EngineResult<()> {
-        let delta_rows = delta.len();
-        if delta_rows == 0 {
+        if runs_canonical.is_empty() {
             return Ok(());
         }
-        let reserve = ebm.reserve_rows(delta_rows);
-        if reserve > 0 {
-            self.canonical.reserve_additional_rows(reserve)?;
-        }
-        self.canonical.merge_from(delta.canonical())?;
-        // Keep secondary indices consistent: merge the delta (re-indexed on
-        // each secondary key) into every existing secondary index. The
-        // delta's canonical data array is always sorted and duplicate-free
-        // (both delta construction paths guarantee it), so each re-index is
-        // a key-column-only permutation sort — no dedup, no full rebuild.
-        let keys: Vec<Vec<usize>> = self.by_key.keys().cloned().collect();
-        for key in keys {
-            let delta_indexed = Hisa::build_reindexed_from_sorted_unique(
-                device,
-                IndexSpec::new(self.arity, key.clone()),
-                delta.tuples_flat(),
-                self.load_factor,
-            )?;
-            let target = self.by_key.get_mut(&key).expect("index exists");
+        // With EBM on, reserving the slack first also pre-reserves
+        // hash-layer capacity, which keeps `merge_from` on the incremental
+        // index-maintenance path.
+        let absorb = |target: &mut Hisa, indexed: &Hisa| -> EngineResult<()> {
+            let reserve = ebm.reserve_rows(indexed.len());
             if reserve > 0 {
                 target.reserve_additional_rows(reserve)?;
             }
-            target.merge_from(&delta_indexed)?;
-        }
-        // Sharded indices stay consistent the same way, but shard-locally:
-        // the delta is partitioned with the same key hash as each cached
-        // entry, so shard i of the delta merges into shard i of the full
-        // representation — independent merges dispatched to the worker pool
-        // as one epoch. Because each delta partition is a subsequence of the
-        // (sorted, duplicate-free) delta data array, every piece keeps the
-        // sorted-unique re-index fast path. Unlike the canonical and
-        // secondary indices above (which each absorb the whole delta), a
-        // shard only absorbs its own slice, so its EBM slack is sized from
-        // the slice — not the full delta — or S shards would reserve S
-        // times the intended headroom.
-        let arity = self.arity;
-        let load_factor = self.load_factor;
-        let delta_flat = delta.canonical.data();
-        let mut jobs: Vec<(&mut Hisa, Vec<u32>, Vec<usize>, usize)> = Vec::new();
-        for ((key_cols, shards), shard_hisas) in &mut self.sharded {
-            let shards = NonZeroUsize::new(*shards).expect("cached shard maps are non-empty");
-            let parts = partition_flat_by_key_hash(delta_flat, arity, key_cols, shards);
-            for (target, rows) in shard_hisas.iter_mut().zip(parts) {
-                if !rows.is_empty() {
-                    let shard_reserve = ebm.reserve_rows(rows.len() / arity);
-                    jobs.push((target, rows, key_cols.clone(), shard_reserve));
+            Ok(target.merge_from(indexed)?)
+        };
+        absorb(&mut self.canonical, runs_canonical)?;
+        let (arity, load_factor) = (self.arity, self.load_factor);
+        let merge = |target: &mut Hisa, slices: &[&[u32]]| {
+            let spec = target.spec().clone();
+            absorb(target, &index_runs(device, spec, slices, load_factor)?)
+        };
+        for ((key_cols, width), shards) in &mut self.indices {
+            if *width == 1 {
+                merge(&mut shards[0], runs)?;
+                continue;
+            }
+            let width = NonZeroUsize::new(*width).expect("index maps are non-empty");
+            let mut slices: Vec<Vec<Vec<u32>>> = vec![Vec::new(); width.get()];
+            for run in runs {
+                let parts = partition_flat_by_key_hash(run, arity, key_cols, width);
+                for (shard, part) in parts.into_iter().enumerate() {
+                    if !part.is_empty() {
+                        slices[shard].push(part);
+                    }
                 }
             }
-        }
-        if !jobs.is_empty() {
-            let mut results: Vec<EngineResult<()>> = jobs.iter().map(|_| Ok(())).collect();
-            let jobs: Vec<_> = jobs.into_iter().zip(results.iter_mut()).collect();
-            device.executor().run_tasks(
-                jobs,
-                |_, ((target, rows, key_cols, shard_reserve), result)| {
-                    *result = (|| -> EngineResult<()> {
-                        let indexed = Hisa::build_reindexed_from_sorted_unique(
-                            device,
-                            IndexSpec::new(arity, key_cols),
-                            &rows,
-                            load_factor,
-                        )?;
-                        if shard_reserve > 0 {
-                            target.reserve_additional_rows(shard_reserve)?;
-                        }
-                        target.merge_from(&indexed)?;
-                        Ok(())
-                    })();
-                },
-            );
-            results.into_iter().collect::<EngineResult<()>>()?;
+            let jobs: Vec<_> = shards
+                .iter_mut()
+                .zip(slices)
+                .filter(|(_, slices)| !slices.is_empty())
+                .collect();
+            per_shard(device, jobs, |(target, slices)| {
+                let slices: Vec<&[u32]> = slices.iter().map(Vec::as_slice).collect();
+                merge(target, &slices)
+            })?;
         }
         if !ebm.enabled {
             self.canonical.shrink_to_fit();
-            for idx in self.by_key.values_mut() {
-                idx.shrink_to_fit();
-            }
-            for idx in self.sharded.values_mut().flatten() {
-                idx.shrink_to_fit();
+            for index in self.indices.values_mut().flatten() {
+                index.shrink_to_fit();
             }
         }
         Ok(())
@@ -389,19 +310,15 @@ impl RelationVersion {
 
     /// Merges a batch of deferred delta runs (each sorted-unique, pairwise
     /// disjoint, and disjoint from this version) into this **full** version
-    /// in one pass — the coalesced sibling of
-    /// [`RelationStorage::merge_delta_into_full`], used by the pipelined
-    /// backend to drain its double buffer. For every maintained layer
-    /// (canonical, each secondary index, each cached shard map) the runs
-    /// are combined with [`index_runs`] and merged with a single
-    /// [`Hisa::merge_from`], so the O(|full|) sorted-index
-    /// and inverse-permutation streaming passes are paid once per drain
-    /// instead of once per delta. Merge associativity (the runs' rows are
-    /// globally distinct) keeps the result byte-identical to merging the
-    /// runs one at a time.
+    /// in one pass — the drain of deferred merging. The runs are combined
+    /// with [`index_runs`] under every index's key, so each index pays its
+    /// O(|full|) sorted-index and inverse-permutation streaming passes
+    /// once per drain instead of once per delta; merge associativity (the
+    /// runs' rows are globally distinct) keeps the result byte-identical
+    /// to merging the runs one at a time.
     ///
     /// This takes `&mut self` on the version — not the storage — so the
-    /// backend can move the full version onto the device's background lane
+    /// storage can move the full version onto the device's background lane
     /// while the foreground keeps evaluating.
     ///
     /// # Errors
@@ -425,97 +342,34 @@ impl RelationVersion {
                 "merge_sorted_unique_runs requires sorted-unique runs"
             );
         }
-        let total_rows: usize = runs.iter().map(TupleBatch::len).sum();
-        if total_rows == 0 {
+        let flats: Vec<&[u32]> = runs.iter().map(TupleBatch::as_flat).collect();
+        if flats.iter().all(|flat| flat.is_empty()) {
             return Ok(());
         }
-        let arity = self.arity;
-        let load_factor = self.load_factor;
-        let flats: Vec<&[u32]> = runs.iter().map(TupleBatch::as_flat).collect();
-        let reserve = ebm.reserve_rows(total_rows);
-        let combined = index_runs(device, IndexSpec::full_key(arity), &flats, load_factor)?;
-        if reserve > 0 {
-            self.canonical.reserve_additional_rows(reserve)?;
-        }
-        self.canonical.merge_from(&combined)?;
-        let keys: Vec<Vec<usize>> = self.by_key.keys().cloned().collect();
-        for key in keys {
-            let combined = index_runs(
-                device,
-                IndexSpec::new(arity, key.clone()),
-                &flats,
-                load_factor,
-            )?;
-            let target = self.by_key.get_mut(&key).expect("index exists");
-            if reserve > 0 {
-                target.reserve_additional_rows(reserve)?;
-            }
-            target.merge_from(&combined)?;
-        }
-        // Shard maps drain shard-locally, exactly like
-        // `merge_delta_into_full`: every run partitions by the cached
-        // entry's key hash, so shard i absorbs only its own slices of the
-        // runs — one worker-pool epoch over all (entry, shard) pairs.
-        let mut jobs: Vec<ShardMergeJob<'_>> = Vec::new();
-        for ((key_cols, shards), shard_hisas) in &mut self.sharded {
-            let shards = NonZeroUsize::new(*shards).expect("cached shard maps are non-empty");
-            let mut per_shard: Vec<Vec<Vec<u32>>> = (0..shards.get()).map(|_| Vec::new()).collect();
-            for flat in &flats {
-                let parts = partition_flat_by_key_hash(flat, arity, key_cols, shards);
-                for (shard, rows) in parts.into_iter().enumerate() {
-                    if !rows.is_empty() {
-                        per_shard[shard].push(rows);
-                    }
-                }
-            }
-            for (target, slices) in shard_hisas.iter_mut().zip(per_shard) {
-                if !slices.is_empty() {
-                    let slice_rows: usize = slices.iter().map(|s| s.len() / arity).sum();
-                    let shard_reserve = ebm.reserve_rows(slice_rows);
-                    jobs.push((target, slices, key_cols.clone(), shard_reserve));
-                }
-            }
-        }
-        if !jobs.is_empty() {
-            let mut results: Vec<EngineResult<()>> = jobs.iter().map(|_| Ok(())).collect();
-            let jobs: Vec<_> = jobs.into_iter().zip(results.iter_mut()).collect();
-            device.executor().run_tasks(
-                jobs,
-                |_, ((target, slices, key_cols, shard_reserve), result)| {
-                    *result = (|| -> EngineResult<()> {
-                        let slice_refs: Vec<&[u32]> = slices.iter().map(Vec::as_slice).collect();
-                        let combined = index_runs(
-                            device,
-                            IndexSpec::new(arity, key_cols),
-                            &slice_refs,
-                            load_factor,
-                        )?;
-                        if shard_reserve > 0 {
-                            target.reserve_additional_rows(shard_reserve)?;
-                        }
-                        target.merge_from(&combined)?;
-                        Ok(())
-                    })();
-                },
-            );
-            results.into_iter().collect::<EngineResult<()>>()?;
-        }
-        if !ebm.enabled {
-            self.canonical.shrink_to_fit();
-            for idx in self.by_key.values_mut() {
-                idx.shrink_to_fit();
-            }
-            for idx in self.sharded.values_mut().flatten() {
-                idx.shrink_to_fit();
-            }
-        }
-        Ok(())
+        let spec = IndexSpec::full_key(self.arity);
+        let canonical = index_runs(device, spec, &flats, self.load_factor)?;
+        self.merge_runs(device, &canonical, &flats, ebm)
     }
 }
 
-/// One shard-map drain job: the target shard HISA, the run slices routed
-/// to it, the map's key columns, and the rows to pre-reserve.
-type ShardMergeJob<'a> = (&'a mut Hisa, Vec<Vec<u32>>, Vec<usize>, usize);
+/// Runs `task` once per job as one worker-pool epoch (on the calling
+/// thread for a single job), returning the results in job order or the
+/// first error.
+fn per_shard<J: Send, T: Send>(
+    device: &Device,
+    jobs: Vec<J>,
+    task: impl Fn(J) -> EngineResult<T> + Sync,
+) -> EngineResult<Vec<T>> {
+    let mut slots: Vec<Option<EngineResult<T>>> = jobs.iter().map(|_| None).collect();
+    let jobs: Vec<_> = jobs.into_iter().zip(slots.iter_mut()).collect();
+    device
+        .executor()
+        .run_tasks(jobs, |_, (job, slot)| *slot = Some(task(job)));
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every shard task ran"))
+        .collect()
+}
 
 /// Indexes several identity-sorted, duplicate-free, pairwise-disjoint
 /// delta runs under `spec` as one HISA: each run is re-indexed and merged
@@ -536,7 +390,7 @@ fn index_runs(
     let mut runs = runs.iter().filter(|run| !run.is_empty());
     let first = runs
         .next()
-        .expect("a drain merges at least one non-empty run");
+        .expect("a merge indexes at least one non-empty run");
     let mut combined = index(first)?;
     for run in runs {
         combined.merge_from(&index(run)?)?;
@@ -615,6 +469,29 @@ impl RelationStorage {
             device: device.clone(),
             load_factor,
         })
+    }
+
+    /// The version a plan step reads: `full` (settle first, see
+    /// [`RelationStorage::full`]) or `delta`.
+    pub fn version(&self, sel: VersionSel) -> &RelationVersion {
+        match sel {
+            VersionSel::Full => self.full(),
+            VersionSel::Delta => &self.delta,
+        }
+    }
+
+    /// Mutable access to the version a plan step reads; a full version
+    /// detaches from any published snapshot first
+    /// ([`RelationStorage::full_mut`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a device error if the detach copy does not fit.
+    pub fn version_mut(&mut self, sel: VersionSel) -> EngineResult<&mut RelationVersion> {
+        match sel {
+            VersionSel::Full => self.full_mut(),
+            VersionSel::Delta => Ok(&mut self.delta),
+        }
     }
 
     /// Read access to the full version. With merges deferred it may lag by
@@ -906,10 +783,10 @@ impl RelationStorage {
     /// hash rebuilds); with EBM off, slack is trimmed after every merge
     /// (exact-size allocation behaviour).
     ///
-    /// Secondary full indices are merged in place with the same delta so the
-    /// next iteration's joins see a consistent full relation. They and the
-    /// sharded shard-local merges below go through the same `merge_from`,
-    /// so they inherit incremental maintenance automatically.
+    /// Every other full index merges the same delta in place (shard-locally
+    /// for a wider map), so the next iteration's joins see a consistent
+    /// full relation; each goes through the same `merge_from`, so each
+    /// inherits incremental maintenance.
     ///
     /// # Errors
     ///
@@ -922,7 +799,8 @@ impl RelationStorage {
         // deep-copied before the merge, so readers keep the old fixpoint.
         self.detach_full()?;
         let full = Arc::get_mut(&mut self.full).expect("full version is unique after detach");
-        full.merge_delta(&self.device, &self.delta, ebm)
+        let delta = &self.delta;
+        full.merge_runs(&self.device, delta.canonical(), &[delta.tuples_flat()], ebm)
     }
 
     /// Takes (and clears) the accumulated new-tuple buffer. With EBM
@@ -1091,21 +969,29 @@ mod tests {
 
     #[test]
     fn merge_with_ebm_disabled_trims_capacity() {
-        let d = device();
-        let mut s = storage(&d);
-        s.load_full_batch(&TupleBatch::new(2, vec![1, 2])).unwrap();
-        s.set_delta_batch(&TupleBatch::new(2, vec![3, 4])).unwrap();
-        s.merge_delta_into_full(&EbmConfig::disabled()).unwrap();
-        assert_eq!(s.len(), 2);
-        let d2 = device();
-        let mut s2 = storage(&d2);
-        s2.load_full_batch(&TupleBatch::new(2, vec![1, 2])).unwrap();
-        s2.set_delta_batch(&TupleBatch::new(2, vec![3, 4])).unwrap();
-        s2.merge_delta_into_full(&EbmConfig::with_growth_factor(16.0))
-            .unwrap();
-        assert_eq!(s2.len(), 2);
-        // The EBM run holds at least as much device memory as the trimmed run.
-        assert!(d2.tracker().in_use() >= d.tracker().in_use());
+        // Each run maintains a secondary index and a 3-way map, so the trim
+        // covers both kinds of index entry.
+        let merged = |ebm: &EbmConfig| {
+            let d = device();
+            let mut s = storage(&d);
+            s.load_full_batch(&TupleBatch::new(2, vec![1, 2])).unwrap();
+            let full = s.full_mut().unwrap();
+            full.index_on(&d, &[1]).unwrap();
+            full.sharded_index_on(&d, &[0], NonZeroUsize::new(3).unwrap())
+                .unwrap();
+            s.set_delta_batch(&TupleBatch::new(2, vec![3, 4, 5, 6, 7, 8]))
+                .unwrap();
+            s.merge_delta_into_full(ebm).unwrap();
+            assert_eq!(s.len(), 4);
+            assert_eq!(s.full().index_keys(), [(vec![0], 3), (vec![1], 1)]);
+            let bytes = s.full().device_bytes();
+            assert_eq!(d.tracker().in_use(), bytes + s.delta.device_bytes());
+            bytes
+        };
+        let trimmed = merged(&EbmConfig::disabled());
+        let slack = merged(&EbmConfig::with_growth_factor(16.0));
+        // The EBM run holds more device memory than the trimmed run.
+        assert!(slack > trimmed, "{slack} <= {trimmed}");
     }
 
     #[test]
@@ -1122,20 +1008,23 @@ mod tests {
     #[test]
     fn coalesced_run_merge_is_byte_identical_to_per_delta_merges() {
         let d = device();
-        // Serial reference: merge two deltas one at a time, maintaining a
-        // secondary index and a cached shard map throughout.
-        let mut serial = storage(&d);
-        serial
-            .load_full_batch(&TupleBatch::new(2, vec![1, 2, 8, 0]))
-            .unwrap();
-        let _ = serial.full_mut().unwrap().index_on(&d, &[1]).unwrap();
-        let _ = serial
-            .full_mut()
-            .unwrap()
-            .sharded_index_on(&d, &[0], NonZeroUsize::new(3).unwrap())
-            .unwrap();
+        let shards = NonZeroUsize::new(3).unwrap();
+        // Both sides maintain a secondary index on [1], and key [0] at one
+        // shard beside its 3-way map.
+        let prepared = || {
+            let mut s = storage(&d);
+            s.load_full_batch(&TupleBatch::new(2, vec![1, 2, 8, 0]))
+                .unwrap();
+            let full = s.full_mut().unwrap();
+            full.index_on(&d, &[1]).unwrap();
+            full.index_on(&d, &[0]).unwrap();
+            full.sharded_index_on(&d, &[0], shards).unwrap();
+            s
+        };
         let d1: &[u32] = &[0, 7, 3, 3, 9, 1];
         let d2: &[u32] = &[2, 2, 4, 8];
+        // Serial reference: merge the two deltas one at a time.
+        let mut serial = prepared();
         for delta in [d1, d2] {
             serial
                 .set_delta_batch(&TupleBatch::from_sorted_unique_flat(2, delta.to_vec()))
@@ -1143,16 +1032,7 @@ mod tests {
             serial.merge_delta_into_full(&EbmConfig::default()).unwrap();
         }
         // Coalesced: same deltas as one deferred drain.
-        let mut coalesced = storage(&d);
-        coalesced
-            .load_full_batch(&TupleBatch::new(2, vec![1, 2, 8, 0]))
-            .unwrap();
-        let _ = coalesced.full_mut().unwrap().index_on(&d, &[1]).unwrap();
-        let _ = coalesced
-            .full_mut()
-            .unwrap()
-            .sharded_index_on(&d, &[0], NonZeroUsize::new(3).unwrap())
-            .unwrap();
+        let mut coalesced = prepared();
         let runs = vec![
             TupleBatch::from_sorted_unique_flat(2, d1.to_vec()),
             TupleBatch::from_sorted_unique_flat(2, d2.to_vec()),
@@ -1162,32 +1042,28 @@ mod tests {
             .unwrap()
             .merge_sorted_unique_runs(&d, &runs, &EbmConfig::default())
             .unwrap();
-        assert_eq!(serial.full().tuples_flat(), coalesced.full().tuples_flat());
-        assert_eq!(
-            serial.full().canonical().sorted_index(),
-            coalesced.full().canonical().sorted_index()
-        );
-        let s_idx = serial.full().existing_index(&[1]).unwrap();
-        let c_idx = coalesced.full().existing_index(&[1]).unwrap();
-        assert_eq!(s_idx.data(), c_idx.data());
-        assert_eq!(s_idx.sorted_index(), c_idx.sorted_index());
-        let shards = NonZeroUsize::new(3).unwrap();
-        let s_map = serial.full().existing_sharded_index(&[0], shards).unwrap();
-        let c_map = coalesced
-            .full()
-            .existing_sharded_index(&[0], shards)
-            .unwrap();
-        for (s, c) in s_map.iter().zip(c_map) {
-            assert_eq!(s.data(), c.data());
-            assert_eq!(s.sorted_index(), c.sorted_index());
-        }
+        let keys = serial.full().index_keys();
+        assert_eq!(keys, [(vec![0], 1), (vec![0], 3), (vec![1], 1)]);
+        assert_eq!(coalesced.full().index_keys(), keys);
+        let every_index = |s: &RelationStorage| {
+            let full = s.full();
+            let maps = keys.iter().map(|(key, width)| {
+                let width = NonZeroUsize::new(*width).unwrap();
+                full.existing_sharded_index(key, width).unwrap()
+            });
+            maps.chain([slice::from_ref(full.canonical())])
+                .flatten()
+                .map(|idx| (idx.data().to_vec(), idx.sorted_index().to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(every_index(&serial), every_index(&coalesced));
         // An all-empty drain is a no-op.
         coalesced
             .full_mut()
             .unwrap()
             .merge_sorted_unique_runs(&d, &[TupleBatch::empty(2)], &EbmConfig::default())
             .unwrap();
-        assert_eq!(serial.full().tuples_flat(), coalesced.full().tuples_flat());
+        assert_eq!(every_index(&serial), every_index(&coalesced));
     }
 
     #[test]
@@ -1214,14 +1090,8 @@ mod tests {
         assert_eq!(published.len(), 2);
         assert!(!s.full_is_shared(), "the merge detached the writer's copy");
         // The detached copy carried the secondary index along.
-        assert_eq!(
-            s.full()
-                .existing_index(&[1])
-                .unwrap()
-                .range_query(&[6])
-                .count(),
-            1
-        );
+        let secondary = s.full().existing_sharded_index(&[1], NonZeroUsize::MIN);
+        assert_eq!(secondary.unwrap()[0].range_query(&[6]).count(), 1);
         // take_full on a shared version deep-copies instead of moving.
         let republished = s.share_full();
         let taken = s.take_full().unwrap();

@@ -65,8 +65,8 @@ impl FixpointSnapshot {
         }
     }
 
-    /// The `(key columns, shard count)` of every index the relation's
-    /// version carries beside its canonical one, sorted (see
+    /// The `(key columns, width)` of every index the relation's version
+    /// carries beside its canonical one, sorted (see
     /// [`RelationVersion::index_keys`]); `None` for an unknown relation.
     pub fn index_keys(&self, relation: &str) -> Option<Vec<(Vec<usize>, usize)>> {
         self.relation(relation).map(RelationVersion::index_keys)
