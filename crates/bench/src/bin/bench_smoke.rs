@@ -3,11 +3,11 @@
 //! (one iteration per node, tiny deltas — the incremental index-maintenance
 //! hot path), and the two stratified workloads on hub graphs — a
 //! CSPA-style negated-filter REACH (`!Blocked` anti-joins) and
-//! shortest-path-via-`min` (grouped aggregate reduce) — in every backend — serial, sharded, pipelined (iteration
-//! overlap), and the simulated multi-GPU topologies (1 / 2 / 4 NVLink-like
+//! shortest-path-via-`min` (grouped aggregate reduce) — in every backend — serial, sharded, pipelined (deferred,
+//! coalesced merges), and the simulated multi-GPU topologies (1 / 2 / 4 NVLink-like
 //! devices) — checks that all backends agree on tuple counts, and writes
 //! per-backend medians **plus index-maintenance counters, the device phase
-//! breakdown, the pipelined overlap counters, and the multi-GPU modeling
+//! breakdown, the pipelined drain time, and the multi-GPU modeling
 //! columns** (per-device modeled time, cross-device exchange bytes, modeled
 //! BSP and pipelined critical paths, and speedup) to a JSON artifact so
 //! every PR records its perf trajectory. The merge-heavy chain leg doubles
@@ -53,10 +53,7 @@ struct SmokeRow {
     sort_ns: u64,
     merge_ns: u64,
     index_ns: u64,
-    /// Window during which a background merge was outstanding (pipelined
-    /// legs only; 0 elsewhere).
-    overlap_ns: u64,
-    /// Time spent blocked waiting on a deferred merge (pipelined legs only).
+    /// Time spent draining deferred merges (pipelined legs only).
     stall_ns: u64,
     /// Multi-GPU modeling report (topology legs only).
     topology: Option<TopologyReport>,
@@ -100,7 +97,7 @@ fn string_flag(args: &[String], flag: &str, default: &str) -> String {
 /// keys every `multigpu:*` row must carry. CI's schema-assert step (and
 /// the self-check after writing) fails if any row drops one, so new
 /// topology fields cannot silently regress.
-const ROW_KEYS: [&str; 14] = [
+const ROW_KEYS: [&str; 13] = [
     "\"query\"",
     "\"dataset\"",
     "\"backend\"",
@@ -113,7 +110,6 @@ const ROW_KEYS: [&str; 14] = [
     "\"hash_rebuilds\"",
     "\"sort_passes\"",
     "\"phase_nanos\"",
-    "\"overlap_nanos\"",
     "\"pipeline_stall_nanos\"",
 ];
 const TOPOLOGY_KEYS: [&str; 7] = [
@@ -379,7 +375,7 @@ fn main() {
             let mut iterations = 0usize;
             let mut counters = (0u64, 0u64, 0u64);
             let mut phase_ns = (0u64, 0u64, 0u64);
-            let mut overlap = (0u64, 0u64);
+            let mut stall_ns = 0u64;
             let mut topology: Option<TopologyReport> = None;
             for _ in 0..trials {
                 let device = gpulog_device(scale);
@@ -421,7 +417,7 @@ fn main() {
                 // derived from deterministic counters) are deterministic
                 // per configuration; the phase nanos wobble with the wall
                 // clock, so the artifact records the last trial of each.
-                overlap = (stats.overlap_nanos, stats.pipeline_stall_nanos);
+                stall_ns = stats.pipeline_stall_nanos;
                 topology = stats.topology;
                 let snap = device.metrics().snapshot();
                 counters = (snap.hash_inserts, snap.hash_rebuilds, snap.sort_passes);
@@ -445,8 +441,7 @@ fn main() {
                 sort_ns: phase_ns.0,
                 merge_ns: phase_ns.1,
                 index_ns: phase_ns.2,
-                overlap_ns: overlap.0,
-                stall_ns: overlap.1,
+                stall_ns,
                 topology,
             });
         }
@@ -517,8 +512,8 @@ fn main() {
             sharded.median_modeled_s
         );
         assert!(
-            pipelined.overlap_ns > 0,
-            "the pipelined chain leg must report a non-zero overlap window"
+            pipelined.stall_ns > 0,
+            "the pipelined chain leg must report its deferred-merge drains"
         );
     } else {
         println!("chain pipelined-vs-sharded gate skipped (reach-chain filtered out)");
@@ -626,7 +621,6 @@ fn main() {
         "Sort (ms)",
         "Merge (ms)",
         "Index (ms)",
-        "Overlap (ms)",
         "Stall (ms)",
     ]);
     for row in &rows {
@@ -640,7 +634,6 @@ fn main() {
             format!("{:.3}", row.sort_ns as f64 / 1e6),
             format!("{:.3}", row.merge_ns as f64 / 1e6),
             format!("{:.3}", row.index_ns as f64 / 1e6),
-            format!("{:.3}", row.overlap_ns as f64 / 1e6),
             format!("{:.3}", row.stall_ns as f64 / 1e6),
         ]);
     }
@@ -703,7 +696,7 @@ fn main() {
              \"median_wall_s\": {:.6}, \"median_modeled_s\": {:.6}, \
              \"hash_inserts\": {}, \"hash_rebuilds\": {}, \"sort_passes\": {}, \
              \"phase_nanos\": {{\"sort\": {}, \"merge\": {}, \"index\": {}}}, \
-             \"overlap_nanos\": {}, \"pipeline_stall_nanos\": {}, \
+             \"pipeline_stall_nanos\": {}, \
              \"topology\": {}}}{}\n",
             row.query,
             row.dataset,
@@ -719,7 +712,6 @@ fn main() {
             row.sort_ns,
             row.merge_ns,
             row.index_ns,
-            row.overlap_ns,
             row.stall_ns,
             topology_json(&row.topology),
             if i + 1 == rows.len() { "" } else { "," },

@@ -89,8 +89,8 @@ impl BackendSpec {
 
     /// Re-targets an engine configuration at this backend: sets the shard
     /// count, for `multigpu:N` installs an `N`-device NVLink-like
-    /// [`DeviceTopology`], and for `pipelined:N` enables iteration overlap
-    /// over `N` shards.
+    /// [`DeviceTopology`], and for `pipelined:N` enables deferred,
+    /// coalesced merging over `N` shards.
     pub fn configure(&self, mut config: EngineConfig) -> EngineConfig {
         config.shard_count = 1;
         match self {
@@ -108,7 +108,7 @@ impl BackendSpec {
 
 /// Parses a backend spec: `serial`, `sharded` (4 shards), `sharded:N`,
 /// `multigpu:N` (an `N`-device simulated NVLink-like topology), or
-/// `pipelined:N` (iteration overlap over `N` shards).
+/// `pipelined:N` (deferred, coalesced merging over `N` shards).
 ///
 /// # Errors
 ///

@@ -15,11 +15,10 @@
 //!   partition pass and no k-way merge, exactly reproducing the paper's
 //!   single-GPU evaluation loop.
 //! * **Merge policy.** Eager merging folds each delta into `full` as it is
-//!   installed (the bulk-synchronous loop). Deferred merging breaks the
-//!   per-iteration merge barrier: deltas install immediately while the
-//!   O(|full|) merge passes coalesce in relation storage and drain on the
-//!   device's background lane, overlapping the next iteration's joins (see
-//!   [`crate::relation::RelationStorage`]). Every op that reads a full
+//!   installed (the bulk-synchronous loop). Deferred merging installs each
+//!   delta at once but parks its merge in relation storage, which drains
+//!   several parked deltas into `full` in one coalesced merge, in place
+//!   (see [`crate::relation::RelationStorage`]). Every op that reads a full
 //!   version settles it first ([`EvalContext::settle`]).
 //! * **Observer.** With a simulated
 //!   [`gpulog_device::topology::DeviceTopology`] configured, a cost model
@@ -63,15 +62,16 @@ pub struct EvalContext<'a> {
 }
 
 impl EvalContext<'_> {
-    /// Settles one relation before its full version is read: joins its
-    /// in-flight background merge and folds its pending delta runs in (see
-    /// [`RelationStorage`]'s deferred merging), charging the wait and the
-    /// fold to the merge phase. A settled relation costs one emptiness
-    /// check and is left untouched.
+    /// Settles one relation before its full version is read: drains its
+    /// pending delta runs into full in one coalesced merge (see
+    /// [`RelationStorage`]'s deferred merging), charging the drain to the
+    /// merge phase. A settled relation costs one emptiness check and is
+    /// left untouched.
     ///
     /// # Errors
     ///
-    /// Returns a device error if the merge does not fit.
+    /// Returns a device error if the merge does not fit; the runs then stay
+    /// pending.
     pub fn settle(&mut self, relation: RelId) -> EngineResult<()> {
         let storage = &mut self.relations[relation];
         if storage.is_settled() {

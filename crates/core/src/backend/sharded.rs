@@ -54,10 +54,10 @@
 //! `full` at once. Under [`MergePolicy::Deferred`] it deduplicates against
 //! the lagging full, subtracts the relation's pending runs, installs the
 //! delta, and hands the merge to relation storage
-//! ([`crate::relation::RelationStorage`] owns the deferral). The op loop
-//! settles a relation wherever it reads a full version — a full scan, the
-//! anti-join probe, and every full shard-map build — so no op ever sees a
-//! lagging or in-flight full.
+//! ([`crate::relation::RelationStorage`] owns the deferral and drains the
+//! parked runs in place, coalesced). The op loop settles a relation
+//! wherever it reads a full version — a full scan, the anti-join probe, and
+//! every full shard-map build — so no op ever sees a lagging full.
 //!
 //! ## Observing the executor
 //!
@@ -177,7 +177,7 @@ pub(super) enum MergePolicy {
     /// At once: the bulk-synchronous loop.
     Eager,
     /// Parked as a pending run in relation storage and drained in
-    /// coalesced background merges (iteration overlap).
+    /// coalesced merges, fewer O(|full|) passes than one per delta.
     Deferred,
 }
 
@@ -224,8 +224,8 @@ impl ShardedBackend {
     /// Returns [`EngineError::InvalidShardCount`] for a zero shard count,
     /// and [`EngineError::Validation`] when a shard count above one
     /// conflicts with the pipelined shard count or the topology's device
-    /// count (each shard pins to exactly one device), or when overlap is
-    /// combined with a topology.
+    /// count (each shard pins to exactly one device), or when deferred
+    /// merging is combined with a topology.
     pub fn from_config(config: &EngineConfig) -> EngineResult<Self> {
         let shards = NonZeroUsize::new(config.shard_count)
             .ok_or(EngineError::InvalidShardCount { shards: 0 })?;
@@ -234,8 +234,8 @@ impl ShardedBackend {
         if let Some(pipelined) = NonZeroUsize::new(config.pipelined) {
             if config.device_topology.is_some() {
                 return invalid(
-                    "a device topology cannot be combined with pipelined overlap \
-                     (the exchange is bulk-synchronous by construction)"
+                    "a device topology cannot be combined with pipelined (deferred) \
+                     merging (the exchange is bulk-synchronous by construction)"
                         .into(),
                 );
             }
@@ -652,12 +652,6 @@ impl ShardedBackend {
         relation: RelId,
         obs: &dyn ShardObserver,
     ) -> EngineResult<PopulateOutcome> {
-        // While a deferred merge is in flight the stored full is a
-        // placeholder: join it before deduplicating against full.
-        let t = Instant::now();
-        if ctx.relations[relation].join_merge()? {
-            ctx.stats.add_phase(Phase::Merge, t.elapsed());
-        }
         let device = ctx.device;
         let ebm = ctx.ebm;
         let storage = &mut ctx.relations[relation];
@@ -694,18 +688,15 @@ impl ShardedBackend {
             new_rows,
             delta_rows: delta.len(),
         };
+        // The canonical full store merges serially (it is the authoritative
+        // unsharded tuple array); every cached shard map merges its own
+        // delta slice in a parallel epoch inside the merge.
+        let t = Instant::now();
         match self.merge {
-            // The canonical full store merges serially (it is the
-            // authoritative unsharded tuple array); every cached shard map
-            // merges its own delta slice in a parallel epoch inside
-            // `merge_delta_into_full`.
-            MergePolicy::Eager => {
-                let t = Instant::now();
-                storage.merge_delta_into_full(&ebm)?;
-                ctx.stats.add_phase(Phase::Merge, t.elapsed());
-            }
+            MergePolicy::Eager => storage.merge_delta_into_full(&ebm)?,
             MergePolicy::Deferred => storage.defer_merge(delta, &ebm)?,
         }
+        ctx.stats.add_phase(Phase::Merge, t.elapsed());
         Ok(outcome)
     }
 }
@@ -1288,15 +1279,13 @@ mod tests {
         let mut rels = vec![RelationStorage::new(&d, "R", 2, DEFAULT_LOAD_FACTOR).unwrap()];
         let pipelined = deferred(2);
         let mut stats = RunStats::default();
-        // Two rounds leave a merge in flight (full swapped for an empty
-        // placeholder until joined).
-        for new in [&[1u32, 2, 3, 4][..], &[5, 6][..]] {
-            rels[0].push_new(new);
-            pipelined
-                .populate(&mut context(&d, &mut rels, &mut stats), 0)
-                .unwrap();
-        }
+        // One round leaves its delta pending: a drain waits for two runs.
+        rels[0].push_new(&[1, 2, 3, 4, 5, 6]);
+        pipelined
+            .populate(&mut context(&d, &mut rels, &mut stats), 0)
+            .unwrap();
         assert!(!rels[0].is_settled());
+        assert_eq!(rels[0].len(), 0, "the stored full lags by the run");
         let scan = RaPipeline {
             head: 0,
             ops: vec![full_scan(0)],
@@ -1308,8 +1297,7 @@ mod tests {
         assert_eq!(outcome.derived_rows, 3, "scan must see the settled full");
         assert!(rels[0].is_settled());
         assert_eq!(rels[0].len(), 3);
-        assert!(d.metrics().snapshot().overlap_nanos > 0);
-        assert_eq!(d.metrics().snapshot().epochs_in_flight, 0);
+        assert!(d.metrics().snapshot().pipeline_stall_nanos > 0);
     }
 
     /// Settling a relation with nothing pending must leave its full

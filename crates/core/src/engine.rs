@@ -73,12 +73,12 @@ pub struct EngineConfig {
     /// time, cross-device exchange bytes, and the modeled critical path. A
     /// `shard_count` above one must match the topology's device count.
     pub device_topology: Option<DeviceTopology>,
-    /// Iteration overlap: zero (the default) merges every delta into full
+    /// Deferred merging: zero (the default) merges every delta into full
     /// as it is installed; a positive count makes the executor run over
-    /// that many hash partitions with deferred merging, draining delta
-    /// merges on the device's background lane behind the next iteration's
-    /// joins. A `shard_count` above one must match, and a device topology
-    /// cannot be combined with overlap.
+    /// that many hash partitions with deferred, coalesced merges — deltas
+    /// park in relation storage and drain into full several at a time, in
+    /// place, paying fewer O(|full|) merge passes. A `shard_count` above
+    /// one must match, and a device topology cannot be combined with it.
     pub pipelined: usize,
     /// How lint findings are treated when the engine is built from source
     /// or an AST: [`LintLevel::Warn`] (the default) collects them into
@@ -264,9 +264,9 @@ impl<'d> EngineBuilder<'d> {
         self
     }
 
-    /// Enables iteration overlap over `shards` hash partitions: the
-    /// executor defers delta merges to the background lane. Zero keeps
-    /// bulk-synchronous evaluation.
+    /// Enables deferred, coalesced merging over `shards` hash partitions
+    /// ([`EngineConfig::pipelined`]): deltas park in relation storage and
+    /// drain into full several at a time. Zero merges every delta at once.
     #[must_use]
     pub fn pipelined(mut self, shards: usize) -> Self {
         self.config.pipelined = shards;
@@ -730,13 +730,12 @@ impl GpulogEngine {
         // against it); each stratum below then evaluates only what the
         // change implies.
         let t = Instant::now();
-        let fact_buffers = std::mem::replace(
-            &mut self.pending_facts,
-            vec![Vec::new(); self.relations.len()],
-        );
         let first_load = !self.loaded;
         if first_load {
-            let mut fact_buffers = fact_buffers;
+            let mut fact_buffers = std::mem::replace(
+                &mut self.pending_facts,
+                vec![Vec::new(); self.relations.len()],
+            );
             for (rel, tuple) in &self.compiled.facts {
                 fact_buffers[*rel].extend_from_slice(tuple);
             }
@@ -752,22 +751,22 @@ impl GpulogEngine {
             self.loaded = true;
         } else {
             self.settle_all(&mut stats)?;
-            for (rel, buffer) in fact_buffers.into_iter().enumerate() {
-                if buffer.is_empty() {
+            // Each relation's staged facts leave the staging area only once
+            // merged, so a failed merge keeps them (and every later
+            // relation's) for the next run.
+            for rel in 0..self.relations.len() {
+                if self.pending_facts[rel].is_empty() {
                     continue;
                 }
-                let batch = TupleBatch::new(self.compiled.arities[rel], buffer);
-                let delta =
-                    difference_batch(&self.device, &batch, self.relations[rel].full().canonical());
+                let staged = std::mem::take(&mut self.pending_facts[rel]);
+                let batch = TupleBatch::new(self.compiled.arities[rel], staged);
+                if let Err(err) = self.merge_staged_facts(rel, &batch) {
+                    self.pending_facts[rel] = batch.into_flat();
+                    return Err(err);
+                }
                 if let Some(kept) = &mut self.derived_facts[rel] {
                     kept.extend_from_slice(batch.as_flat());
                 }
-                if delta.is_empty() {
-                    continue;
-                }
-                self.relations[rel].set_delta_batch(&delta)?;
-                self.relations[rel].merge_delta_into_full(&self.config.ebm)?;
-                self.relations[rel].clear_delta()?;
             }
         }
         stats.add_phase(Phase::Other, t.elapsed());
@@ -816,7 +815,7 @@ impl GpulogEngine {
             };
             // The engine is about to read relation storage directly (delta
             // seeding below, or the next stratum's scans of this one's
-            // outputs): settle any merge still deferred or in flight.
+            // outputs): settle any merge still deferred.
             self.settle_all(&mut stats)?;
 
             if *iterates {
@@ -859,8 +858,6 @@ impl GpulogEngine {
         let counters_after = self.device.metrics().snapshot();
         let run_counters = counters_after.since(&counters_before);
         stats.modeled = self.device.cost_model().estimate(&run_counters);
-        stats.epochs_in_flight = run_counters.peak_epochs_in_flight;
-        stats.overlap_nanos = run_counters.overlap_nanos;
         stats.pipeline_stall_nanos = run_counters.pipeline_stall_nanos;
         stats.adaptive_merge_batches = run_counters.adaptive_merge_batches;
         stats.topology = match (topology_before, self.backend.topology_report()) {
@@ -1063,6 +1060,19 @@ impl GpulogEngine {
                       program"
                     .into(),
             })
+    }
+
+    /// Merges one relation's staged facts into its full version,
+    /// deduplicated against it.
+    fn merge_staged_facts(&mut self, rel: RelId, batch: &TupleBatch) -> EngineResult<()> {
+        let storage = &mut self.relations[rel];
+        let delta = difference_batch(&self.device, batch, storage.full().canonical());
+        if delta.is_empty() {
+            return Ok(());
+        }
+        storage.set_delta_batch(&delta)?;
+        storage.merge_delta_into_full(&self.config.ebm)?;
+        storage.clear_delta()
     }
 
     /// How a re-run evaluates a stratum, given what the strata below it
@@ -1652,39 +1662,40 @@ mod tests {
         assert!(matches!(with_topology, Err(EngineError::Validation { .. })));
     }
 
+    /// Deferred merging at one shard differs from the default engine only
+    /// in when deltas merge, so on a chain — one small delta per iteration
+    /// against a growing full — its coalesced drains must stream fewer
+    /// device bytes than one O(|full|) merge per delta, for the same
+    /// fixpoint byte for byte.
     #[test]
-    fn pipelined_fixpoints_match_serial_and_report_overlap() {
-        let d = device();
-        let mut serial = GpulogEngine::builder(&d).program(REACH).build().unwrap();
-        serial
-            .add_facts("Edge", [[0u32, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
-            .unwrap();
-        let serial_stats = serial.run().unwrap();
-        let cfg = EngineConfig {
-            pipelined: 2,
-            ..EngineConfig::default()
+    fn pipelined_fixpoints_match_serial_with_coalesced_merges() {
+        let run = |pipelined: usize| {
+            let d = device();
+            let config = EngineConfig {
+                pipelined,
+                ..EngineConfig::default()
+            };
+            let mut e = GpulogEngine::builder(&d)
+                .program(REACH)
+                .config(config)
+                .build()
+                .unwrap();
+            e.add_facts("Edge", (0..40u32).map(|i| [i, i + 1])).unwrap();
+            let stats = e.run().unwrap();
+            let flat = e.relation_batch("Reach").unwrap().into_flat();
+            (flat, stats, d.metrics().snapshot().bytes_moved())
         };
-        let mut pipelined = GpulogEngine::builder(&d)
-            .program(REACH)
-            .config(cfg)
-            .build()
-            .unwrap();
-        pipelined
-            .add_facts("Edge", [[0u32, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
-            .unwrap();
-        let stats = pipelined.run().unwrap();
-        assert_eq!(
-            pipelined.relation_batch("Reach").unwrap().as_flat(),
-            serial.relation_batch("Reach").unwrap().as_flat(),
-            "pipelined fixpoint must match serial byte-for-byte"
-        );
+        let (serial, serial_stats, serial_bytes) = run(0);
+        let (pipelined, stats, pipelined_bytes) = run(1);
+        assert_eq!(pipelined, serial, "fixpoints must match byte for byte");
         assert_eq!(stats.iterations, serial_stats.iterations);
-        // The chain needs enough iterations to defer at least one merge
-        // behind the next iteration's joins.
-        assert!(stats.overlap_nanos > 0, "a merge must have been deferred");
-        assert!(stats.epochs_in_flight >= 1);
-        assert_eq!(serial_stats.overlap_nanos, 0);
-        assert_eq!(serial_stats.epochs_in_flight, 0);
+        assert!(stats.adaptive_merge_batches > 0, "drains must coalesce");
+        assert!(stats.pipeline_stall_nanos > 0, "drains run in place");
+        assert_eq!(serial_stats.pipeline_stall_nanos, 0);
+        assert!(
+            pipelined_bytes < serial_bytes,
+            "{pipelined_bytes} >= {serial_bytes} bytes: deferral saved no merge pass"
+        );
     }
 
     #[test]

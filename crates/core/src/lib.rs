@@ -42,11 +42,10 @@
 //!      runs operator-at-a-time on one simulated device with no partition
 //!      pass;
 //!    * *merge policy* ([`EngineConfig::pipelined`], the builder's
-//!      `.pipelined(..)`): deferred merging breaks the per-iteration
-//!      barrier — delta merges coalesce in relation storage and drain on
-//!      the device's background lane, so iteration *k+1*'s joins overlap
-//!      iteration *k*'s merge (reported through [`RunStats`]'s
-//!      `overlap_nanos` / `pipeline_stall_nanos` / `epochs_in_flight`);
+//!      `.pipelined(..)`): deferred merging parks each delta in relation
+//!      storage and drains several into full at once, in place, so the
+//!      O(|full|) merge passes coalesce (the drain time is reported as
+//!      [`RunStats`]'s `pipeline_stall_nanos`);
 //!    * *observer* ([`EngineConfig::device_topology`]): a cost model
 //!      pins shard `i` to modeled device `i` of a [`DeviceTopology`],
 //!      charges the kernels the loop ran to per-device counters, and
@@ -77,13 +76,12 @@
 //!     .build()?;
 //! assert_eq!(engine.backend().name(), "sharded");
 //! assert_eq!(engine.config().shard_count, 4);
-//! // Or overlap iterations: delta merges run in the background while the
-//! // next iteration's joins execute.
-//! let overlapped = GpulogEngine::builder(&device)
+//! // Or defer merges: deltas drain into full several at a time.
+//! let deferred = GpulogEngine::builder(&device)
 //!     .program(src)
 //!     .pipelined(4)
 //!     .build()?;
-//! assert_eq!(overlapped.backend().name(), "pipelined");
+//! assert_eq!(deferred.backend().name(), "pipelined");
 //! // A whole configuration can be passed as one plain value instead.
 //! let config = EngineConfig { shard_count: 2, ..EngineConfig::default() };
 //! let sharded = GpulogEngine::builder(&device).program(src).config(config).build()?;

@@ -47,6 +47,17 @@ pub enum ColumnSource {
     Const(u32),
 }
 
+impl ColumnSource {
+    /// The value this source takes in `row`.
+    #[inline]
+    pub fn resolve(self, row: &[u32]) -> u32 {
+        match self {
+            ColumnSource::Col(c) => row[c],
+            ColumnSource::Const(v) => v,
+        }
+    }
+}
+
 /// A value source when emitting a joined tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmitSource {
@@ -224,14 +235,6 @@ impl CompiledProgram {
     /// Looks up a relation id by name.
     pub fn relation_id(&self, name: &str) -> Option<RelId> {
         self.relation_names.iter().position(|n| n == name)
-    }
-
-    /// Total number of rule plans (all versions) across all strata.
-    pub fn plan_count(&self) -> usize {
-        self.strata
-            .iter()
-            .map(|s| s.non_recursive.len() + s.recursive.len())
-            .sum()
     }
 }
 
@@ -1009,7 +1012,11 @@ mod tests {
         );
         assert_eq!(c.facts.len(), 2);
         assert_eq!(c.facts[0].1, vec![1, 2]);
-        assert_eq!(c.plan_count(), 1);
+        let plans = c
+            .strata
+            .iter()
+            .map(|s| s.non_recursive.len() + s.recursive.len());
+        assert_eq!(plans.sum::<usize>(), 1);
     }
 
     #[test]

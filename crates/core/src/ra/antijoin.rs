@@ -15,14 +15,6 @@ use gpulog_device::thrust::scan::exclusive_scan_offsets;
 use gpulog_device::Device;
 use gpulog_hisa::{Hisa, TupleBatch};
 
-/// Resolves a [`ColumnSource`] against one row.
-fn resolve(src: ColumnSource, row: &[u32]) -> u32 {
-    match src {
-        ColumnSource::Col(c) => row[c],
-        ColumnSource::Const(v) => v,
-    }
-}
-
 /// Keeps the rows of a batch whose probe tuple is absent from `existing`.
 /// Row order is preserved, though the result does not carry the input's
 /// sorted-unique flag.
@@ -50,7 +42,7 @@ pub fn anti_join_batch(
     device.metrics().add_bytes_read((data.len() * 4) as u64);
     let keep: Vec<usize> = device.executor().map_collect(rows, |r| {
         let row = &data[r * arity..(r + 1) * arity];
-        let tuple: Vec<u32> = probe.iter().map(|&src| resolve(src, row)).collect();
+        let tuple: Vec<u32> = probe.iter().map(|&src| src.resolve(row)).collect();
         usize::from(!existing.contains(&tuple))
     });
     let value_counts: Vec<usize> = keep.iter().map(|&k| k * arity).collect();

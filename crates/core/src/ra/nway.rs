@@ -36,17 +36,10 @@ pub struct FusedLevel<'a> {
     pub filters: &'a [FilterStep],
 }
 
-fn resolve(src: ColumnSource, row: &[u32]) -> u32 {
-    match src {
-        ColumnSource::Col(c) => row[c],
-        ColumnSource::Const(v) => v,
-    }
-}
-
 fn passes(filters: &[FilterStep], row: &[u32]) -> bool {
     filters
         .iter()
-        .all(|f| f.op.eval(resolve(f.left, row), resolve(f.right, row)))
+        .all(|f| f.op.eval(f.left.resolve(row), f.right.resolve(row)))
 }
 
 fn orig_to_reordered(inner: &Hisa) -> Vec<usize> {
@@ -153,7 +146,7 @@ pub fn fused_rule_join_batch(
             let mut cursor = 0usize;
             walk_levels(levels, &col_maps, 0, row, &mut |final_row| {
                 for &src in head_proj {
-                    slots[cursor] = resolve(src, final_row);
+                    slots[cursor] = src.resolve(final_row);
                     cursor += 1;
                 }
             });

@@ -19,14 +19,6 @@ pub(crate) fn batch_from_flat(arity: usize, flat: Vec<u32>) -> TupleBatch {
     }
 }
 
-/// Resolves a [`ColumnSource`] against one row.
-fn resolve(src: ColumnSource, row: &[u32]) -> u32 {
-    match src {
-        ColumnSource::Col(c) => row[c],
-        ColumnSource::Const(v) => v,
-    }
-}
-
 /// Projects each row of a batch onto `out_cols`.
 ///
 /// # Panics
@@ -44,7 +36,7 @@ pub fn project_batch(device: &Device, batch: &TupleBatch, out_cols: &[ColumnSour
     device.executor().fill(&mut out, |slot| {
         let row = slot / out_arity;
         let col = slot % out_arity;
-        resolve(out_cols[col], &data[row * arity..(row + 1) * arity])
+        out_cols[col].resolve(&data[row * arity..(row + 1) * arity])
     });
     batch_from_flat(out_arity, out)
 }
@@ -63,7 +55,7 @@ pub fn filter_batch(device: &Device, batch: &TupleBatch, filters: &[FilterStep])
         usize::from(
             filters
                 .iter()
-                .all(|f| f.op.eval(resolve(f.left, row), resolve(f.right, row))),
+                .all(|f| f.op.eval(f.left.resolve(row), f.right.resolve(row))),
         )
     });
     let value_counts: Vec<usize> = keep.iter().map(|&k| k * arity).collect();

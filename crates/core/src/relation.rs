@@ -5,7 +5,7 @@
 use crate::ebm::EbmConfig;
 use crate::error::EngineResult;
 use crate::planner::VersionSel;
-use gpulog_device::{Device, JobHandle};
+use gpulog_device::Device;
 use gpulog_hisa::{
     partition_flat_by_key_hash, rows_are_sorted_unique, Hisa, IndexSpec, TupleBatch,
 };
@@ -15,7 +15,7 @@ use std::slice;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How many deferred delta runs trigger a background merge. Two runs per
+/// How many deferred delta runs trigger a drain. Two runs per
 /// drain halves the number of O(|full|) merge passes while keeping at most
 /// one iteration's delta un-probed-against-full at any time.
 const MERGE_BATCH: usize = 2;
@@ -200,11 +200,6 @@ impl RelationVersion {
         self.canonical.device_bytes() + indices.map(Hisa::device_bytes).sum::<usize>()
     }
 
-    /// Drops every index but the canonical one (they are rebuilt lazily).
-    pub fn clear_secondary_indices(&mut self) {
-        self.indices.clear();
-    }
-
     /// Deep-copies the version — canonical index and every other index —
     /// onto fresh device buffers. This is the copy-on-write detach behind
     /// snapshot publication: once a full version has been shared with
@@ -247,7 +242,10 @@ impl RelationVersion {
     ///
     /// # Errors
     ///
-    /// Returns a device error if the merged relation does not fit.
+    /// Returns a device error if the merged relation does not fit. The
+    /// canonical index then either holds exactly its old rows or has
+    /// absorbed every run; in the second case every other index is dropped
+    /// (they rebuild lazily), so no index is left lagging the canonical one.
     fn merge_runs(
         &mut self,
         device: &Device,
@@ -274,30 +272,37 @@ impl RelationVersion {
             let spec = target.spec().clone();
             absorb(target, &index_runs(device, spec, slices, load_factor)?)
         };
-        for ((key_cols, width), shards) in &mut self.indices {
-            if *width == 1 {
-                merge(&mut shards[0], runs)?;
-                continue;
-            }
-            let width = NonZeroUsize::new(*width).expect("index maps are non-empty");
-            let mut slices: Vec<Vec<Vec<u32>>> = vec![Vec::new(); width.get()];
-            for run in runs {
-                let parts = partition_flat_by_key_hash(run, arity, key_cols, width);
-                for (shard, part) in parts.into_iter().enumerate() {
-                    if !part.is_empty() {
-                        slices[shard].push(part);
+        let merged = self
+            .indices
+            .iter_mut()
+            .try_for_each(|((key_cols, width), shards)| {
+                if *width == 1 {
+                    return merge(&mut shards[0], runs);
+                }
+                let width = NonZeroUsize::new(*width).expect("index maps are non-empty");
+                let mut slices: Vec<Vec<Vec<u32>>> = vec![Vec::new(); width.get()];
+                for run in runs {
+                    let parts = partition_flat_by_key_hash(run, arity, key_cols, width);
+                    for (shard, part) in parts.into_iter().enumerate() {
+                        if !part.is_empty() {
+                            slices[shard].push(part);
+                        }
                     }
                 }
-            }
-            let jobs: Vec<_> = shards
-                .iter_mut()
-                .zip(slices)
-                .filter(|(_, slices)| !slices.is_empty())
-                .collect();
-            per_shard(device, jobs, |(target, slices)| {
-                let slices: Vec<&[u32]> = slices.iter().map(Vec::as_slice).collect();
-                merge(target, &slices)
-            })?;
+                let jobs: Vec<_> = shards
+                    .iter_mut()
+                    .zip(slices)
+                    .filter(|(_, slices)| !slices.is_empty())
+                    .collect();
+                per_shard(device, jobs, |(target, slices)| {
+                    let slices: Vec<&[u32]> = slices.iter().map(Vec::as_slice).collect();
+                    merge(target, &slices)
+                })
+                .map(|_| ())
+            });
+        if merged.is_err() {
+            self.indices.clear();
+            return merged;
         }
         if !ebm.enabled {
             self.canonical.shrink_to_fit();
@@ -316,10 +321,6 @@ impl RelationVersion {
     /// once per drain instead of once per delta; merge associativity (the
     /// runs' rows are globally distinct) keeps the result byte-identical
     /// to merging the runs one at a time.
-    ///
-    /// This takes `&mut self` on the version — not the storage — so the
-    /// storage can move the full version onto the device's background lane
-    /// while the foreground keeps evaluating.
     ///
     /// # Errors
     ///
@@ -409,25 +410,24 @@ fn is_canonical_key(key_cols: &[usize], arity: usize) -> bool {
 /// The `full` version is held behind an [`Arc`] so a completed fixpoint can
 /// be *published* — shared with concurrent readers at zero copy cost via
 /// [`RelationStorage::share_full`] — while the writer keeps evaluating.
-/// Every mutating path goes through [`RelationStorage::full_mut`] (or the
-/// deferred merge's private swap), which detach (deep-copy) the version
-/// first if a published snapshot still holds a reference, so readers never
-/// observe a torn merge.
+/// Every mutating path detaches (deep-copies) the version first if a
+/// published snapshot still holds a reference, so readers never observe a
+/// torn merge.
 ///
 /// ## Deferred merging
 ///
 /// Under the executor's deferred merge policy a delta is not merged into
 /// `full` when it is installed: storage parks it as a sorted-unique
-/// *pending run*, and once enough runs accumulate the full version moves
-/// onto the device's background lane ([`Device::submit_background`]) and
-/// every pending run merges there in one coalesced pass, while the
-/// foreground evaluates the next iteration. The stored full then lags
-/// (pending runs) or is an empty placeholder (a merge in flight). The one
-/// readiness rule: **settle before reading `full`** — settling
-/// ([`crate::backend::EvalContext::settle`]) joins the in-flight merge and
-/// folds the pending runs in, after which storage holds exactly what eager
-/// merging would. A settled relation is left untouched, so settling costs
-/// one emptiness check on the eager path.
+/// *pending run*, and once enough runs accumulate it drains them all into
+/// `full` in one coalesced merge, in place on the calling thread. What
+/// deferral buys is fewer O(|full|) merge passes, not concurrency. The
+/// stored full lags by the pending runs, so the one readiness rule is:
+/// **settle before reading `full`** — settling
+/// ([`crate::backend::EvalContext::settle`]) drains the pending runs, after
+/// which storage holds exactly what eager merging would. A settled relation
+/// is left untouched, so settling costs one emptiness check on the eager
+/// path. A drain that runs out of device memory keeps its runs pending
+/// (unless the canonical index already absorbed them), so no row is lost.
 #[derive(Debug)]
 pub struct RelationStorage {
     /// Relation name (for reporting).
@@ -444,9 +444,6 @@ pub struct RelationStorage {
     /// Sorted-unique delta runs whose merge into `full` is deferred:
     /// pairwise disjoint, disjoint from the stored full, in iteration order.
     pending: Vec<TupleBatch>,
-    /// The full version, moved onto the background lane mid-merge. While
-    /// this is `Some`, `full` is an empty placeholder and must not be read.
-    inflight: Option<JobHandle<EngineResult<RelationVersion>>>,
     device: Device,
     load_factor: f64,
 }
@@ -465,7 +462,6 @@ impl RelationStorage {
             delta: RelationVersion::empty(device, arity, load_factor)?,
             new_tuples: Vec::new(),
             pending: Vec::new(),
-            inflight: None,
             device: device.clone(),
             load_factor,
         })
@@ -497,11 +493,6 @@ impl RelationStorage {
     /// Read access to the full version. With merges deferred it may lag by
     /// the pending runs; settle first for the complete version.
     pub fn full(&self) -> &RelationVersion {
-        debug_assert!(
-            self.inflight.is_none(),
-            "{}: full read mid-merge",
-            self.name
-        );
         &self.full
     }
 
@@ -509,11 +500,6 @@ impl RelationStorage {
     /// primitive. Cloning the [`Arc`] is O(1); the engine bundles one per
     /// relation into a `FixpointSnapshot` after settling every relation.
     pub fn share_full(&self) -> Arc<RelationVersion> {
-        debug_assert!(
-            self.inflight.is_none(),
-            "{}: full shared mid-merge",
-            self.name
-        );
         Arc::clone(&self.full)
     }
 
@@ -546,74 +532,41 @@ impl RelationStorage {
         Ok(())
     }
 
-    /// Moves the full version out, leaving an empty placeholder — the swap
-    /// behind a background merge. A version still shared with a snapshot
-    /// is deep-copied instead of moved, so the snapshot keeps its data. The
-    /// copy and the placeholder are allocated before the swap, so a failed
-    /// allocation leaves the stored full untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns a device error if the placeholder (or a detach copy) cannot
-    /// be allocated.
-    fn take_full(&mut self) -> EngineResult<RelationVersion> {
-        let copy = match Arc::get_mut(&mut self.full) {
-            Some(_) => None,
-            None => Some(self.full.try_clone()?),
-        };
-        let placeholder = RelationVersion::empty(&self.device, self.arity, self.load_factor)?;
-        let taken = std::mem::replace(&mut self.full, Arc::new(placeholder));
-        Ok(copy.unwrap_or_else(|| Arc::try_unwrap(taken).expect("full version is unique")))
-    }
-
-    /// Whether no merge is pending or in flight: the stored full is
-    /// exactly what eager merging would hold.
+    /// Whether no merge is pending: the stored full is exactly what eager
+    /// merging would hold.
     pub fn is_settled(&self) -> bool {
-        self.pending.is_empty() && self.inflight.is_none()
+        self.pending.is_empty()
     }
 
-    /// Joins the in-flight background merge, if any, and installs the
-    /// merged full version. Runs deferred since its submission stay
-    /// pending. Charges the job's outstanding window (submission to this
-    /// call) to the device's overlap counter and the blocking remainder to
-    /// its stall counter. Returns whether a merge was joined.
+    /// Brings the stored full up to date by draining the pending runs. A
+    /// relation with nothing pending never touches `full`, so a version
+    /// shared with a snapshot is not copied.
     ///
     /// # Errors
     ///
-    /// Returns the background merge's device error.
-    pub(crate) fn join_merge(&mut self) -> EngineResult<bool> {
-        let Some(handle) = self.inflight.take() else {
-            return Ok(false);
-        };
-        let metrics = self.device.metrics();
-        let drain_begin = Instant::now();
-        metrics
-            .add_overlap_nanos(drain_begin.duration_since(handle.submitted_at()).as_nanos() as u64);
-        let full = handle.wait()?;
-        metrics.add_pipeline_stall_nanos(drain_begin.elapsed().as_nanos() as u64);
-        self.full = Arc::new(full);
-        Ok(true)
-    }
-
-    /// Brings the stored full up to date: joins the in-flight merge and
-    /// folds the pending runs in with one coalesced merge. A relation with
-    /// nothing pending never touches `full`, so a version shared with a
-    /// snapshot is not copied.
-    ///
-    /// # Errors
-    ///
-    /// Returns a device error if the merge does not fit.
+    /// Returns a device error if the merge does not fit; the runs then stay
+    /// pending for a retry.
     pub(crate) fn settle(&mut self, ebm: &EbmConfig) -> EngineResult<()> {
-        self.join_merge()?;
-        if !self.pending.is_empty() {
-            // Detach before taking the runs: a detach copy that does not
-            // fit must leave them pending for a retry.
-            self.detach_full()?;
-            let runs = std::mem::take(&mut self.pending);
-            let full = Arc::get_mut(&mut self.full).expect("full version is unique after detach");
-            full.merge_sorted_unique_runs(&self.device, &runs, ebm)?;
+        if self.pending.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let start = Instant::now();
+        // Detach before touching the runs: a detach copy that does not fit
+        // must leave them pending for a retry.
+        self.detach_full()?;
+        let full = Arc::get_mut(&mut self.full).expect("full version is unique after detach");
+        let rows_before = full.len();
+        let merged = full.merge_sorted_unique_runs(&self.device, &self.pending, ebm);
+        // A failed merge leaves the canonical index either untouched (the
+        // runs stay pending) or holding every run (a secondary index failed
+        // after it and was dropped); the runs are disjoint from full, so
+        // the row count tells the two apart.
+        if merged.is_ok() || full.len() > rows_before {
+            self.pending.clear();
+        }
+        let stalled = start.elapsed().as_nanos() as u64;
+        self.device.metrics().add_pipeline_stall_nanos(stalled);
+        merged
     }
 
     /// `delta` minus every pending run. For a delta already deduplicated
@@ -632,22 +585,17 @@ impl RelationStorage {
 
     /// Defers merging `delta` — the sorted-unique delta just installed —
     /// into full: parks it as a pending run, and once [`MERGE_BATCH`] runs
-    /// are parked moves full onto the background lane and merges them all
-    /// there in one pass. While the pending rows are still tiny next to
-    /// |full| ([`ADAPTIVE_RATIO`]) a drain would stream the whole version to
-    /// fold in almost nothing, so deferral continues up to
-    /// [`MAX_MERGE_BATCH`] runs. The in-flight merge must have been joined.
+    /// are parked drains them all in one pass ([`RelationStorage::settle`]).
+    /// While the pending rows are still tiny next to |full|
+    /// ([`ADAPTIVE_RATIO`]) a drain would stream the whole version to fold
+    /// in almost nothing, so deferral continues up to [`MAX_MERGE_BATCH`]
+    /// runs.
     ///
     /// # Errors
     ///
-    /// Returns a device error if the placeholder (or a detach copy) cannot
-    /// be allocated.
+    /// Returns a device error if the drain does not fit; the runs then stay
+    /// pending.
     pub(crate) fn defer_merge(&mut self, delta: TupleBatch, ebm: &EbmConfig) -> EngineResult<()> {
-        debug_assert!(
-            self.inflight.is_none(),
-            "{}: merge already in flight",
-            self.name
-        );
         if !delta.is_empty() {
             self.pending.push(delta);
         }
@@ -661,14 +609,7 @@ impl RelationStorage {
             self.device.metrics().add_adaptive_merge_batch();
             return Ok(());
         }
-        let mut full = self.take_full()?;
-        let runs = std::mem::take(&mut self.pending);
-        let (device, ebm) = (self.device.clone(), *ebm);
-        self.inflight = Some(self.device.submit_background(move || {
-            full.merge_sorted_unique_runs(&device, &runs, &ebm)
-                .map(|()| full)
-        }));
-        Ok(())
+        self.settle(ebm)
     }
 
     /// Number of tuples in the full relation.
@@ -1092,11 +1033,6 @@ mod tests {
         // The detached copy carried the secondary index along.
         let secondary = s.full().existing_sharded_index(&[1], NonZeroUsize::MIN);
         assert_eq!(secondary.unwrap()[0].range_query(&[6]).count(), 1);
-        // take_full on a shared version deep-copies instead of moving.
-        let republished = s.share_full();
-        let taken = s.take_full().unwrap();
-        assert_eq!(taken.tuples_flat(), republished.tuples_flat());
-        assert!(s.full().is_empty(), "take_full leaves a placeholder");
     }
 
     /// Re-runs read a relation's growth as its rows past a mark, which
@@ -1133,7 +1069,6 @@ mod tests {
             .load_full_batch(&TupleBatch::new(2, vec![9, 9, 1, 2, 5, 5]))
             .unwrap();
         for run in [[0u32, 7], [4, 4], [2, 8]] {
-            deferred.join_merge().unwrap();
             deferred
                 .defer_merge(TupleBatch::from_sorted_unique_flat(2, run.to_vec()), &ebm)
                 .unwrap();
@@ -1149,34 +1084,72 @@ mod tests {
         assert_eq!(grown, vec![&[0u32, 7][..], &[2, 8], &[4, 4]]);
     }
 
-    /// The background-merge swap on a version shared with a snapshot must
-    /// copy before it swaps: when the copy does not fit, the stored full
-    /// stays in place instead of being lost to the placeholder.
+    /// A drain that runs out of device memory part-way loses nothing. At
+    /// every ballast size that fails it, the runs either stay pending over
+    /// an untouched full version or were absorbed by the canonical index;
+    /// once the ballast is freed, a retry settles to what an unconstrained
+    /// drain holds, secondary index included.
     #[test]
-    fn take_full_keeps_the_relation_when_the_copy_does_not_fit() {
-        let rows: Vec<u32> = (0..20_000u32).flat_map(|i| [i, i / 7]).collect();
-        // Size a device for one loaded copy plus a placeholder (and a few
-        // KiB of slack, far short of a second copy).
-        let probe = device();
-        let mut s = storage(&probe);
-        s.load_full_batch(&TupleBatch::new(2, rows.to_vec()))
-            .unwrap();
-        let _placeholder = RelationVersion::empty(&probe, 2, DEFAULT_LOAD_FACTOR).unwrap();
-        let mut profile = DeviceProfile::nvidia_h100();
-        profile.memory_capacity_bytes = probe.metrics().peak_bytes_in_use() + 4096;
-        let d = Device::with_workers(profile, 4);
+    fn a_drain_that_runs_out_of_memory_keeps_every_row() {
+        let rows: Vec<u32> = (0..2_000u32).flat_map(|i| [i, i / 7]).collect();
+        let runs = [vec![0u32, 9, 1, 9], vec![5_000, 1, 5_001, 2]];
+        let ebm = EbmConfig::default();
+        let prepared = |d: &Device| {
+            let mut s = storage(d);
+            s.load_full_batch(&TupleBatch::new(2, rows.clone()))
+                .unwrap();
+            s.full_mut().unwrap().index_on(d, &[1]).unwrap();
+            for run in &runs {
+                let run = TupleBatch::from_sorted_unique_flat(2, run.clone());
+                s.defer_merge(run, &ebm).unwrap();
+            }
+            assert!(!s.is_settled(), "tiny runs stay deferred next to |full|");
+            s
+        };
+        let layers = |s: &mut RelationStorage, d: &Device| {
+            let canonical = s.full().tuples_flat().to_vec();
+            let index = s.full_mut().unwrap().index_on(d, &[1]).unwrap();
+            (canonical, index.to_sorted_tuples())
+        };
+        let reference = {
+            let d = device();
+            let mut s = prepared(&d);
+            s.settle(&ebm).unwrap();
+            layers(&mut s, &d)
+        };
 
-        let mut s = storage(&d);
-        s.load_full_batch(&TupleBatch::new(2, rows.to_vec()))
-            .unwrap();
-        let snapshot = s.share_full();
-        assert!(matches!(
-            s.take_full(),
-            Err(EngineError::Device(DeviceError::OutOfMemory { .. }))
-        ));
-        assert_eq!(s.len(), 20_000, "the failed swap must keep the relation");
-        assert_eq!(snapshot.len(), 20_000);
-        assert!(s.full_is_shared());
+        let d = Device::with_workers(DeviceProfile::tiny_test_device(1 << 20), 2);
+        let mut failures = 0;
+        for slack in (0..).map(|step| step * 64) {
+            let mut s = prepared(&d);
+            let before = layers(&mut s, &d);
+            let free = d.profile().memory_capacity_bytes - d.tracker().in_use();
+            let ballast = d
+                .buffer_filled(free.saturating_sub(slack) / 4, 0u32)
+                .unwrap();
+            let Err(err) = s.settle(&ebm) else {
+                break;
+            };
+            failures += 1;
+            assert!(matches!(
+                err,
+                EngineError::Device(DeviceError::OutOfMemory { .. })
+            ));
+            if s.is_settled() {
+                assert_eq!(s.len(), rows.len() / 2 + 4, "slack {slack}: absorbed");
+            } else {
+                assert_eq!(s.full().tuples_flat(), before.0, "slack {slack}");
+                let index = s.full().existing_sharded_index(&[1], NonZeroUsize::MIN);
+                assert_eq!(index.unwrap()[0].to_sorted_tuples(), before.1);
+            }
+            drop(ballast);
+            s.settle(&ebm).unwrap();
+            assert_eq!(layers(&mut s, &d), reference, "slack {slack}: retry");
+        }
+        assert!(
+            failures > 10,
+            "the sweep must cross the drain's allocations"
+        );
     }
 
     #[test]

@@ -111,17 +111,9 @@ pub struct RunStats {
     /// a device topology is configured
     /// ([`crate::EngineConfig::device_topology`]); `None` otherwise.
     pub topology: Option<TopologyReport>,
-    /// Peak number of background merge jobs outstanding at once during the
-    /// run. Zero under eager merging; at most one per relation under
-    /// deferred merging ([`crate::EngineConfig::pipelined`]).
-    pub epochs_in_flight: u64,
-    /// Nanoseconds of background-merge outstanding windows (submission to
-    /// drain start): the time deferred merges spent overlapped behind
-    /// foreground evaluation. Zero under eager merging.
-    pub overlap_nanos: u64,
-    /// Nanoseconds the foreground spent blocked waiting for an in-flight
-    /// background merge to finish. The pipeline hid its merges completely
-    /// when this is small relative to [`RunStats::overlap_nanos`].
+    /// Nanoseconds spent draining deferred merges — the coalesced merges of
+    /// deferred merging ([`crate::EngineConfig::pipelined`]), which run in
+    /// place on the evaluating thread. Zero under eager merging.
     pub pipeline_stall_nanos: u64,
     /// Times deferred merging's adaptive batching postponed a drain past
     /// its base batch size because the pending delta rows were small

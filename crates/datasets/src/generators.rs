@@ -135,8 +135,7 @@ pub fn power_law_graph(nodes: u32, edges_per_node: u32, seed: u64) -> EdgeList {
 /// attachment degree *distribution*), this is the airline-network extreme:
 /// a hard two-tier topology where nearly every path is spoke → hub → spoke.
 /// REACH converges in very few iterations but the hub joins are maximally
-/// skewed — the worst case for hash-partition balance and the best case for
-/// overlapping the resulting fat merges behind compute.
+/// skewed — the worst case for hash-partition balance, with fat merges.
 pub fn hub_graph(nodes: u32, hubs: u32, seed: u64) -> EdgeList {
     let mut rng = rng(seed);
     let hubs = hubs.max(1).min(nodes.max(1));

@@ -39,19 +39,6 @@ pub fn atomic_min_u32(slot: &AtomicU32, value: u32) -> u32 {
     current
 }
 
-/// Atomically raises `slot` to `value` if `value` is larger than the value
-/// currently stored. Returns the value observed before the update.
-pub fn atomic_max_u32(slot: &AtomicU32, value: u32) -> u32 {
-    let mut current = slot.load(Ordering::Acquire);
-    while value > current {
-        match slot.compare_exchange_weak(current, value, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(prev) => return prev,
-            Err(observed) => current = observed,
-        }
-    }
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,14 +72,6 @@ mod tests {
         atomic_min_u32(&slot, 25);
         atomic_min_u32(&slot, 3);
         assert_eq!(slot.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn atomic_max_keeps_largest() {
-        let slot = AtomicU32::new(0);
-        atomic_max_u32(&slot, 10);
-        atomic_max_u32(&slot, 4);
-        assert_eq!(slot.load(Ordering::Relaxed), 10);
     }
 
     #[test]

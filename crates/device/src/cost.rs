@@ -88,15 +88,6 @@ impl CostModel {
             alloc_sec,
         }
     }
-
-    /// Estimates modeled time for the work performed between two snapshots.
-    pub fn estimate_between(
-        &self,
-        before: &CounterSnapshot,
-        after: &CounterSnapshot,
-    ) -> CostEstimate {
-        self.estimate(&after.since(before))
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +146,7 @@ mod tests {
         let before = traffic(1 << 20);
         let mut after = before;
         after.bytes_read += 1 << 20;
-        let delta = model.estimate_between(&before, &after);
+        let delta = model.estimate(&after.since(&before));
         let absolute = model.estimate(&after);
         assert!(delta.total_sec() < absolute.total_sec());
     }

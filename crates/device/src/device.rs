@@ -4,7 +4,6 @@ use crate::buffer::{DeviceBuffer, DeviceValue};
 use crate::cost::{CostEstimate, CostModel};
 use crate::error::DeviceResult;
 use crate::executor::Executor;
-use crate::lane::{BackgroundLane, JobHandle};
 use crate::metrics::Metrics;
 use crate::pool::{MemoryTracker, RecycleBin};
 use crate::profile::DeviceProfile;
@@ -17,7 +16,6 @@ struct DeviceInner {
     tracker: MemoryTracker,
     recycle_bin: RecycleBin,
     executor: Executor,
-    lane: BackgroundLane,
 }
 
 /// A handle to one simulated GPU (or CPU treated as a device).
@@ -70,9 +68,6 @@ impl Device {
         let metrics = Arc::new(Metrics::new());
         let tracker = MemoryTracker::new(profile.memory_capacity_bytes, Arc::clone(&metrics));
         let executor = Executor::with_metrics(workers, Arc::clone(&metrics));
-        // The background lane spawns eagerly, with the pool threads, so a
-        // fixpoint run still spawns zero threads after device creation.
-        let lane = BackgroundLane::new(&metrics);
         Device {
             inner: Arc::new(DeviceInner {
                 profile,
@@ -80,7 +75,6 @@ impl Device {
                 tracker,
                 recycle_bin: RecycleBin::new(16),
                 executor,
-                lane,
             }),
         }
     }
@@ -108,20 +102,6 @@ impl Device {
     /// The data-parallel executor.
     pub fn executor(&self) -> &Executor {
         &self.inner.executor
-    }
-
-    /// Hands `job` to the device's background lane — the simulated analog
-    /// of enqueueing work on a second CUDA stream. Jobs run one at a time
-    /// in submission order; the returned [`JobHandle`] joins the result and
-    /// remembers the submission instant so the caller can attribute the
-    /// outstanding window to the `overlap_nanos` counter. Submission also
-    /// raises the `epochs_in_flight` gauge until the job completes.
-    pub fn submit_background<T, F>(&self, job: F) -> JobHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.inner.lane.submit(&self.inner.metrics, job)
     }
 
     /// Builds the analytic cost model for this device's profile.
@@ -202,15 +182,6 @@ impl Device {
         self.executor().for_each_index(n, body);
         self.metrics().add_phase_time(name, start.elapsed());
     }
-
-    /// Runs `body` (an arbitrary device-side operation), records a kernel
-    /// launch, and attributes the elapsed time to the `name` phase bucket.
-    pub fn timed_phase<R>(&self, name: &str, body: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let result = body();
-        self.metrics().add_phase_time(name, start.elapsed());
-        result
-    }
 }
 
 #[cfg(test)]
@@ -257,32 +228,6 @@ mod tests {
         d.metrics().add_bytes_read(1 << 30);
         d.metrics().add_kernel_launch();
         assert!(d.modeled_time().total_sec() > before);
-    }
-
-    #[test]
-    fn timed_phase_returns_body_result() {
-        let d = Device::new(DeviceProfile::tiny_test_device(1 << 20));
-        let v = d.timed_phase("compute", || 41 + 1);
-        assert_eq!(v, 42);
-        assert!(d.metrics().phase_times().contains_key("compute"));
-    }
-
-    #[test]
-    fn background_jobs_can_launch_kernels_and_join() {
-        let d = Device::with_workers(DeviceProfile::tiny_test_device(1 << 20), 4);
-        let spawned = d.metrics().threads_spawned();
-        let worker = d.clone();
-        let handle = d.submit_background(move || {
-            let hits = AtomicUsize::new(0);
-            worker.launch("bg_kernel", 100, |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            hits.load(Ordering::Relaxed)
-        });
-        assert_eq!(handle.wait(), 100);
-        // The lane exists from construction: background work spawns nothing.
-        assert_eq!(d.metrics().threads_spawned(), spawned);
-        assert_eq!(d.metrics().snapshot().epochs_in_flight, 0);
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod cost;
 mod device;
 pub mod error;
 pub mod executor;
-pub mod lane;
 pub mod metrics;
 pub mod pool;
 pub mod profile;
@@ -63,7 +62,6 @@ pub use cost::{CostEstimate, CostModel};
 pub use device::Device;
 pub use error::{DeviceError, DeviceResult};
 pub use executor::{Executor, LaunchConfig};
-pub use lane::{BackgroundLane, JobHandle};
 pub use metrics::{CounterSnapshot, Metrics, PhaseTimer};
 pub use profile::{DeviceKind, DeviceProfile};
 pub use topology::{DeviceLaneReport, DeviceTopology, LinkProfile, TopologyReport};

@@ -57,21 +57,10 @@ pub struct CounterSnapshot {
     pub bytes_in_use: u64,
     /// High-water mark of bytes allocated on the device.
     pub peak_bytes_in_use: u64,
-    /// Background epochs (deferred merge jobs) currently in flight — a
-    /// gauge, not a monotonic counter.
-    pub epochs_in_flight: u64,
-    /// High-water mark of concurrently in-flight background epochs.
-    pub peak_epochs_in_flight: u64,
-    /// Wall nanoseconds a background epoch was outstanding while the
-    /// submitting thread kept executing foreground work (submission to the
-    /// start of its drain). This is the window pipelining hides; zero means
-    /// every epoch was waited on immediately, i.e. the schedule degraded to
-    /// bulk-synchronous.
-    pub overlap_nanos: u64,
-    /// Wall nanoseconds the foreground thread spent blocked waiting for an
-    /// in-flight background epoch to finish (the pipeline stalled).
+    /// Wall nanoseconds the foreground thread spent draining deferred
+    /// merges (the coalesced merges of deferred merging, run in place).
     pub pipeline_stall_nanos: u64,
-    /// Times the pipelined backend's adaptive merge policy deferred a drain
+    /// Times the deferred merge policy postponed a drain
     /// past its base batch size because the pending delta rows were still
     /// small relative to |full|.
     pub adaptive_merge_batches: u64,
@@ -86,8 +75,7 @@ impl CounterSnapshot {
     /// Difference of two snapshots (`self` taken after `earlier`).
     ///
     /// Monotonic counters are subtracted; gauges (`bytes_in_use`,
-    /// `peak_bytes_in_use`, `epochs_in_flight`, `peak_epochs_in_flight`)
-    /// keep the later value.
+    /// `peak_bytes_in_use`) keep the later value.
     pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
         CounterSnapshot {
             bytes_read: self.bytes_read - earlier.bytes_read,
@@ -106,9 +94,6 @@ impl CounterSnapshot {
             bytes_allocated: self.bytes_allocated - earlier.bytes_allocated,
             bytes_in_use: self.bytes_in_use,
             peak_bytes_in_use: self.peak_bytes_in_use,
-            epochs_in_flight: self.epochs_in_flight,
-            peak_epochs_in_flight: self.peak_epochs_in_flight,
-            overlap_nanos: self.overlap_nanos - earlier.overlap_nanos,
             pipeline_stall_nanos: self.pipeline_stall_nanos - earlier.pipeline_stall_nanos,
             adaptive_merge_batches: self.adaptive_merge_batches - earlier.adaptive_merge_batches,
         }
@@ -134,9 +119,6 @@ pub struct Metrics {
     bytes_allocated: AtomicU64,
     bytes_in_use: AtomicUsize,
     peak_bytes_in_use: AtomicUsize,
-    epochs_in_flight: AtomicU64,
-    peak_epochs_in_flight: AtomicU64,
-    overlap_nanos: AtomicU64,
     pipeline_stall_nanos: AtomicU64,
     adaptive_merge_batches: AtomicU64,
     phase_times: Mutex<PhaseTable>,
@@ -231,28 +213,8 @@ impl Metrics {
         self.threads_spawned.load(Ordering::Relaxed)
     }
 
-    /// Records that a background epoch (a deferred merge job) was handed to
-    /// the device's background lane: raises the in-flight gauge and its
-    /// high-water mark.
-    pub fn epoch_submitted(&self) {
-        let now = self.epochs_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_epochs_in_flight.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Records that a background epoch finished executing.
-    pub fn epoch_retired(&self) {
-        self.epochs_in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` nanoseconds during which a background epoch was
-    /// outstanding behind foreground work (see
-    /// [`CounterSnapshot::overlap_nanos`]).
-    pub fn add_overlap_nanos(&self, n: u64) {
-        self.overlap_nanos.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` nanoseconds the foreground thread spent blocked on an
-    /// in-flight background epoch.
+    /// Records `n` nanoseconds the foreground thread spent draining
+    /// deferred merges.
     pub fn add_pipeline_stall_nanos(&self, n: u64) {
         self.pipeline_stall_nanos.fetch_add(n, Ordering::Relaxed);
     }
@@ -380,9 +342,6 @@ impl Metrics {
             bytes_allocated: self.bytes_allocated.load(Ordering::Relaxed),
             bytes_in_use: self.bytes_in_use.load(Ordering::Relaxed) as u64,
             peak_bytes_in_use: self.peak_bytes_in_use.load(Ordering::Relaxed) as u64,
-            epochs_in_flight: self.epochs_in_flight.load(Ordering::Relaxed),
-            peak_epochs_in_flight: self.peak_epochs_in_flight.load(Ordering::Relaxed),
-            overlap_nanos: self.overlap_nanos.load(Ordering::Relaxed),
             pipeline_stall_nanos: self.pipeline_stall_nanos.load(Ordering::Relaxed),
             adaptive_merge_batches: self.adaptive_merge_batches.load(Ordering::Relaxed),
         }
@@ -595,26 +554,16 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_counters_track_gauge_peak_and_nanos() {
+    fn deferred_merge_counters_subtract_between_snapshots() {
         let m = Metrics::new();
-        m.epoch_submitted();
-        m.epoch_submitted();
-        assert_eq!(m.snapshot().epochs_in_flight, 2);
-        assert_eq!(m.snapshot().peak_epochs_in_flight, 2);
-        m.epoch_retired();
-        assert_eq!(m.snapshot().epochs_in_flight, 1);
-        assert_eq!(m.snapshot().peak_epochs_in_flight, 2);
-        m.add_overlap_nanos(500);
         m.add_pipeline_stall_nanos(40);
+        m.add_adaptive_merge_batch();
         let before = m.snapshot();
-        m.add_overlap_nanos(100);
-        m.epoch_retired();
+        m.add_pipeline_stall_nanos(100);
         let delta = m.snapshot().since(&before);
-        // Nanos subtract; the epoch gauges keep the later value.
-        assert_eq!(delta.overlap_nanos, 100);
-        assert_eq!(delta.pipeline_stall_nanos, 0);
-        assert_eq!(delta.epochs_in_flight, 0);
-        assert_eq!(delta.peak_epochs_in_flight, 2);
+        assert_eq!(delta.pipeline_stall_nanos, 100);
+        assert_eq!(delta.adaptive_merge_batches, 0);
+        assert_eq!(m.snapshot().pipeline_stall_nanos, 140);
     }
 
     #[test]

@@ -135,16 +135,6 @@ impl RecycleBin {
         self.free.lock().expect("recycle bin lock poisoned").len()
     }
 
-    /// Total capacity (in elements) currently retained.
-    pub fn retained_capacity(&self) -> usize {
-        self.free
-            .lock()
-            .expect("recycle bin lock poisoned")
-            .iter()
-            .map(|b| b.capacity())
-            .sum()
-    }
-
     /// Drops every retained buffer.
     pub fn clear(&self) {
         self.free.lock().expect("recycle bin lock poisoned").clear();

@@ -168,23 +168,6 @@ impl DeviceProfile {
         }
     }
 
-    /// AMD EPYC 7713 (Zen 3, 64 cores) — the paper's GPU host CPU.
-    pub fn amd_epyc_7713() -> Self {
-        DeviceProfile {
-            name: "AMD EPYC 7713".to_string(),
-            kind: DeviceKind::Cpu,
-            memory_capacity_bytes: 512 * (1 << 30),
-            memory_bandwidth_bytes_per_sec: 2.0e11,
-            sm_count: 64,
-            lanes_per_sm: 8,
-            clock_ghz: 2.0,
-            kernel_launch_overhead_sec: 5.0e-7,
-            allocation_overhead_sec: 1.0e-6,
-            allocation_bandwidth_bytes_per_sec: 6.0e10,
-            sustained_bandwidth_fraction: 0.55,
-        }
-    }
-
     /// A deliberately tiny test device (a few megabytes of "VRAM") used by
     /// unit tests that exercise out-of-memory behaviour quickly.
     pub fn tiny_test_device(capacity_bytes: usize) -> Self {

@@ -105,16 +105,6 @@ where
     out
 }
 
-/// Merges two sorted `u32` index arrays whose order is defined indirectly by
-/// a key function (e.g. the lexicographic tuple behind each index).
-pub fn merge_sorted_indices_by_key<K, F>(device: &Device, a: &[u32], b: &[u32], key: F) -> Vec<u32>
-where
-    K: Ord,
-    F: Fn(u32) -> K + Sync,
-{
-    merge_path_merge(device, a, b, |x, y| key(*x).cmp(&key(*y)))
-}
-
 /// The row slice behind index `idx` of a row-major buffer.
 #[inline]
 fn row_of(data: &[u32], arity: usize, idx: u32) -> &[u32] {
@@ -177,9 +167,9 @@ fn gallop_upper_bound(
 }
 
 /// Merges two sorted index arrays over one shared row-major `data` buffer,
-/// comparing row slices **in place** — the allocation-free sibling of
-/// [`merge_sorted_indices_by_key`] for the HISA merge hot loop, which would
-/// otherwise materialise an owned key per comparison.
+/// comparing row slices **in place** — the allocation-free form of a keyed
+/// [`merge_path_merge`] for the HISA merge hot loop, which would otherwise
+/// materialise an owned key per comparison.
 ///
 /// `b`'s entries address rows `b[i] + b_offset` of `data` (the delta rows a
 /// caller appended after the first `b_offset` rows); the offset is folded
@@ -283,6 +273,16 @@ pub fn merge_sorted_index_rows(
 mod tests {
     use super::*;
     use crate::profile::DeviceProfile;
+
+    /// The keyed reference merge the row-slice merge must agree with: two
+    /// sorted index arrays whose order is defined by a key function.
+    fn merge_sorted_indices_by_key<K, F>(device: &Device, a: &[u32], b: &[u32], key: F) -> Vec<u32>
+    where
+        K: Ord,
+        F: Fn(u32) -> K + Sync,
+    {
+        merge_path_merge(device, a, b, |x, y| key(*x).cmp(&key(*y)))
+    }
 
     fn device() -> Device {
         Device::with_workers(DeviceProfile::nvidia_h100(), 4)

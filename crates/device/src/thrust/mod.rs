@@ -10,11 +10,11 @@
 //!   sort HISA uses to build its sorted index array (Algorithm 1).
 //! * [`merge`] — the merge-path parallel merge used when folding a delta
 //!   relation into the full relation.
-//! * [`scan`] — exclusive/inclusive prefix sums, the backbone of two-pass
+//! * [`scan`] — exclusive prefix sums, the backbone of two-pass
 //!   (count, scan, write) output materialization.
 //! * [`transform`] — gather, compaction (`copy_if`), and adjacent-difference
 //!   style helpers used for deduplication.
-//! * [`reduce`] — sums, counts, and extrema.
+//! * [`reduce`] — extrema.
 
 pub mod merge;
 pub mod reduce;

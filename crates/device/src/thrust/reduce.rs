@@ -2,36 +2,6 @@
 
 use crate::device::Device;
 
-/// Sums `values[i] = f(i)` for `i in 0..n` in parallel.
-pub fn sum_by<F>(device: &Device, n: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    device.metrics().add_kernel_launch();
-    device.metrics().add_ops(n as u64);
-    let partials = device
-        .executor()
-        .partitions(n)
-        .into_iter()
-        .collect::<Vec<_>>();
-    let mut sums = vec![0u64; partials.len()];
-    {
-        let partials_ref = &partials;
-        device
-            .executor()
-            .fill(&mut sums, |p| partials_ref[p].clone().map(&f).sum());
-    }
-    sums.into_iter().sum()
-}
-
-/// Counts indices in `0..n` for which `pred(i)` holds.
-pub fn count_if<F>(device: &Device, n: usize, pred: F) -> usize
-where
-    F: Fn(usize) -> bool + Sync,
-{
-    sum_by(device, n, |i| u64::from(pred(i))) as usize
-}
-
 /// Maximum of `f(i)` over `0..n`, or `None` when `n == 0`.
 pub fn max_by<F>(device: &Device, n: usize, f: F) -> Option<u32>
 where
@@ -60,24 +30,6 @@ mod tests {
 
     fn device() -> Device {
         Device::with_workers(DeviceProfile::nvidia_h100(), 4)
-    }
-
-    #[test]
-    fn sum_matches_closed_form() {
-        let d = device();
-        let n = 10_000u64;
-        assert_eq!(sum_by(&d, n as usize, |i| i as u64), n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn sum_of_empty_range_is_zero() {
-        assert_eq!(sum_by(&device(), 0, |_| 1), 0);
-    }
-
-    #[test]
-    fn count_if_counts_predicate_hits() {
-        let d = device();
-        assert_eq!(count_if(&d, 100, |i| i % 10 == 0), 10);
     }
 
     #[test]

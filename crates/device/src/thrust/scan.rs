@@ -62,12 +62,6 @@ pub fn exclusive_scan_offsets(device: &Device, values: &[usize]) -> Vec<usize> {
     offsets
 }
 
-/// Inclusive prefix sum: `result[i]` is the sum of `values[..=i]`.
-pub fn inclusive_scan(device: &Device, values: &[usize]) -> Vec<usize> {
-    let offsets = exclusive_scan_offsets(device, values);
-    (0..values.len()).map(|i| offsets[i] + values[i]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,13 +103,6 @@ mod tests {
         let values = vec![4usize, 0, 9, 2];
         let offsets = exclusive_scan_offsets(&d, &values);
         assert_eq!(*offsets.last().unwrap(), 15);
-    }
-
-    #[test]
-    fn inclusive_scan_matches_reference() {
-        let d = device();
-        let values = vec![1usize, 2, 3, 4, 5];
-        assert_eq!(inclusive_scan(&d, &values), vec![1, 3, 6, 10, 15]);
     }
 
     #[test]

@@ -137,26 +137,6 @@ pub fn adjacent_unique_flags(
     flags
 }
 
-/// Element-wise transform producing a new vector (`thrust::transform`).
-pub fn transform_map<T, U, F>(device: &Device, input: &[T], f: F) -> Vec<U>
-where
-    T: Copy + Send + Sync,
-    U: Copy + Send + Sync + Default,
-    F: Fn(T) -> U + Sync,
-{
-    device.metrics().add_kernel_launch();
-    device
-        .metrics()
-        .add_bytes_read(std::mem::size_of_val(input) as u64);
-    device
-        .metrics()
-        .add_bytes_written((input.len() * std::mem::size_of::<U>()) as u64);
-    device.metrics().add_ops(input.len() as u64);
-    let mut out = vec![U::default(); input.len()];
-    device.executor().fill(&mut out, |i| f(input[i]));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,12 +198,5 @@ mod tests {
         let data = vec![5u32, 5, 1, 1, 5, 5];
         let flags = adjacent_unique_flags(&d, &data, 2, &[1, 0, 2]);
         assert_eq!(flags, vec![true, true, false]);
-    }
-
-    #[test]
-    fn transform_map_applies_function() {
-        let d = device();
-        let out: Vec<u64> = transform_map(&d, &[1u32, 2, 3], |x| u64::from(x) * 10);
-        assert_eq!(out, vec![10, 20, 30]);
     }
 }

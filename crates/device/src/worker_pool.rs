@@ -36,14 +36,6 @@ thread_local! {
     static IN_POOL_CONTEXT: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Permanently marks the calling thread as living inside the pool context,
-/// exactly as [`worker_loop`] marks pool workers: any nested dispatch from
-/// this thread runs inline instead of contending on the dispatch lock. Used
-/// by the device's background merge lane, whose jobs call device kernels.
-pub(crate) fn enter_pool_context_forever() {
-    IN_POOL_CONTEXT.with(|ctx| ctx.set(true));
-}
-
 /// Locks a mutex, tolerating poisoning: every critical section in this
 /// module is short and panic-free, so a poisoned flag only means some
 /// *task body* panicked while a guard elsewhere was held — the protected

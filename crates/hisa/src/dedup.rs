@@ -28,22 +28,6 @@ pub fn unique_sorted_positions(
         .collect()
 }
 
-/// Counts the number of distinct tuples referenced by a sorted index array.
-pub fn count_distinct(
-    device: &Device,
-    data: &[u32],
-    arity: usize,
-    sorted_indices: &[u32],
-) -> usize {
-    if sorted_indices.is_empty() {
-        return 0;
-    }
-    adjacent_unique_flags(device, data, arity, sorted_indices)
-        .into_iter()
-        .filter(|&f| f)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,7 +45,6 @@ mod tests {
         let sorted = vec![0u32, 2, 1, 3];
         let unique = unique_sorted_positions(&d, &data, 2, &sorted);
         assert_eq!(unique, vec![0, 1, 3]);
-        assert_eq!(count_distinct(&d, &data, 2, &sorted), 3);
     }
 
     #[test]
@@ -70,14 +53,12 @@ mod tests {
         let data = vec![9u32, 9, 9, 9, 9, 9];
         let sorted = vec![0u32, 1, 2];
         assert_eq!(unique_sorted_positions(&d, &data, 2, &sorted), vec![0]);
-        assert_eq!(count_distinct(&d, &data, 2, &sorted), 1);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let d = device();
         assert!(unique_sorted_positions(&d, &[], 2, &[]).is_empty());
-        assert_eq!(count_distinct(&d, &[], 2, &[]), 0);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The open-addressing hash table layer of HISA (paper Section 4.3).
 //!
 //! Keys are 64-bit hashes of a tuple's join-column values; values are
-//! opaque 32-bit payloads with "keep the minimum" semantics — either raw
-//! positions lowered with an atomic minimum ([`HashTable::insert`], the
-//! paper's Algorithm 2 verbatim), or, as HISA now uses them, stable
-//! data-array row ids ranked through a caller-supplied position closure
-//! ([`HashTable::insert_min_by`]), which is what makes *incremental*
-//! maintenance possible: merged-in deltas insert only their own keys
-//! ([`HashTable::insert_batch_min_by`]) while every existing entry stays
-//! valid. Construction is lock-free and data-parallel: slots are claimed
+//! opaque 32-bit payloads with "keep the minimum" semantics (the paper's
+//! Algorithm 2). HISA stores stable data-array row ids ranked through a
+//! caller-supplied position closure ([`HashTable::insert_min_by`]; ranking
+//! a value by itself is the paper's atomic minimum), which is what makes
+//! *incremental* maintenance possible: merged-in deltas insert only their
+//! own keys ([`HashTable::insert_batch_min_by`]) while every existing entry
+//! stays valid. Construction is lock-free and data-parallel: slots are claimed
 //! with compare-and-swap and values lowered with CAS loops.
 
-use gpulog_device::atomic::{atomic_min_u32, claim_key_slot, EMPTY_KEY, EMPTY_VALUE};
+use gpulog_device::atomic::{claim_key_slot, EMPTY_KEY, EMPTY_VALUE};
 use gpulog_device::{Device, DeviceResult};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -130,9 +129,8 @@ impl HashTable {
     /// on the empty key), the bulk builds recount the claimed slots,
     /// [`HashTable::insert_batch_min_by`] adds the claims it won, and
     /// rehashes carry the count over. The shared-reference single-key
-    /// inserts ([`HashTable::insert`], [`HashTable::insert_min_by`]) cannot
-    /// update it; callers using them directly refresh it with
-    /// [`HashTable::recount_entries`].
+    /// insert ([`HashTable::insert_min_by`]) cannot update it; callers
+    /// using it directly refresh it with [`HashTable::recount_entries`].
     pub fn entries(&self) -> usize {
         self.entries
     }
@@ -151,27 +149,6 @@ impl HashTable {
     /// past its configured load factor.
     pub fn needs_rebuild_for(&self, additional: usize) -> bool {
         (self.entries + additional) as f64 > self.capacity as f64 * self.load_factor
-    }
-
-    /// Inserts `(key_hash, position)` — claims a slot for the key if absent
-    /// and lowers the stored position to the minimum seen (Algorithm 2).
-    /// Returns whether a fresh slot was claimed (i.e. the key was new).
-    ///
-    /// Safe to call concurrently from many device threads.
-    pub fn insert(&self, key_hash: u64, position: u32) -> bool {
-        let mask = self.capacity - 1;
-        let mut slot = (key_hash as usize) & mask;
-        loop {
-            match claim_key_slot(&self.keys[slot], key_hash) {
-                Ok(claimed_new) => {
-                    atomic_min_u32(&self.values[slot], position);
-                    return claimed_new;
-                }
-                Err(_other_key) => {
-                    slot = (slot + 1) & mask;
-                }
-            }
-        }
     }
 
     /// Inserts `(key_hash, value)` keeping, per key, the value whose
@@ -237,23 +214,6 @@ impl HashTable {
         }
     }
 
-    /// Data-parallel bulk construction: for every position `p` in
-    /// `0..positions`, inserts `(key_hash_of(p), p)` using one simulated
-    /// device thread per position.
-    pub fn build_parallel<F>(&mut self, positions: usize, key_hash_of: F)
-    where
-        F: Fn(usize) -> u64 + Sync,
-    {
-        let metrics = self.device.metrics();
-        metrics.add_atomic_ops(positions as u64 * 2);
-        metrics.add_bytes_read(positions as u64 * 16);
-        let this = &*self;
-        self.device.launch("hash-build", positions, |p| {
-            this.insert(key_hash_of(p), p as u32);
-        });
-        self.recount_entries();
-    }
-
     /// Data-parallel bulk construction with caller-defined values and
     /// ranking: for every `p` in `0..positions`, inserts
     /// `(key_hash_of(p), value_of(p))` keeping per key the value of
@@ -281,7 +241,7 @@ impl HashTable {
 
     /// Incremental data-parallel insertion of `count` delta entries into an
     /// **existing** table — the merge-phase fast path that replaces a full
-    /// rebuild. Unlike the `build_parallel*` constructors it never rescans
+    /// rebuild. Unlike the `build_parallel_min_by` constructor it never rescans
     /// the table: newly claimed slots are counted on the fly and folded into
     /// [`HashTable::entries`], so the whole operation is O(count). Returns
     /// the number of freshly claimed keys.
@@ -431,12 +391,18 @@ mod tests {
         Device::with_workers(DeviceProfile::nvidia_h100(), 4)
     }
 
+    /// Inserts `(key_hash, position)`, keeping per key the smallest
+    /// position: the atomic-min insert ranked by the value itself.
+    fn insert(t: &HashTable, key_hash: u64, position: u32) -> bool {
+        t.insert_min_by(key_hash, position, &|v| v)
+    }
+
     #[test]
     fn insert_then_lookup_round_trips() {
         let d = device();
         let t = HashTable::with_capacity(&d, 100, 0.8).unwrap();
-        t.insert(42, 7);
-        t.insert(99, 3);
+        insert(&t, 42, 7);
+        insert(&t, 99, 3);
         assert_eq!(t.lookup(42), Some(7));
         assert_eq!(t.lookup(99), Some(3));
         assert_eq!(t.lookup(1000), None);
@@ -446,9 +412,9 @@ mod tests {
     fn insert_keeps_smallest_position() {
         let d = device();
         let t = HashTable::with_capacity(&d, 10, 0.8).unwrap();
-        t.insert(5, 20);
-        t.insert(5, 7);
-        t.insert(5, 30);
+        insert(&t, 5, 20);
+        insert(&t, 5, 7);
+        insert(&t, 5, 30);
         assert_eq!(t.lookup(5), Some(7));
     }
 
@@ -458,9 +424,9 @@ mod tests {
         let t = HashTable::with_capacity(&d, 4, 1.0).unwrap();
         let cap = t.capacity() as u64;
         // Keys that collide modulo the capacity.
-        t.insert(3, 1);
-        t.insert(3 + cap, 2);
-        t.insert(3 + 2 * cap, 3);
+        insert(&t, 3, 1);
+        insert(&t, 3 + cap, 2);
+        insert(&t, 3 + 2 * cap, 3);
         assert_eq!(t.lookup(3), Some(1));
         assert_eq!(t.lookup(3 + cap), Some(2));
         assert_eq!(t.lookup(3 + 2 * cap), Some(3));
@@ -473,7 +439,7 @@ mod tests {
         // 100 distinct keys, each appearing 100 times; smallest position for
         // key k is k itself (positions are assigned round-robin).
         let mut t = HashTable::with_capacity(&d, 100, 0.8).unwrap();
-        t.build_parallel(n, |p| (p % 100) as u64 + 1);
+        t.build_parallel_min_by(n, |p| (p % 100) as u64 + 1, |p| p as u32, |v| v);
         for k in 0..100u64 {
             assert_eq!(t.lookup(k + 1), Some(k as u32));
         }
@@ -496,7 +462,7 @@ mod tests {
     fn insert_batch_min_by_counts_fresh_keys_and_updates_entries() {
         let d = device();
         let mut t = HashTable::with_capacity(&d, 100, 0.8).unwrap();
-        t.insert(1, 10);
+        insert(&t, 1, 10);
         t.recount_entries();
         let before = d.metrics().snapshot();
         // Keys 1 (already present) and 2..5 (new), identity ranking.
@@ -513,7 +479,7 @@ mod tests {
         let d = device();
         let mut t = HashTable::with_capacity(&d, 8, 0.8).unwrap();
         for k in 0..6u64 {
-            t.insert(k + 1, k as u32 * 3);
+            insert(&t, k + 1, k as u32 * 3);
         }
         t.recount_entries();
         let cap_before = t.capacity();
@@ -590,7 +556,7 @@ mod tests {
         let d = device();
         let mut t = HashTable::with_capacity(&d, 50, 0.8).unwrap();
         for k in 0..40u64 {
-            t.insert(k + 1, k as u32 * 2);
+            insert(&t, k + 1, k as u32 * 2);
         }
         t.recount_entries();
         let in_use_before = d.tracker().in_use();
@@ -606,7 +572,7 @@ mod tests {
             assert_eq!(copy.lookup(k + 1), Some(k as u32 * 2));
         }
         // Mutating the copy must not leak into the original.
-        copy.insert(999, 7);
+        insert(&copy, 999, 7);
         assert_eq!(t.lookup(999), None);
         drop(copy);
         assert_eq!(d.tracker().in_use(), in_use_before);
@@ -623,8 +589,8 @@ mod tests {
     fn iter_entries_reports_inserted_pairs() {
         let d = device();
         let t = HashTable::with_capacity(&d, 10, 0.8).unwrap();
-        t.insert(11, 1);
-        t.insert(22, 2);
+        insert(&t, 11, 1);
+        insert(&t, 22, 2);
         let mut entries: Vec<(u64, u32)> = t.iter_entries().collect();
         entries.sort();
         assert_eq!(entries, vec![(11, 1), (22, 2)]);

@@ -342,12 +342,6 @@ impl Hisa {
         (0..self.len()).map(move |r| self.row(r))
     }
 
-    /// Iterates rows in key-first order, in storage order — the dense access
-    /// pattern the join kernel uses when this relation is the outer relation.
-    pub fn iter_rows_reordered(&self) -> impl Iterator<Item = &[Value]> + '_ {
-        self.data.as_slice().chunks_exact(self.arity())
-    }
-
     /// Range query (requirement R1): yields the data-array row ids of every
     /// tuple whose key columns equal `key` (given in key-column order).
     ///
@@ -563,6 +557,10 @@ impl Hisa {
     ///    factor would be exceeded (and is avoided entirely when
     ///    [`Hisa::reserve_additional_rows`] pre-reserved hash capacity).
     ///
+    /// The merge is all-or-nothing: an allocation that fails part-way
+    /// undoes the steps before it without allocating, so every layer holds
+    /// exactly its old contents.
+    ///
     /// # Errors
     ///
     /// Returns [`gpulog_device::DeviceError::OutOfMemory`] when the merged
@@ -600,15 +598,25 @@ impl Hisa {
         };
         let merged_len = merged.len();
         debug_assert_eq!(merged_len * arity, self.data.len());
-        let mut new_index = self.device.buffer_from_vec(merged)?;
+        let mut new_index = match self.device.buffer_from_vec(merged) {
+            Ok(index) => index,
+            Err(err) => {
+                self.data.truncate(old_rows * arity);
+                return Err(err);
+            }
+        };
         std::mem::swap(&mut self.sorted_index, &mut new_index);
         drop(new_index);
-        let _phase = PhaseTimer::new(self.device.metrics(), "index");
+        let device = self.device.clone();
+        let _phase = PhaseTimer::new(device.metrics(), "index");
         // Every position at or after the first delta insertion shifted, so
         // the inverse permutation is rewritten wholesale — an O(|full|)
         // streaming pass, like the index merge above, but confined to the
         // sorted-index layer.
-        self.pos_in_sorted.resize(merged_len, 0)?;
+        if let Err(err) = self.pos_in_sorted.resize(merged_len, 0) {
+            self.unmerge(old_rows, false);
+            return Err(err);
+        }
         invert_permutation_into(
             &self.device,
             self.sorted_index.as_slice(),
@@ -618,14 +626,21 @@ impl Hisa {
         // be exceeded (then a from-scratch rebuild resizes the table).
         if self.hash.needs_rebuild_for(delta_rows) {
             self.device.metrics().add_hash_rebuild();
-            self.hash = build_hash_layer(
+            let rebuilt = build_hash_layer(
                 &self.device,
                 &self.spec,
                 &self.data,
                 &self.sorted_index,
                 self.pos_in_sorted.as_slice(),
                 self.load_factor,
-            )?;
+            );
+            match rebuilt {
+                Ok(hash) => self.hash = hash,
+                Err(err) => {
+                    self.unmerge(old_rows, true);
+                    return Err(err);
+                }
+            }
         } else {
             let key_arity = self.spec.key_arity();
             let data_slice = self.data.as_slice();
@@ -641,6 +656,33 @@ impl Hisa {
             );
         }
         Ok(())
+    }
+
+    /// Undoes a [`Hisa::merge_from`] whose data and sorted-index layers
+    /// already absorbed rows past `old_rows`, without allocating: the merged
+    /// sorted index keeps the old rows in their old relative order, so
+    /// compacting them to the front restores it, and the data array drops
+    /// its appended rows. `reinvert` says the inverse permutation was
+    /// already rewritten for the merged index and must be restored too.
+    fn unmerge(&mut self, old_rows: usize, reinvert: bool) {
+        let index = self.sorted_index.as_mut_slice();
+        let mut kept = 0;
+        for i in 0..index.len() {
+            if (index[i] as usize) < old_rows {
+                index[kept] = index[i];
+                kept += 1;
+            }
+        }
+        self.sorted_index.truncate(old_rows);
+        if reinvert {
+            self.pos_in_sorted.truncate(old_rows);
+            invert_permutation_into(
+                &self.device,
+                self.sorted_index.as_slice(),
+                self.pos_in_sorted.as_mut_slice(),
+            );
+        }
+        self.data.truncate(old_rows * self.arity());
     }
 }
 
@@ -1158,6 +1200,54 @@ mod tests {
             assert_eq!(got, reference, "unsorted batch charges the general build");
             assert!(got[3] > 0 && got[2] == 8);
         }
+    }
+
+    /// A merge that runs out of device memory at any of its allocations
+    /// leaves all four layers exactly as they were, and a later merge of
+    /// the same delta succeeds.
+    #[test]
+    fn a_merge_that_runs_out_of_memory_changes_no_layer() {
+        let full_rows: Vec<u32> = (0..200u32).flat_map(|i| [i % 37, i]).collect();
+        let delta_rows: Vec<u32> = (200..400u32).flat_map(|i| [i % 41, i]).collect();
+        let layers = |h: &Hisa| {
+            let mut hash: Vec<(u64, u32)> = h.hash.iter_entries().collect();
+            hash.sort_unstable();
+            (
+                h.data().to_vec(),
+                h.sorted_index().to_vec(),
+                h.pos_in_sorted.to_vec(),
+                hash,
+            )
+        };
+        let d = Device::with_workers(DeviceProfile::tiny_test_device(1 << 20), 2);
+        let mut failures = 0;
+        for slack in (0..).map(|step| step * 32) {
+            let mut full = Hisa::build(&d, edge_spec(), &full_rows).unwrap();
+            let delta = Hisa::build(&d, edge_spec(), &delta_rows).unwrap();
+            let before = layers(&full);
+            let free = d.profile().memory_capacity_bytes - d.tracker().in_use();
+            let ballast = d
+                .buffer_filled(free.saturating_sub(slack) / 4, 0u32)
+                .unwrap();
+            if full.merge_from(&delta).is_ok() {
+                break;
+            }
+            failures += 1;
+            assert_eq!(layers(&full), before, "slack {slack}: a layer changed");
+            drop(ballast);
+            full.merge_from(&delta).unwrap();
+            let all: Vec<u32> = full_rows.iter().chain(&delta_rows).copied().collect();
+            let fresh = Hisa::build(&d, edge_spec(), &all).unwrap();
+            assert_eq!(full.to_sorted_tuples(), fresh.to_sorted_tuples());
+            for key in 0..41u32 {
+                assert_eq!(
+                    full.range_query(&[key]).count(),
+                    fresh.range_query(&[key]).count(),
+                    "slack {slack}: key {key}"
+                );
+            }
+        }
+        assert!(failures > 10, "the sweep must cross every merge allocation");
     }
 
     #[test]

@@ -374,7 +374,7 @@ proptest! {
             (engine.relation_batch(output).unwrap(), stats)
         };
         let (serial_batch, serial_stats) = run(0);
-        prop_assert_eq!(serial_stats.overlap_nanos, 0);
+        prop_assert_eq!(serial_stats.pipeline_stall_nanos, 0);
         for shards in [1usize, 2, 7] {
             let (pipelined_batch, stats) = run(shards);
             prop_assert_eq!(
@@ -820,38 +820,39 @@ fn default_engine_counters_match_the_recorded_run() {
 }
 
 /// On a merge-heavy chain-REACH workload (one iteration per node, tiny
-/// deltas) deferred merging must actually overlap: background merges
-/// stay outstanding across iterations (`overlap_nanos`, `epochs_in_flight`)
-/// while the fixpoint stays exactly the serial one.
+/// deltas) deferred merging must actually coalesce: drains are postponed
+/// while the pending rows are small next to |full|, and at one shard —
+/// where it differs from the default engine only in when deltas merge —
+/// it streams fewer device bytes than one O(|full|) merge per delta. The
+/// fixpoint stays exactly the serial one.
 #[test]
-fn pipelined_overlap_is_reported_on_chain_reach() {
+fn pipelined_merges_coalesce_on_chain_reach() {
     use gpulog_datasets::generators::road_network;
     use gpulog_queries::reach;
 
     let chain = road_network(160, 0, 23);
-    let d_serial = device();
-    let serial = reach::run(&d_serial, &chain, EngineConfig::default()).unwrap();
-    assert_eq!(serial.stats.overlap_nanos, 0);
-    assert_eq!(serial.stats.epochs_in_flight, 0);
-
-    let d_pipelined = device();
-    let pipelined = reach::run(
-        &d_pipelined,
-        &chain,
-        EngineConfig {
-            pipelined: 4,
+    let run = |pipelined: usize| {
+        let d = device();
+        let config = EngineConfig {
+            pipelined,
             ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(pipelined.reach_size, serial.reach_size);
-    assert_eq!(pipelined.stats.iterations, serial.stats.iterations);
-    assert!(
-        pipelined.stats.overlap_nanos > 0,
-        "deferred merges must stay outstanding across iterations"
-    );
-    assert!(
-        pipelined.stats.epochs_in_flight >= 1,
-        "the high-water mark must record at least one in-flight merge"
-    );
+        };
+        let mut engine = reach::prepare(&d, &chain, config).unwrap();
+        let stats = engine.run().unwrap();
+        let reach = engine.relation_batch("Reach").unwrap().into_flat();
+        (reach, stats, d.metrics().snapshot().bytes_moved())
+    };
+    let (serial, serial_stats, serial_bytes) = run(0);
+    assert_eq!(serial_stats.pipeline_stall_nanos, 0);
+    assert_eq!(serial_stats.adaptive_merge_batches, 0);
+    for shards in [1, 4] {
+        let (pipelined, stats, bytes) = run(shards);
+        assert_eq!(pipelined, serial, "pipelined:{shards} fixpoint");
+        assert_eq!(stats.iterations, serial_stats.iterations);
+        assert!(stats.adaptive_merge_batches > 0, "pipelined:{shards}");
+        assert!(stats.pipeline_stall_nanos > 0, "pipelined:{shards}");
+        if shards == 1 {
+            assert!(bytes < serial_bytes, "{bytes} >= {serial_bytes} bytes");
+        }
+    }
 }

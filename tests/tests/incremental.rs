@@ -201,6 +201,75 @@ fn a_rerun_past_the_iteration_limit_converges_over_repeated_runs() {
     assert_eq!(e.relation_size("Reach"), Some(40 * 41 / 2));
 }
 
+/// A re-run that runs out of device memory loses nothing, under eager and
+/// deferred merging alike. A 40-edge REACH chain is run, 40 more edges are
+/// staged, and the re-run is tried under pinned ballast from the device's
+/// whole free memory downward until it fits. Every failing re-run must
+/// keep `Reach`'s pre-run rows, and once the ballast is freed the next
+/// run must reach the from-scratch fixpoint.
+#[test]
+fn a_rerun_that_runs_out_of_memory_loses_no_rows() {
+    let chain =
+        |edges: std::ops::Range<u32>| -> Vec<u32> { edges.flat_map(|i| [i, i + 1]).collect() };
+    for pipelined in [0, 1] {
+        let config = EngineConfig {
+            pipelined,
+            ..EngineConfig::default()
+        };
+        let new_device = || Device::with_workers(DeviceProfile::tiny_test_device(8 << 20), 2);
+        let prepared = |d: &Device| {
+            let mut e = engine(d, REACH_PROGRAM, config.clone());
+            insert(&mut e, "Edge", 2, &chain(0..40));
+            e.run().unwrap();
+            insert(&mut e, "Edge", 2, &chain(40..80));
+            e
+        };
+        // The sweep steps through the device memory one unconstrained
+        // re-run reaches above what the engine holds before it.
+        let (expected, need) = {
+            let d = new_device();
+            let mut e = prepared(&d);
+            let in_use = d.tracker().in_use();
+            e.run().unwrap();
+            (
+                sorted(&e, "Reach"),
+                d.metrics().peak_bytes_in_use() - in_use,
+            )
+        };
+        let mut fresh = engine(&new_device(), REACH_PROGRAM, config.clone());
+        insert(&mut fresh, "Edge", 2, &chain(0..80));
+        fresh.run().unwrap();
+        assert_eq!(sorted(&fresh, "Reach"), expected);
+
+        let d = new_device();
+        let step = (need / 30).max(64);
+        let mut failures = 0;
+        for slack in (0..).map(|i| i * step) {
+            let mut e = prepared(&d);
+            let before = e.relation_size("Reach").unwrap();
+            let free = d.profile().memory_capacity_bytes - d.tracker().in_use();
+            let ballast = d
+                .buffer_filled(free.saturating_sub(slack) / 4, 0u32)
+                .unwrap();
+            let Err(err) = e.run() else {
+                break;
+            };
+            failures += 1;
+            let case = format!("pipelined {pipelined}, slack {slack}");
+            assert!(matches!(err, EngineError::Device(_)), "{case}: {err}");
+            let kept = e.relation_size("Reach").unwrap();
+            assert!(kept >= before, "{case}: Reach fell from {before} to {kept}");
+            drop(ballast);
+            e.run().unwrap();
+            assert_eq!(sorted(&e, "Reach"), expected, "{case}: retry");
+        }
+        assert!(
+            failures > 5,
+            "pipelined {pipelined}: the sweep never failed"
+        );
+    }
+}
+
 /// A deterministic 40-node graph with enough branching and merging that
 /// every join of every workload program fires.
 fn workload_edges() -> Vec<u32> {
