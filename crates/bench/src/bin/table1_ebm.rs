@@ -26,6 +26,7 @@ fn main() {
         "Mem Eager (MB)",
     ]);
 
+    let (mut faster, mut mem_ratios) = (Vec::new(), Vec::new());
     for dataset in PaperDataset::table1() {
         let graph = dataset.generate(scale);
 
@@ -36,10 +37,7 @@ fn main() {
         let normal_device = gpulog_device(scale);
         let normal = reach::run(&normal_device, &graph, normal_cfg).expect("normal run");
 
-        let eager_cfg = EngineConfig {
-            ebm: EbmConfig::with_growth_factor(8.0),
-            ..EngineConfig::default()
-        };
+        let eager_cfg = EngineConfig::default();
         let eager_device = gpulog_device(scale);
         let eager = reach::run(&eager_device, &graph, eager_cfg).expect("eager run");
 
@@ -50,6 +48,11 @@ fn main() {
         // removes, so the modeled time is the faithful column here.
         let normal_time = normal.stats.modeled_seconds();
         let eager_time = eager.stats.modeled_seconds();
+        if eager_time < normal_time {
+            faster.push(dataset.paper_name());
+        }
+        mem_ratios
+            .push(eager.stats.peak_device_bytes as f64 / normal.stats.peak_device_bytes as f64);
         table.row([
             dataset.paper_name().to_string(),
             format!("{}", eager.stats.iterations),
@@ -68,4 +71,13 @@ fn main() {
     println!("Expected shape (paper Table 1): Eager is faster on every dataset,");
     println!("with the largest gains on long-tail road/mesh graphs, at the cost");
     println!("of a ~1.3-1.4x larger memory footprint.");
+    let lo = mem_ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = mem_ratios.iter().copied().fold(0.0, f64::max);
+    println!(
+        "Measured (EbmConfig::default() vs disabled): Eager is faster on {} of {} \
+         datasets [{}]; Eager/Normal peak memory {lo:.2}-{hi:.2}x.",
+        faster.len(),
+        mem_ratios.len(),
+        faster.join(", "),
+    );
 }

@@ -428,8 +428,8 @@ pub struct GpulogEngine {
     relations: Vec<RelationStorage>,
     pending_facts: Vec<Vec<u32>>,
     config: EngineConfig,
-    /// Whether the extensional database has been loaded into storage (the
-    /// first run's load, even when that run then failed).
+    /// Whether the extensional database is in storage: set once the first
+    /// run's load completes, even when that run then fails.
     loaded: bool,
     has_run: bool,
     /// Completed fixpoints so far (the generation stamped on snapshots).
@@ -732,22 +732,30 @@ impl GpulogEngine {
         let t = Instant::now();
         let first_load = !self.loaded;
         if first_load {
-            let mut fact_buffers = std::mem::replace(
-                &mut self.pending_facts,
-                vec![Vec::new(); self.relations.len()],
-            );
+            // The staged facts stay staged until every relation has loaded:
+            // a failed load returns the loaded relations to their empty
+            // versions, so a retry starts from where this run did.
+            let mut fact_buffers = self.pending_facts.clone();
             for (rel, tuple) in &self.compiled.facts {
                 fact_buffers[*rel].extend_from_slice(tuple);
             }
+            let mut empties = Vec::new();
             for (rel, buffer) in fact_buffers.into_iter().enumerate() {
                 let batch = TupleBatch::new(self.compiled.arities[rel], buffer);
                 if !batch.is_empty() || self.compiled.inputs[rel] {
-                    self.relations[rel].load_full_batch(&batch)?;
+                    empties.push((rel, self.relations[rel].share_full()));
+                    if let Err(err) = self.relations[rel].load_full_batch(&batch) {
+                        for (rel, empty) in empties {
+                            self.relations[rel].restore_full(empty);
+                        }
+                        return Err(err);
+                    }
                 }
                 if let Some(kept) = &mut self.derived_facts[rel] {
                     *kept = batch.into_flat();
                 }
             }
+            self.pending_facts.fill(Vec::new());
             self.loaded = true;
         } else {
             self.settle_all(&mut stats)?;

@@ -138,21 +138,11 @@ impl RelationVersion {
             assert!(!key_cols.is_empty(), "sharding requires a join key");
             let (arity, load_factor) = (self.arity, self.load_factor);
             let rows = self.canonical.data();
-            // One shard takes the general build over a copy of the rows
-            // (re-indexing would change the default engine's counters).
-            // Delta rows are sorted and duplicate-free, and each hash
-            // partition is a subsequence of them, so wider builds re-index
-            // that shape without sort/dedup. A full version loses it on its
-            // first merge (merges concatenate data arrays), hence the
-            // linear check rather than an assumption.
-            let (parts, sorted_unique) = if shards.get() == 1 {
-                (vec![rows.to_vec()], false)
-            } else {
-                (
-                    partition_flat_by_key_hash(rows, arity, key_cols, shards),
-                    rows_are_sorted_unique(rows, arity),
-                )
-            };
+            // Delta rows are sorted and duplicate-free (so is each hash
+            // partition of them), which re-indexes without sort/dedup. A full
+            // version loses that on its first merge, hence the check.
+            let parts = partition_flat_by_key_hash(rows, arity, key_cols, shards);
+            let sorted_unique = rows_are_sorted_unique(rows, arity);
             let built = per_shard(device, parts, |part| {
                 let spec = IndexSpec::new(arity, key_cols.to_vec());
                 Ok(if sorted_unique {
@@ -503,6 +493,12 @@ impl RelationStorage {
         Arc::clone(&self.full)
     }
 
+    /// Puts back a full version taken with [`RelationStorage::share_full`]:
+    /// the rollback of a fact load that failed part-way.
+    pub(crate) fn restore_full(&mut self, full: Arc<RelationVersion>) {
+        self.full = full;
+    }
+
     /// Whether the full version is currently shared with a published
     /// snapshot (so the next mutation will copy-on-write detach).
     pub fn full_is_shared(&self) -> bool {
@@ -716,13 +712,14 @@ impl RelationStorage {
     }
 
     /// Merges the current delta into full, honouring the eager-buffer-
-    /// management policy: with EBM on, the canonical full buffer reserves
-    /// `k x |delta|` rows of slack before the merge — which, since
-    /// [`Hisa::reserve_additional_rows`] also pre-reserves hash-layer
-    /// capacity, keeps every following [`Hisa::merge_from`] on the
-    /// incremental index-maintenance path (delta-key inserts only, zero
-    /// hash rebuilds); with EBM off, slack is trimmed after every merge
-    /// (exact-size allocation behaviour).
+    /// management policy: with EBM on, each full index reserves `k x
+    /// |delta|` rows of slack before the merge in the layers
+    /// [`Hisa::merge_from`] fills in place (data array, inverse
+    /// permutation, hash layer; [`Hisa::reserve_additional_rows`]), so the
+    /// merges that fit in it grow no buffer and stay on the incremental
+    /// index-maintenance path (delta-key inserts, no hash rebuild); with
+    /// EBM off, slack is trimmed after every merge (exact-size allocation
+    /// behaviour).
     ///
     /// Every other full index merges the same delta in place (shard-locally
     /// for a wider map), so the next iteration's joins see a consistent

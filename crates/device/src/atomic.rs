@@ -2,10 +2,11 @@
 //!
 //! The paper's hash-table construction (Algorithm 2) uses `atomicCAS` both
 //! to claim hash slots and to keep the *smallest* sorted-index position per
-//! key. These helpers wrap the equivalent `std::sync::atomic` loops so the
-//! data-structure code reads like the paper's pseudo-code.
+//! key. [`claim_key_slot`] wraps the first as a `std::sync::atomic`
+//! compare-exchange so the data-structure code reads like the paper's
+//! pseudo-code; the hash table's insert loop carries the second.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel marking an empty hash-table key slot.
 pub const EMPTY_KEY: u64 = u64::MAX;
@@ -25,24 +26,9 @@ pub fn claim_key_slot(slot: &AtomicU64, key: u64) -> Result<bool, u64> {
     }
 }
 
-/// Atomically lowers `slot` to `value` if `value` is smaller than the value
-/// currently stored (CUDA's `atomicMin` on a 32-bit cell). Returns the value
-/// observed before the update.
-pub fn atomic_min_u32(slot: &AtomicU32, value: u32) -> u32 {
-    let mut current = slot.load(Ordering::Acquire);
-    while value < current {
-        match slot.compare_exchange_weak(current, value, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(prev) => return prev,
-            Err(observed) => current = observed,
-        }
-    }
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn claim_empty_slot_succeeds() {
@@ -63,30 +49,5 @@ mod tests {
         let slot = AtomicU64::new(EMPTY_KEY);
         claim_key_slot(&slot, 7).unwrap();
         assert_eq!(claim_key_slot(&slot, 9), Err(7));
-    }
-
-    #[test]
-    fn atomic_min_keeps_smallest() {
-        let slot = AtomicU32::new(EMPTY_VALUE);
-        atomic_min_u32(&slot, 10);
-        atomic_min_u32(&slot, 25);
-        atomic_min_u32(&slot, 3);
-        assert_eq!(slot.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn atomic_min_under_contention_finds_global_minimum() {
-        let slot = AtomicU32::new(EMPTY_VALUE);
-        std::thread::scope(|s| {
-            for t in 0..8u32 {
-                let slot = &slot;
-                s.spawn(move || {
-                    for i in 0..1000u32 {
-                        atomic_min_u32(slot, t * 1000 + i + 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(slot.load(Ordering::Relaxed), 1);
     }
 }

@@ -485,12 +485,13 @@ impl Hisa {
     }
 
     /// Reserves device capacity for `additional_rows` more tuples in the
-    /// data array, sorted-index/inverse arrays, **and the hash layer**, so a
-    /// subsequent [`Hisa::merge_from`] of up to that many rows neither grows
-    /// a buffer nor rebuilds the hash table. This is the hook eager buffer
-    /// management uses (paper Section 5.3): reserve `k x |delta|` rows once
-    /// and amortize allocation *and* rehashing over the following
-    /// iterations.
+    /// layers [`Hisa::merge_from`] fills in place — the data array, the
+    /// inverse permutation **and the hash layer** — so a later merge of up
+    /// to that many rows grows none of them and rebuilds no hash table. Not
+    /// the sorted index: each merge writes a fresh, exactly sized one and
+    /// drops the old, so slack there would be thrown away unused. This is
+    /// the hook eager buffer management uses (paper Section 5.3): reserve
+    /// `k x |delta|` rows once and amortize allocation *and* rehashing.
     ///
     /// # Errors
     ///
@@ -500,8 +501,6 @@ impl Hisa {
         let arity = self.arity();
         let target_values = self.data.len() + additional_rows * arity;
         self.data.reserve_total(target_values)?;
-        self.sorted_index
-            .reserve_total(self.sorted_index.len() + additional_rows)?;
         self.pos_in_sorted
             .reserve_total(self.pos_in_sorted.len() + additional_rows)?;
         // Worst case every reserved row introduces a distinct key; growing
@@ -923,14 +922,39 @@ mod tests {
         let d = device();
         let mut full = Hisa::build(&d, edge_spec(), &[1, 2]).unwrap();
         full.reserve_additional_rows(16).unwrap();
-        let reserved = d.tracker().in_use();
         let delta = Hisa::build(&d, edge_spec(), &[3, 4, 5, 6]).unwrap();
-        let delta_bytes = delta.device_bytes();
+        let capacities = |h: &Hisa| (h.data.capacity(), h.pos_in_sorted.capacity());
+        let reserved = capacities(&full);
+        let before = d.metrics().snapshot();
         full.merge_from(&delta).unwrap();
-        // The merged full may rebuild its hash table and sorted index, but the
-        // data array itself must not have re-grown beyond the reservation.
+        let spent = d.metrics().snapshot().since(&before);
+        // A merge within the reservation fills the data array, the inverse
+        // and the hash layer in place; its one allocation is the merged
+        // sorted index, sized exactly.
         assert_eq!(full.len(), 3);
-        let _ = (reserved, delta_bytes);
+        assert_eq!(capacities(&full), reserved, "a reserved layer grew");
+        assert_eq!(spent.hash_rebuilds, 0);
+        assert_eq!(spent.allocations, 1);
+        assert_eq!(
+            spent.bytes_allocated,
+            full.sorted_index.accounted_bytes() as u64
+        );
+        assert_eq!(full.sorted_index.capacity(), 3);
+    }
+
+    #[test]
+    fn reserve_leaves_the_sorted_index_unreserved() {
+        let d = device();
+        let mut h = Hisa::build(&d, edge_spec(), &[1, 2, 3, 4]).unwrap();
+        let (capacity, bytes) = (h.sorted_index.capacity(), h.sorted_index.accounted_bytes());
+        let data_capacity = h.data.capacity();
+        h.reserve_additional_rows(1000).unwrap();
+        // Every merge replaces the sorted index with a fresh, exactly
+        // sized one, so slack reserved there would never be used.
+        assert_eq!(h.sorted_index.capacity(), capacity);
+        assert_eq!(h.sorted_index.accounted_bytes(), bytes);
+        assert!(h.data.capacity() >= data_capacity + 1000 * h.arity());
+        assert!(h.pos_in_sorted.capacity() >= h.len() + 1000);
     }
 
     #[test]

@@ -199,6 +199,9 @@ pub fn partition_flat_by_key_hash(
         key_cols.iter().all(|&c| c < arity),
         "key column out of range"
     );
+    if shards.get() == 1 {
+        return vec![data.to_vec()];
+    }
     let mut parts: Vec<Vec<Value>> = vec![Vec::new(); shards.get()];
     let mut key = Vec::with_capacity(key_cols.len());
     for row in data.chunks_exact(arity) {

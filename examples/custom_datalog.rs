@@ -42,8 +42,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .end_rule()
         .build()?;
 
-    // Tune the engine through the builder: a larger EBM growth factor and
-    // temporarily-materialized joins (the default, spelled out here).
+    // Tune the engine through the builder: an EBM growth factor above the
+    // default k = 2 (more slack per merge, fewer regrowths on this large
+    // input) and temporarily-materialized joins (the default, spelled out
+    // here).
     let device = Device::new(DeviceProfile::nvidia_a100());
     let mut engine = GpulogEngine::builder(&device)
         .program_ast(&program)

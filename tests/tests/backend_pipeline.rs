@@ -769,14 +769,17 @@ fn topology_reports_match_the_recorded_model() {
 /// bytes_read, bytes_written, hash_inserts, hash_rebuilds,
 /// peak_bytes_in_use])` of a default-config run. An executor refactor must
 /// charge the device exactly the same. These rows were last re-recorded
-/// when intermediates were narrowed to their live columns: only launches
-/// and bytes moved, all downward.
+/// when eager buffer management stopped reserving sorted-index slack and
+/// its default `k` fell from 8 to 2, and width-1 index builds over
+/// sorted-unique rows took the re-index path: launches, allocations, bytes
+/// moved and peak bytes all downward, hash rebuilds up by one or two (a
+/// smaller reservation outgrows its hash capacity sooner).
 #[rustfmt::skip]
 const GOLDEN_DEFAULT_COUNTERS: &[(&str, &str, [u64; 8])] = &[
-    ("reach", "TemporarilyMaterialized", [173, 11, 102, 460472, 491984, 1600, 4, 221888]),
-    ("sg", "TemporarilyMaterialized", [122, 5, 73, 73768, 100952, 326, 3, 60608]),
-    ("sg", "FusedNestedLoop", [105, 5, 73, 61000, 92288, 326, 3, 60608]),
-    ("neg-min", "TemporarilyMaterialized", [983, 1507, 420, 28092840, 14405884, 29432, 8, 1939512]),
+    ("reach", "TemporarilyMaterialized", [169, 11, 97, 457976, 401640, 1600, 5, 121888]),
+    ("sg", "TemporarilyMaterialized", [118, 5, 72, 72744, 80464, 326, 4, 30144]),
+    ("sg", "FusedNestedLoop", [101, 5, 72, 59976, 71800, 326, 4, 30144]),
+    ("neg-min", "TemporarilyMaterialized", [975, 1507, 381, 28089096, 14265756, 29432, 10, 1737848]),
 ];
 
 /// The default engine's device counters are pinned to the digit on the

@@ -201,6 +201,61 @@ fn a_rerun_past_the_iteration_limit_converges_over_repeated_runs() {
     assert_eq!(e.relation_size("Reach"), Some(40 * 41 / 2));
 }
 
+/// A first run that runs out of device memory loses none of the facts
+/// staged before it. 40 REACH edges are staged and the first run is tried
+/// under pinned ballast from the device's whole free memory downward
+/// (finely at first, where the fact load itself fails) until it fits.
+/// Every failing run must leave storage empty when it failed inside the
+/// load, and once the ballast is freed the next run must reach the
+/// from-scratch fixpoint.
+#[test]
+fn a_first_run_that_runs_out_of_memory_keeps_the_staged_facts() {
+    let edges: Vec<u32> = (0..40u32).flat_map(|i| [i, i + 1]).collect();
+    let new_device = || Device::with_workers(DeviceProfile::tiny_test_device(8 << 20), 2);
+    let staged = |d: &Device| {
+        let mut e = engine(d, REACH_PROGRAM, config_from_env());
+        e.add_facts_flat("Edge", &edges).unwrap();
+        e
+    };
+    let expected = {
+        let mut e = staged(&new_device());
+        e.run().unwrap();
+        sorted(&e, "Reach")
+    };
+    assert_eq!(expected.len(), 2 * 40 * 41 / 2);
+
+    let d = new_device();
+    let (mut failures, mut in_load) = (0, 0);
+    let mut slack = 0;
+    loop {
+        let mut e = staged(&d);
+        let free = d.profile().memory_capacity_bytes - d.tracker().in_use();
+        let ballast = d
+            .buffer_filled(free.saturating_sub(slack) / 4, 0u32)
+            .unwrap();
+        let Err(err) = e.run() else {
+            break;
+        };
+        failures += 1;
+        assert!(
+            matches!(err, EngineError::Device(_)),
+            "slack {slack}: {err}"
+        );
+        if e.relation_size("Edge") == Some(0) {
+            in_load += 1;
+            assert_eq!(e.relation_size("Reach"), Some(0), "slack {slack}");
+        }
+        drop(ballast);
+        e.run().unwrap();
+        let rows = Some(expected.len() / 2);
+        assert_eq!(e.relation_size("Reach"), rows, "slack {slack}: retry");
+        assert_eq!(sorted(&e, "Reach"), expected, "slack {slack}: retry");
+        slack += (slack / 8).max(64);
+    }
+    assert!(in_load > 0, "no run failed inside the fact load");
+    assert!(failures > in_load, "no run failed after the fact load");
+}
+
 /// A re-run that runs out of device memory loses nothing, under eager and
 /// deferred merging alike. A 40-edge REACH chain is run, 40 more edges are
 /// staged, and the re-run is tried under pinned ballast from the device's
