@@ -38,6 +38,7 @@ use crate::stats::{Phase, RunStats};
 use gpulog_device::Device;
 use gpulog_hisa::Hisa;
 use std::num::NonZeroUsize;
+use std::slice;
 use std::time::Instant;
 
 mod multigpu;
@@ -105,7 +106,8 @@ impl EvalContext<'_> {
     ///
     /// A full version is settled first. A cached map returns at once, so a
     /// full version shared with a published snapshot is copy-on-write
-    /// detached only to build a map it lacks.
+    /// detached only to build a map it lacks. A canonical-prefix probe
+    /// ([`VersionSel::FullPrefix`]) builds nothing: its map is always there.
     ///
     /// # Errors
     ///
@@ -118,7 +120,7 @@ impl EvalContext<'_> {
         key_cols: &[usize],
         shards: NonZeroUsize,
     ) -> EngineResult<()> {
-        if version == VersionSel::Full {
+        if version != VersionSel::Delta {
             self.settle(relation)?;
         }
         if self
@@ -135,7 +137,8 @@ impl EvalContext<'_> {
 
     /// The already-built shard map of one relation version (see
     /// [`EvalContext::build_shard_map`]), or `None` if it has not been
-    /// built.
+    /// built. A canonical-prefix probe's map is the full version's
+    /// canonical index, read whole.
     pub fn shard_map(
         &self,
         relation: RelId,
@@ -143,9 +146,11 @@ impl EvalContext<'_> {
         key_cols: &[usize],
         shards: NonZeroUsize,
     ) -> Option<&[Hisa]> {
-        self.relations[relation]
-            .version(version)
-            .existing_sharded_index(key_cols, shards)
+        let stored = self.relations[relation].version(version);
+        if version == VersionSel::FullPrefix {
+            return Some(slice::from_ref(stored.canonical()));
+        }
+        stored.existing_sharded_index(key_cols, shards)
     }
 }
 

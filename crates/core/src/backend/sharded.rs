@@ -32,9 +32,12 @@
 //! nothing to shard on (cross products, fused chains whose first level
 //! binds no key, and the grouped reduce, whose groups span shards) gather
 //! the parts into one and run the same op body over it, probing the whole
-//! index (the 1-way map). Because the delta is re-sorted globally, every
-//! shard count reaches a **byte-identical** fixpoint — the property tests
-//! in `tests/tests/backend_pipeline.rs` pin exactly that.
+//! index (the 1-way map). So does a seed's canonical-prefix probe
+//! ([`VersionSel::FullPrefix`]): it settles the relation and reads the
+//! full version's canonical index by binary search, building no map.
+//! Because the delta is re-sorted globally, every shard count reaches a
+//! **byte-identical** fixpoint — the property tests in
+//! `tests/tests/backend_pipeline.rs` pin exactly that.
 //!
 //! ## One shard
 //!
@@ -56,8 +59,9 @@
 //! delta, and hands the merge to relation storage
 //! ([`crate::relation::RelationStorage`] owns the deferral and drains the
 //! parked runs in place, coalesced). The op loop settles a relation
-//! wherever it reads a full version — a full scan, the anti-join probe, and
-//! every full shard-map build — so no op ever sees a lagging full.
+//! wherever it reads a full version — a full scan, the anti-join probe, a
+//! canonical-prefix probe, and every full shard-map build — so no op ever
+//! sees a lagging full.
 //!
 //! ## Observing the executor
 //!
@@ -455,32 +459,32 @@ impl ShardedBackend {
         per_dest.into_iter().map(concat_parts).collect()
     }
 
-    /// The width of the map a join level with outer key `outer_key_cols`
-    /// probes: `S` when there is a key to re-partition on, otherwise one
-    /// (the whole index, probed by the gathered intermediate).
-    fn map_shards(&self, outer_key_cols: &[usize]) -> NonZeroUsize {
-        if outer_key_cols.is_empty() {
+    /// The width of the map a join level probes: one (the whole index,
+    /// probed by the gathered intermediate) when it probes whole (see
+    /// [`probes_whole`]), otherwise `S`.
+    fn map_shards(&self, step: &JoinStep) -> NonZeroUsize {
+        if probes_whole(step) {
             NonZeroUsize::MIN
         } else {
             self.shards
         }
     }
 
-    /// Lays the intermediate out for a join level keyed on
-    /// `outer_key_cols` (see [`ShardedBackend::map_shards`]): re-partitioned
-    /// and reported as `keyed`, or gathered into one part and reported as
+    /// Lays the intermediate out for a join level (`None`: a fused chain
+    /// without levels): re-partitioned on the level's outer key and
+    /// reported as `keyed`, or, when the level probes whole (see
+    /// [`probes_whole`]), gathered into one part and reported as
     /// [`PartOp::GatheredJoin`].
     fn lay_out(
         &self,
         parts: Vec<TupleBatch>,
-        outer_key_cols: &[usize],
+        step: Option<&JoinStep>,
         keyed: PartOp,
         obs: &dyn ShardObserver,
     ) -> (Vec<TupleBatch>, PartOp) {
-        if outer_key_cols.is_empty() {
-            (vec![gather(parts, obs)], PartOp::GatheredJoin)
-        } else {
-            (self.repartition(parts, outer_key_cols, obs), keyed)
+        match step.filter(|step| !probes_whole(step)) {
+            Some(step) => (self.repartition(parts, &step.outer_key_cols, obs), keyed),
+            None => (vec![gather(parts, obs)], PartOp::GatheredJoin),
         }
     }
 
@@ -497,7 +501,7 @@ impl ShardedBackend {
         obs: &dyn ShardObserver,
     ) -> EngineResult<()> {
         let (relation, version, key_cols) = (step.relation, step.version, &step.inner_key_cols);
-        if version == VersionSel::Full {
+        if version != VersionSel::Delta {
             ctx.settle(relation)?;
         }
         let t = Instant::now();
@@ -531,15 +535,15 @@ impl ShardedBackend {
         dedup_outer: bool,
         obs: &dyn ShardObserver,
     ) -> EngineResult<Vec<TupleBatch>> {
-        let shards = self.map_shards(&step.outer_key_cols);
+        let shards = self.map_shards(step);
         let index_phase = match step.version {
-            VersionSel::Full => Phase::IndexFull,
+            VersionSel::Full | VersionSel::FullPrefix => Phase::IndexFull,
             VersionSel::Delta => Phase::IndexDelta,
         };
         self.build_shard_map(ctx, step, shards, index_phase, obs)?;
 
         let t = Instant::now();
-        let (parts, op) = self.lay_out(parts, &step.outer_key_cols, PartOp::HashJoin, obs);
+        let (parts, op) = self.lay_out(parts, Some(step), PartOp::HashJoin, obs);
         let device = ctx.device;
         let inners = ctx
             .shard_map(step.relation, step.version, &step.inner_key_cols, shards)
@@ -592,22 +596,17 @@ impl ShardedBackend {
         head_proj: &[ColumnSource],
         obs: &dyn ShardObserver,
     ) -> EngineResult<Vec<TupleBatch>> {
-        let key0: &[usize] = levels
-            .first()
-            .map_or(&[], |(level0, _)| &level0.outer_key_cols);
-        let level_shards = |depth: usize| {
-            if depth == 0 {
-                self.map_shards(key0)
-            } else {
-                NonZeroUsize::MIN
-            }
+        let level0 = levels.first().map(|(step, _)| step);
+        let level_shards = |depth: usize| match level0 {
+            Some(step) if depth == 0 => self.map_shards(step),
+            _ => NonZeroUsize::MIN,
         };
         for (depth, (step, _)) in levels.iter().enumerate() {
             self.build_shard_map(ctx, step, level_shards(depth), Phase::IndexFull, obs)?;
         }
 
         let t = Instant::now();
-        let (parts, op) = self.lay_out(parts, key0, PartOp::FusedJoin, obs);
+        let (parts, op) = self.lay_out(parts, level0, PartOp::FusedJoin, obs);
         let device = ctx.device;
         let maps: Vec<&[Hisa]> = levels
             .iter()
@@ -734,6 +733,16 @@ fn scan(
     };
     ctx.stats.add_phase(Phase::Join, t.elapsed());
     Ok(batch)
+}
+
+/// Whether a join level probes one whole index with the gathered
+/// intermediate instead of `S` key-aligned shards: a cross product has no
+/// key to re-partition on, and a canonical-prefix probe
+/// ([`VersionSel::FullPrefix`]) reads the full version's canonical index,
+/// which is never sharded. The outer of such a probe is a seed's small
+/// delta, so gathering it costs little at any `S`.
+fn probes_whole(step: &JoinStep) -> bool {
+    step.outer_key_cols.is_empty() || step.version == VersionSel::FullPrefix
 }
 
 /// The fewest outer rows (summed over parts) worth a dedup pass. Below
@@ -1298,6 +1307,45 @@ mod tests {
         assert!(rels[0].is_settled());
         assert_eq!(rels[0].len(), 3);
         assert!(d.metrics().snapshot().pipeline_stall_nanos > 0);
+    }
+
+    /// A canonical-prefix probe reads the full version like a full scan:
+    /// under deferred merging it settles the pending runs first, then
+    /// joins against the canonical index, building no index of its own.
+    /// The rows it derives equal an eager join over a maintained index.
+    #[test]
+    fn prefix_probe_settles_deferred_merges_first() {
+        let d = device();
+        let mut want = storages(&d);
+        let mut stats = RunStats::default();
+        one_shard()
+            .execute(&mut context(&d, &mut want, &mut stats), &join_pipeline())
+            .unwrap();
+        sort_rows(&mut want[2].new_tuples, 2);
+        for shards in [1, 4] {
+            let mut rels = storages(&d);
+            let b = rels[1].tuples_batch();
+            rels[1] = RelationStorage::new(&d, "B", 2, DEFAULT_LOAD_FACTOR).unwrap();
+            rels[1].push_new_batch(&b);
+            let pipelined = deferred(shards);
+            pipelined
+                .populate(&mut context(&d, &mut rels, &mut stats), 1)
+                .unwrap();
+            assert!(!rels[1].is_settled());
+            assert_eq!(rels[1].len(), 0, "the stored full lags by the run");
+            let outcome = pipelined
+                .execute(
+                    &mut context(&d, &mut rels, &mut stats),
+                    &join_pipeline_on(VersionSel::FullPrefix),
+                )
+                .unwrap();
+            assert!(rels[1].is_settled());
+            assert_eq!(rels[1].len(), b.len());
+            assert!(rels[1].full().index_keys().is_empty(), "{shards} shards");
+            assert_eq!(outcome.derived_rows * 2, want[2].new_tuples.len());
+            sort_rows(&mut rels[2].new_tuples, 2);
+            assert_eq!(rels[2].new_tuples, want[2].new_tuples, "{shards} shards");
+        }
     }
 
     /// Settling a relation with nothing pending must leave its full

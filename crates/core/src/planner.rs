@@ -36,6 +36,13 @@ pub enum VersionSel {
     Full,
     /// The previous iteration's `delta` relation.
     Delta,
+    /// The `full` relation probed through its canonical index by a proper
+    /// prefix `[0..k)` of its columns. The canonical index sorts every
+    /// version lexicographically, so each such key is a contiguous range of
+    /// it and the join builds no index of its own. Only seed plans select
+    /// it ([`plan_seed_versions`]), for join steps no fixpoint pipeline
+    /// maintains an index for.
+    FullPrefix,
 }
 
 /// A value source when projecting from an intermediate tuple.
@@ -373,13 +380,23 @@ pub struct SeedPlan {
 /// relations' deltas, they derive exactly the head tuples whose
 /// derivation reads at least one grown lower tuple.
 ///
-/// A seed leads with its delta atom when every full index that order
-/// probes is in `probed` (see [`full_probe_keys`]), so it reuses indices
-/// the fixpoint maintains anyway. Otherwise it scans a full atom sharing a
-/// variable with the delta atom and joins the delta right after it: the
-/// delta's index is built on the small delta and dropped with it, rather
-/// than a new full-version index that every later copy-on-write detach
-/// would copy and every merge rewrite.
+/// Each seed takes one of three plans, and none builds a full-version
+/// index that a from-scratch run lacks:
+///
+/// * **Delta-first over maintained indices.** It leads with its delta atom
+///   when every full index that order probes is in `probed` (see
+///   [`full_probe_keys`]), so it reuses indices the fixpoint maintains
+///   anyway.
+/// * **Delta-first over a canonical prefix.** A full join whose key is not
+///   in `probed` but is a proper prefix `[0..k)` of the relation's columns
+///   reads the canonical index's sort order instead
+///   ([`VersionSel::FullPrefix`]): O(log |full|) per delta row and no
+///   index built. `Reach(x, y) :- Edge(x, z), Reach(z, y)` seeds this way.
+/// * **Scan-first fallback.** Otherwise it scans a full atom sharing a
+///   variable with the delta atom and joins the delta right after it: the
+///   delta's index is built on the small delta and dropped with it, rather
+///   than a new full-version index that every later copy-on-write detach
+///   would copy and every merge rewrite. This costs O(|full|) per seed.
 ///
 /// # Errors
 ///
@@ -405,11 +422,22 @@ pub fn plan_seed_versions(
             if own.contains(&delta) {
                 continue;
             }
-            let delta_first = plan_rule(rule, rule_index, Some(occ), &[occ], &id_of)?;
-            let covered = delta_first.joins.iter().all(|join| {
-                join.inner_key_cols.is_empty()
-                    || probed.contains(&(join.relation, join.inner_key_cols.clone()))
-            });
+            // Only the leading scan reads the delta: every join reads full.
+            let mut delta_first = plan_rule(rule, rule_index, Some(occ), &[occ], &id_of)?;
+            let mut covered = true;
+            for join in &mut delta_first.joins {
+                let key = &join.inner_key_cols;
+                if key.is_empty() || probed.contains(&(join.relation, key.clone())) {
+                    continue;
+                }
+                let prefix = key.len() < compiled.arities[join.relation]
+                    && key.iter().copied().eq(0..key.len());
+                if prefix {
+                    join.version = VersionSel::FullPrefix;
+                } else {
+                    covered = false;
+                }
+            }
             let mut plan = if covered {
                 delta_first
             } else {
@@ -1464,10 +1492,12 @@ mod tests {
     }
 
     /// SG's first rule can lead with the delta edge: its partner `Edge`
-    /// probe on column 0 is one the fixpoint maintains. The recursive
-    /// rules' delta-first orders would probe `SG` / `Reach` full on keys
-    /// no fixpoint pipeline builds, so they scan that full and join the
-    /// delta right after.
+    /// probe on column 0 is one the fixpoint maintains. In the recursive
+    /// rule, new `Edge(a, x)` rows lead too: they probe `SG` full on
+    /// `[0]`, no maintained key but a prefix the canonical order serves.
+    /// New `Edge(b, y)` rows would probe `SG` on `[1]`, which nothing
+    /// serves, so that seed scans `SG` full and joins the delta right
+    /// after.
     #[test]
     fn seed_versions_lead_with_the_delta_only_over_maintained_indices() {
         let c = compile_src(
@@ -1493,20 +1523,37 @@ mod tests {
             assert_eq!(seed.plan.scan.version, VersionSel::Delta);
             assert_eq!(seed.plan.joins[0].version, VersionSel::Full);
         }
-        for seed in &seeds[2..] {
-            let plan = &seed.plan;
-            assert_eq!(
-                (plan.scan.relation, plan.scan.version),
-                (sg, VersionSel::Full)
-            );
-            assert_eq!(
-                (plan.joins[0].relation, plan.joins[0].version),
-                (edge, VersionSel::Delta)
-            );
-            assert_eq!(
-                (plan.joins[1].relation, plan.joins[1].version),
-                (edge, VersionSel::Full)
-            );
+        let prefix_first = &seeds[2].plan;
+        assert_eq!(
+            (prefix_first.scan.relation, prefix_first.scan.version),
+            (edge, VersionSel::Delta)
+        );
+        let steps: Vec<_> = prefix_first
+            .joins
+            .iter()
+            .map(|join| (join.relation, join.version, join.inner_key_cols.clone()))
+            .collect();
+        assert_eq!(
+            steps,
+            [
+                (sg, VersionSel::FullPrefix, vec![0]),
+                (edge, VersionSel::Full, vec![0])
+            ]
+        );
+        let scan_first = &seeds[3].plan;
+        assert_eq!(
+            (scan_first.scan.relation, scan_first.scan.version),
+            (sg, VersionSel::Full)
+        );
+        assert_eq!(
+            (scan_first.joins[0].relation, scan_first.joins[0].version),
+            (edge, VersionSel::Delta)
+        );
+        assert_eq!(
+            (scan_first.joins[1].relation, scan_first.joins[1].version),
+            (edge, VersionSel::Full)
+        );
+        for plan in [prefix_first, scan_first] {
             assert!(plan
                 .joins
                 .iter()

@@ -16,9 +16,10 @@ use gpulog_hisa::{Hisa, TupleBatch};
 /// Computes the join of an outer batch with an indexed inner HISA.
 ///
 /// * `outer_key_cols` selects the outer columns forming the join key; it is
-///   matched positionally against the inner HISA's key columns, so the HISA
-///   must have been built with an [`gpulog_hisa::IndexSpec`] whose key has
-///   the same length (an empty key degenerates to a cross product).
+///   matched positionally against the inner HISA's leading key columns
+///   ([`Hisa::probe`]): a key as long as the HISA's enters through its hash
+///   layer, a shorter one (a prefix of a canonical index's columns) by
+///   binary search, and an empty key degenerates to a cross product.
 /// * `inner_const_filters` / `inner_eq_filters` express constant arguments
 ///   and repeated variables of the inner atom, in the inner relation's
 ///   *original* column order.
@@ -29,8 +30,8 @@ use gpulog_hisa::{Hisa, TupleBatch};
 ///
 /// # Panics
 ///
-/// Panics if the key arities of `outer_key_cols` and the inner HISA differ,
-/// or if any referenced column is out of range.
+/// Panics if `outer_key_cols` is longer than the inner HISA's key, or if
+/// any referenced column is out of range.
 pub fn hash_join_batch(
     device: &Device,
     outer: &TupleBatch,
@@ -41,8 +42,8 @@ pub fn hash_join_batch(
     emit: &[EmitSource],
 ) -> TupleBatch {
     assert!(
-        outer_key_cols.is_empty() || outer_key_cols.len() == inner.spec().key_arity(),
-        "outer and inner join-key arities must match"
+        outer_key_cols.len() <= inner.spec().key_arity(),
+        "the outer join key is longer than the inner's"
     );
     let outer_arity = outer.arity();
     let outer_rows = outer.len();
@@ -118,10 +119,11 @@ pub fn hash_join_batch(
 /// Join keys up to this many columns are gathered on the stack.
 const STACK_KEY_COLS: usize = 8;
 
-/// Calls `visit` with the data-array row id of every inner row whose key
-/// equals `outer_row`'s `outer_key_cols` — every inner row for an empty key
-/// (a cross product). Allocates nothing for keys of up to
-/// [`STACK_KEY_COLS`] columns, so a probe that misses costs one hash lookup.
+/// Calls `visit` with the data-array row id of every inner row whose
+/// leading key columns equal `outer_row`'s `outer_key_cols` — every inner
+/// row for an empty key (a cross product). Allocates nothing for keys of
+/// up to [`STACK_KEY_COLS`] columns, so a probe that misses costs one hash
+/// lookup, or one binary search for a prefix of the inner's key.
 fn for_each_match(
     inner: &Hisa,
     outer_row: &[u32],
@@ -143,7 +145,7 @@ fn for_each_match(
     for (slot, &col) in key.iter_mut().zip(outer_key_cols) {
         *slot = outer_row[col];
     }
-    inner.range_query(key).for_each(visit);
+    inner.probe(key).for_each(visit);
 }
 
 #[cfg(test)]
@@ -350,5 +352,64 @@ mod tests {
             &emit,
         ));
         assert_eq!(got, vec![vec![1, 7], vec![2, 7]]);
+    }
+
+    /// Joining over the canonical index by a prefix of its columns yields
+    /// the rows a join over an index built on that prefix yields, with and
+    /// without inner constant and equality filters.
+    #[test]
+    fn a_join_over_the_canonical_by_prefix_matches_one_over_a_prefix_index() {
+        let d = device();
+        let tuples: Vec<[u32; 3]> = (0..5u32)
+            .flat_map(|a| (0..4u32).flat_map(move |b| (0..4u32).map(move |c| [a, b, c])))
+            .filter(|t| (t[0] + t[1] + t[2]) % 3 != 0)
+            .collect();
+        // Three interleaved runs, merged: the sorted index is no identity.
+        let run = |j: usize| -> Vec<u32> {
+            tuples
+                .iter()
+                .skip(j)
+                .step_by(3)
+                .flatten()
+                .copied()
+                .collect()
+        };
+        let mut canonical = Hisa::build(&d, IndexSpec::full_key(3), &run(0)).unwrap();
+        for j in 1..3 {
+            let next = Hisa::build(&d, IndexSpec::full_key(3), &run(j)).unwrap();
+            canonical.merge_from(&next).unwrap();
+        }
+        let all: Vec<u32> = tuples.iter().flatten().copied().collect();
+        // Outer (x, k0, k1); keys 5 and 6 match nothing.
+        let outer: Vec<u32> = (0..21u32).flat_map(|i| [i, i % 7, i % 4]).collect();
+        let outer = TupleBatch::new(3, outer);
+        let emit = [
+            EmitSource::Outer(0),
+            EmitSource::Inner(1),
+            EmitSource::Inner(2),
+        ];
+        for outer_key in [vec![1], vec![1, 2]] {
+            let inner_key: Vec<usize> = (0..outer_key.len()).collect();
+            let by_prefix = Hisa::build(&d, IndexSpec::new(3, inner_key), &all).unwrap();
+            for (consts, eqs) in [
+                (&[][..], &[][..]),
+                (&[(2usize, 1u32)][..], &[][..]),
+                (&[][..], &[(1usize, 2usize)][..]),
+                (&[(2, 1)][..], &[(1, 2)][..]),
+            ] {
+                let join = |inner: &Hisa| {
+                    rows(&hash_join_batch(
+                        &d, &outer, &outer_key, inner, consts, eqs, &emit,
+                    ))
+                };
+                let got = join(&canonical);
+                assert!(!got.is_empty(), "key {outer_key:?}, {consts:?}, {eqs:?}");
+                assert_eq!(
+                    got,
+                    join(&by_prefix),
+                    "key {outer_key:?}, {consts:?}, {eqs:?}"
+                );
+            }
+        }
     }
 }

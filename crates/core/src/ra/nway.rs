@@ -70,7 +70,7 @@ fn walk_levels(
         (0..level.inner.len() as u32).collect()
     } else {
         let key: Vec<u32> = step.outer_key_cols.iter().map(|&c| row[c]).collect();
-        level.inner.range_query(&key).collect()
+        level.inner.probe(&key).collect()
     };
     for inner_row_id in candidates {
         let inner_row = level.inner.row_reordered(inner_row_id as usize);
@@ -254,6 +254,84 @@ mod tests {
         let mut got_dedup = got;
         got_dedup.dedup();
         assert_eq!(got_dedup, expected);
+    }
+
+    /// A fused chain probing the canonical index by prefixes of its
+    /// columns, at both depths, yields the rows the same chain over
+    /// indices built on those prefixes yields, with and without inner
+    /// constant and equality filters.
+    #[test]
+    fn a_fused_join_over_the_canonical_by_prefix_matches_one_over_prefix_indices() {
+        let d = device();
+        let tuples: Vec<u32> = (0..5u32)
+            .flat_map(|a| (0..4u32).flat_map(move |b| (0..4u32).map(move |c| [a, b, c])))
+            .filter(|t| (t[0] + 2 * t[1] + t[2]) % 3 != 0)
+            .flatten()
+            .collect();
+        // Two runs merged: the canonical's sorted index is no identity.
+        let (even, odd): (Vec<_>, Vec<_>) = tuples
+            .chunks_exact(3)
+            .enumerate()
+            .partition(|(i, _)| i % 2 == 0);
+        let flat = |run: Vec<(usize, &[u32])>| -> Vec<u32> {
+            run.into_iter().flat_map(|(_, t)| t.to_vec()).collect()
+        };
+        let mut canonical = Hisa::build(&d, IndexSpec::full_key(3), &flat(even)).unwrap();
+        canonical
+            .merge_from(&Hisa::build(&d, IndexSpec::full_key(3), &flat(odd)).unwrap())
+            .unwrap();
+        let by_first = Hisa::build(&d, IndexSpec::new(3, vec![0]), &tuples).unwrap();
+        let by_two = Hisa::build(&d, IndexSpec::new(3, vec![0, 1]), &tuples).unwrap();
+        // Outer (x, k) with keys 5 and 6 matching nothing.
+        let outer = TupleBatch::new(2, (0..14u32).flat_map(|i| [i, i % 7]).collect());
+        let head = [ColumnSource::Col(0), ColumnSource::Col(1)];
+        for (consts, eqs) in [
+            (vec![], vec![]),
+            (vec![(2usize, 1u32)], vec![]),
+            (vec![], vec![(1usize, 2usize)]),
+        ] {
+            // R(k, b, c), then R(b, c, e): emits (x, e).
+            let step1 = JoinStep {
+                relation: 0,
+                version: VersionSel::Full,
+                outer_key_cols: vec![1],
+                inner_key_cols: vec![0],
+                inner_const_filters: consts,
+                inner_eq_filters: eqs,
+                emit: vec![
+                    EmitSource::Outer(0),
+                    EmitSource::Inner(1),
+                    EmitSource::Inner(2),
+                ],
+            };
+            let step2 = JoinStep {
+                relation: 0,
+                version: VersionSel::Full,
+                outer_key_cols: vec![1, 2],
+                inner_key_cols: vec![0, 1],
+                inner_const_filters: vec![(2, 2)],
+                inner_eq_filters: vec![],
+                emit: vec![EmitSource::Outer(0), EmitSource::Inner(2)],
+            };
+            let join = |inner1: &Hisa, inner2: &Hisa| {
+                let levels = [
+                    FusedLevel {
+                        step: &step1,
+                        inner: inner1,
+                        filters: &[],
+                    },
+                    FusedLevel {
+                        step: &step2,
+                        inner: inner2,
+                        filters: &[],
+                    },
+                ];
+                rows(&fused_rule_join_batch(&d, &outer, &levels, &head))
+            };
+            let got = join(&canonical, &canonical);
+            assert!(!got.is_empty(), "{step1:?}");
+            assert_eq!(got, join(&by_first, &by_two), "{step1:?}");
+        }
     }
 
     #[test]

@@ -368,13 +368,16 @@ fn per_shard<J: Send, T: Send>(
 /// the merged sorted order depends on tuple content alone and the result
 /// is byte-identical to merging each run into the destination one at a
 /// time — which is what lets a drain pay the destination's O(|full|)
-/// merge passes once per batch of runs.
+/// merge passes once per batch of runs. The first run's HISA reserves
+/// room for every later run's rows up front, so the merges neither grow
+/// its layers nor rebuild its exactly sized hash table run after run.
 fn index_runs(
     device: &Device,
     spec: IndexSpec,
     runs: &[&[u32]],
     load_factor: f64,
 ) -> EngineResult<Hisa> {
+    let arity = spec.arity();
     let index = |run: &[u32]| {
         Hisa::build_reindexed_from_sorted_unique(device, spec.clone(), run, load_factor)
     };
@@ -383,6 +386,10 @@ fn index_runs(
         .next()
         .expect("a merge indexes at least one non-empty run");
     let mut combined = index(first)?;
+    let later_rows: usize = runs.clone().map(|run| run.len() / arity).sum();
+    if later_rows > 0 {
+        combined.reserve_additional_rows(later_rows)?;
+    }
     for run in runs {
         combined.merge_from(&index(run)?)?;
     }
@@ -461,7 +468,7 @@ impl RelationStorage {
     /// [`RelationStorage::full`]) or `delta`.
     pub fn version(&self, sel: VersionSel) -> &RelationVersion {
         match sel {
-            VersionSel::Full => self.full(),
+            VersionSel::Full | VersionSel::FullPrefix => self.full(),
             VersionSel::Delta => &self.delta,
         }
     }
@@ -475,7 +482,7 @@ impl RelationStorage {
     /// Returns a device error if the detach copy does not fit.
     pub fn version_mut(&mut self, sel: VersionSel) -> EngineResult<&mut RelationVersion> {
         match sel {
-            VersionSel::Full => self.full_mut(),
+            VersionSel::Full | VersionSel::FullPrefix => self.full_mut(),
             VersionSel::Delta => Ok(&mut self.delta),
         }
     }

@@ -359,6 +359,35 @@ impl Hisa {
         }
     }
 
+    /// The rows whose leading key columns equal `key`, which may be shorter
+    /// than the spec's key: the data-array row ids of every tuple whose
+    /// first `key.len()` key-first columns equal `key`. A key as long as the
+    /// spec's enters through the hash layer, exactly as
+    /// [`Hisa::range_query`]; a shorter one enters by binary search over
+    /// the sorted index (the start of [`Hisa::sorted_prefix_range`]), since
+    /// lexicographic order groups every prefix of the key-first columns.
+    /// On a canonical, identity-keyed HISA that lets one index answer
+    /// probes on any prefix `[0..k)` of the relation's columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is longer than the spec's key.
+    pub fn probe<'a>(&'a self, key: &'a [Value]) -> RangeQuery<'a> {
+        if key.len() == self.spec.key_arity() {
+            return self.range_query(key);
+        }
+        assert!(key.len() < self.spec.key_arity(), "key arity mismatch");
+        let position = self
+            .sorted_index
+            .as_slice()
+            .partition_point(|&p| self.prefix_cmp(p, key).is_lt());
+        RangeQuery {
+            hisa: self,
+            key,
+            position,
+        }
+    }
+
     /// The sorted-index position where a range query for `key` enters the
     /// relation: the hash layer's stored row resolved through the inverse
     /// permutation. For a present key this is the smallest position holding
@@ -1016,6 +1045,77 @@ mod tests {
         assert_eq!(deep, vec![vec![3, 5], vec![3, 8]]);
         // An inverted range is empty, not a panic.
         assert_eq!(h.sorted_span(&[6], &[1]).len(), 0);
+    }
+
+    /// A probe of the canonical index by a prefix `[0..k)` answers like a
+    /// range query on an index built on that prefix: at arity 2 and 3, for
+    /// every prefix length, present and absent keys, over a canonical that
+    /// absorbed three merges (so its sorted index is no longer the
+    /// identity), and over an empty relation.
+    #[test]
+    fn prefix_probes_of_the_canonical_match_an_index_on_the_prefix() {
+        let d = device();
+        for arity in [2usize, 3] {
+            // Every tuple over small domains, leading value 3 left out so a
+            // one-column key can miss in the middle of the order.
+            let mut tuples: Vec<Vec<u32>> = vec![Vec::new()];
+            for domain in [0..6u32, 0..5, 0..3].into_iter().take(arity) {
+                tuples = tuples
+                    .iter()
+                    .flat_map(|t| domain.clone().map(move |v| [t.as_slice(), &[v]].concat()))
+                    .filter(|t| t[0] != 3)
+                    .collect();
+            }
+            // Four interleaved runs: each later run's rows sort between
+            // the earlier ones'.
+            let run = |j: usize| -> Vec<u32> {
+                tuples
+                    .iter()
+                    .skip(j)
+                    .step_by(4)
+                    .flatten()
+                    .copied()
+                    .collect()
+            };
+            let spec = IndexSpec::full_key(arity);
+            let mut canonical = Hisa::build(&d, spec.clone(), &run(0)).unwrap();
+            for j in 1..4 {
+                canonical
+                    .merge_from(&Hisa::build(&d, spec.clone(), &run(j)).unwrap())
+                    .unwrap();
+            }
+            let identity: Vec<u32> = (0..canonical.len() as u32).collect();
+            assert_ne!(canonical.sorted_index(), identity.as_slice());
+            let empty = Hisa::empty(&d, spec).unwrap();
+            let all: Vec<u32> = tuples.iter().flatten().copied().collect();
+            for k in 1..=arity {
+                let by_prefix =
+                    Hisa::build(&d, IndexSpec::new(arity, (0..k).collect()), &all).unwrap();
+                // Keys over domains one wider than the data's: some miss.
+                let mut keys: Vec<Vec<u32>> = vec![Vec::new()];
+                for domain in [0..8u32, 0..6, 0..4].into_iter().take(k) {
+                    keys = keys
+                        .iter()
+                        .flat_map(|t| domain.clone().map(move |v| [t.as_slice(), &[v]].concat()))
+                        .collect();
+                }
+                let mut hits = 0;
+                for key in &keys {
+                    let got: Vec<Vec<u32>> = canonical
+                        .probe(key)
+                        .map(|r| canonical.row(r as usize))
+                        .collect();
+                    let want: Vec<Vec<u32>> = by_prefix
+                        .range_query(key)
+                        .map(|r| by_prefix.row(r as usize))
+                        .collect();
+                    assert_eq!(got, want, "arity {arity}, key {key:?}");
+                    hits += usize::from(!got.is_empty());
+                    assert_eq!(empty.probe(key).count(), 0);
+                }
+                assert!(0 < hits && hits < keys.len(), "arity {arity}, k {k}");
+            }
+        }
     }
 
     #[test]

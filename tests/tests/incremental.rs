@@ -5,7 +5,11 @@
 //! only what the new facts imply. Every test runs on the configured
 //! `GPULOG_TEST_BACKEND` matrix leg.
 
-use gpulog::{EngineConfig, EngineError, GpulogEngine, RunStats, StratumMode, TupleBatch};
+use gpulog::planner::{full_probe_keys, plan_seed_versions, VersionSel};
+use gpulog::{
+    compile, lower_program, parse_program, EngineConfig, EngineError, GpulogEngine, NwayStrategy,
+    RaOp, RunStats, StratumMode, TupleBatch,
+};
 use gpulog_device::{profile::DeviceProfile, Device};
 use gpulog_queries::{
     CSPA_PROGRAM, GOAL_REACH_PROGRAM, NEGATED_REACH_PROGRAM, REACH_PROGRAM, SG_PROGRAM,
@@ -165,6 +169,79 @@ fn an_isolated_edge_on_a_long_chain_derives_only_itself() {
         .iter()
         .all(|&mode| mode == StratumMode::Skipped));
     assert_eq!(raw_rows(&stats), 0);
+}
+
+/// A seed for new edges leads with the delta when the full atom it then
+/// joins is keyed on a prefix of its columns: REACH's probes `Reach` by
+/// its first column through the canonical sort order. Goal-shaped and
+/// negated REACH would probe `Reach[1]`, which no index holds, so their
+/// seeds keep scanning `Reach` first. No fixpoint pipeline, under either
+/// n-way strategy, probes a canonical prefix.
+#[test]
+fn seeds_lead_with_new_edges_over_a_canonical_prefix_and_only_seeds_probe_one() {
+    for (source, delta_first) in [
+        (REACH_PROGRAM, true),
+        (GOAL_REACH_PROGRAM, false),
+        (NEGATED_REACH_PROGRAM, false),
+    ] {
+        let compiled = compile(&parse_program(source).unwrap()).unwrap();
+        let id = |name| compiled.relation_id(name).unwrap();
+        let (edge, reach) = (id("Edge"), id("Reach"));
+        let stratum = compiled
+            .strata
+            .iter()
+            .position(|s| s.relations.contains(&reach))
+            .unwrap();
+        let probed = full_probe_keys(&lower_program(
+            &compiled,
+            NwayStrategy::TemporarilyMaterialized,
+        ));
+        let seeds = plan_seed_versions(&compiled, stratum, &probed).unwrap();
+        // The recursive rule's seed: the one for new edges with a join.
+        let plan = &seeds
+            .iter()
+            .find(|seed| seed.delta == edge && !seed.plan.joins.is_empty())
+            .unwrap()
+            .plan;
+        let prefix_probes: Vec<_> = plan
+            .joins
+            .iter()
+            .filter(|join| join.version == VersionSel::FullPrefix)
+            .map(|join| (join.relation, join.inner_key_cols.clone()))
+            .collect();
+        if delta_first {
+            assert_eq!(
+                (plan.scan.relation, plan.scan.version),
+                (edge, VersionSel::Delta)
+            );
+            assert_eq!(prefix_probes, [(reach, vec![0])]);
+        } else {
+            assert_eq!(
+                (plan.scan.relation, plan.scan.version),
+                (reach, VersionSel::Full),
+                "{source}"
+            );
+            assert_eq!(prefix_probes, [], "{source}");
+        }
+        for strategy in [
+            NwayStrategy::TemporarilyMaterialized,
+            NwayStrategy::FusedNestedLoop,
+        ] {
+            let lowered = lower_program(&compiled, strategy);
+            let steps = lowered
+                .iter()
+                .flat_map(|stratum| stratum.non_recursive.iter().chain(&stratum.recursive))
+                .flat_map(|pipeline| &pipeline.ops)
+                .flat_map(|op| match op {
+                    RaOp::HashJoin { step, .. } => vec![step],
+                    RaOp::FusedJoin { levels, .. } => levels.iter().map(|(step, _)| step).collect(),
+                    _ => Vec::new(),
+                });
+            for step in steps {
+                assert_ne!(step.version, VersionSel::FullPrefix, "{source}");
+            }
+        }
+    }
 }
 
 #[test]
